@@ -26,7 +26,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.signal import czt
 
 from .dist1d import TabulatedDistribution
-from .synth import noise_charfn
+from .synth import check_sigma, noise_charfn
 
 __all__ = [
     "BandwidthRule",
@@ -97,9 +97,7 @@ def select_bandwidth(n, sigma, noise, rule=None):
     n = int(n)
     if n < 2:
         raise ValueError("need n >= 2")
-    sigma = float(sigma)
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    sigma = check_sigma(sigma)
     rule = BandwidthRule() if rule is None else rule
     root = 1.0 / math.sqrt(n)
     if sigma < root:
@@ -189,9 +187,7 @@ def deconvolve_cdf(ys, noise, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
     """
     if not 0.0 < h <= 1.0:
         raise ValueError("bandwidth must lie in (0, 1]")
-    sigma = float(sigma)
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    sigma = check_sigma(sigma)
     pad = 6.0 * (1.0 + sigma)
     if grid.lo > ys.atoms[0] - pad or grid.hi < ys.atoms[-1] + pad:
         raise ValueError(

@@ -137,24 +137,38 @@ class RiskRecord:
 def conjecture_product(counts, n, C, c):
     """prod over occupied cells j of (1 - C exp(-c log(n) / n_j))^2.
 
-    Evaluated in log space over the distinct occupancy values (cells with
-    equal n_j contribute identical factors), with an exact zero
-    short-circuit so no log(0) is ever taken.  Empty cells contribute no
-    factor.  Natural log throughout.
+    ``C`` is a scalar, giving a float, or a 1-d sequence, giving an array
+    with one product per entry.  One occupancy histogram serves every C:
+    cells with equal n_j contribute identical factors, so each product is
+    a multiplicity-weighted sum of logs over the distinct occupancies, with
+    an exact zero short-circuit per C so no log(0) is ever taken.  Empty
+    cells contribute no factor.  Natural log throughout.
     """
     n = int(n)
     if n < 1:
         raise ValueError("need n >= 1")
-    counts = np.asarray(counts)
-    if counts.size and (np.any(counts < 0) or int(counts.sum()) != n):
+    counts = np.asarray(counts).ravel()
+    integral = counts.dtype.kind in "iu" or (
+        counts.dtype.kind == "f" and np.all(np.isfinite(counts)) and np.all(counts == np.floor(counts))
+    )
+    if not integral:
+        raise ValueError("counts must be integers")
+    counts = counts.astype(np.int64, copy=False)
+    if counts.size and counts.min() < 0:
         raise ValueError("counts must be nonnegative and sum to n")
-    occ, mult = np.unique(counts[counts > 0], return_counts=True)
-    if occ.size == 0:
-        return 1.0
-    factors = 1.0 - C * np.exp(-c * math.log(n) / occ)
-    if np.any(factors == 0.0):
-        return 0.0
-    return float(math.exp(2.0 * float(np.sum(mult * np.log(np.abs(factors))))))
+    hist = np.bincount(counts)
+    if counts.size and int(np.dot(hist, np.arange(hist.size))) != n:
+        raise ValueError("counts must be nonnegative and sum to n")
+    Cs = np.asarray(C, dtype=float)
+    if Cs.ndim > 1:
+        raise ValueError("C must be a scalar or a 1-d sequence")
+    occ = np.flatnonzero(hist[1:]) + 1
+    mult = hist[occ]
+    factors = 1.0 - Cs.reshape(-1, 1) * np.exp(-c * math.log(n) / occ)
+    zero = factors == 0.0
+    sums = np.sum(mult * np.log(np.abs(np.where(zero, 1.0, factors))), axis=1)
+    out = np.array([0.0 if z else math.exp(2.0 * float(s)) for z, s in zip(zero.any(axis=1), sums)])
+    return float(out[0]) if Cs.ndim == 0 else out
 
 
 def _occupancy_counts(rng, n):
@@ -169,8 +183,7 @@ def _sweep_chunk(args):
     out = np.empty((hi - lo, len(C_list)))
     for r in range(lo, hi):
         counts = _occupancy_counts(rng_stream(seed, "conjecture", n, r), n)
-        for k, C in enumerate(C_list):
-            out[r - lo, k] = conjecture_product(counts, n, C, c)
+        out[r - lo] = conjecture_product(counts, n, C_list, c)
     return out
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .deconv import DEFAULT_FREQ_POINTS, auto_grid, deconvolve_cdf, select_bandwidth
 from .dist1d import EmpiricalMeasure, MonotoneStepFn, quantile
+from .synth import check_sigma
 
 __all__ = [
     "FitConfig",
@@ -156,9 +157,9 @@ def fit_shuffled(x_ordered, y, sigma, cfg, full_output=False):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("x_ordered and y must have equal length")
-    sigma = float(sigma)
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("x_ordered and y must be finite")
+    sigma = check_sigma(sigma)
     raw = np.sort(y, kind="stable")
     vals = project_moment(raw, cfg.moment_bound, cfg.moment_order)
     fit = extend_piecewise(x, vals)
@@ -185,7 +186,7 @@ def fit_unlinked(x, y, noise, sigma, cfg, grid=None, rule=None, freq_points=DEFA
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("x and y must have equal sample sizes")
-    if np.any((x < 0.0) | (x > 1.0)):
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("covariates must lie in [0, 1]")
     n = x.size
     ys = EmpiricalMeasure.from_sample(y)

@@ -113,6 +113,14 @@ def _check_conjecture_product_closed_forms():
     assert abs(val - (1.0 - 100.0**-20.0) ** 200) < 1e-12
 
 
+def _check_conjecture_product_array_form():
+    counts = experiments._occupancy_counts(synth.rng_stream(1, "selftest", "occupancy"), 1000)
+    cases = [(counts, 1000, experiments.DEFAULT_C_LIST), ([1], 1, (1.0, 2.0)), ([], 5, (1.0,))]
+    for occ, n, C_list in cases:
+        values = experiments.conjecture_product(occ, n, C_list, 20.0)
+        assert [float(v) for v in values] == [experiments.conjecture_product(occ, n, C, 20.0) for C in C_list]
+
+
 def _check_sweep_determinism():
     cfg = experiments.ConjectureConfig(n_min=50, n_max=200, grid_points=2, reps=10, C_list=(1.0,), seed=4)
     assert experiments.conjecture_sweep(cfg) == experiments.conjecture_sweep(cfg)
@@ -151,6 +159,7 @@ CHECKS = [
     ("cdf isotonization", _check_isotonize),
     ("deconvolution kernel oracle", _check_deconv_kernel_oracle),
     ("occupancy product closed forms", _check_conjecture_product_closed_forms),
+    ("occupancy product array form", _check_conjecture_product_array_form),
     ("sweep determinism", _check_sweep_determinism),
     ("noise presets in regime", _check_sigma_presets_in_regime),
     ("dataset csv round trip", _check_dataset_csv_round_trip),

@@ -25,6 +25,7 @@ __all__ = [
     "NoiseSpec",
     "LinkSpec",
     "Dataset",
+    "check_sigma",
     "rng_stream",
     "derive_seed",
     "noise_charfn",
@@ -95,6 +96,14 @@ class NoiseSpec:
         for name in ("gamma1", "c1", "c2"):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
+
+
+def check_sigma(sigma):
+    """``sigma`` as a float; ValueError unless it is finite and nonnegative."""
+    sigma = float(sigma)
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError("sigma must be finite and nonnegative")
+    return sigma
 
 
 def noise_charfn(spec, t):
@@ -312,11 +321,10 @@ class Dataset:
                 raise ValueError("x and y must have equal length")
             if np.any(np.diff(x) < 0):
                 raise ValueError("x_ordered must be sorted")
-            if np.any((x < 0.0) | (x > 1.0)):
+            if not np.all((x >= 0.0) & (x <= 1.0)):
                 raise ValueError("covariates must lie in [0, 1]")
             object.__setattr__(self, "x_ordered", x)
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        check_sigma(self.sigma)
 
     @property
     def n(self):
@@ -339,9 +347,7 @@ def sample_dataset(mode, n, link, noise, sigma, seed):
     n = int(n)
     if n < 1:
         raise ValueError("need n >= 1")
-    sigma = float(sigma)
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    sigma = check_sigma(sigma)
     if mode == "shuffled":
         x = np.sort(rng_stream(seed, "x").random(n), kind="stable")
         delta = sample_noise(noise, n, rng_stream(seed, "noise"))

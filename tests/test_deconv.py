@@ -110,6 +110,9 @@ class TestSelectBandwidth:
             select_bandwidth(1, 0.1, NOISE)
         with pytest.raises(ValueError):
             select_bandwidth(100, -0.1, NOISE)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                select_bandwidth(100, sigma, NOISE)
 
     def test_noise_amplification_bounded(self):
         # the integrand divides by the noise charfn at |t| <= 1/h; the rule
@@ -280,3 +283,6 @@ class TestDeconvolveCdf:
             deconvolve_cdf(ys, NOISE, 0.0, 1.5, grid)
         with pytest.raises(ValueError):
             deconvolve_cdf(ys, NOISE, -0.2, 0.5, grid)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                deconvolve_cdf(ys, NOISE, sigma, 0.5, grid)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monofit.experiments import (
     DEFAULT_C_LIST,
@@ -43,6 +45,17 @@ def product_direct(counts, n, C, c):
         if k > 0:
             out *= (1.0 - C * math.exp(-c * math.log(n) / k)) ** 2
     return out
+
+
+def product_per_C(counts, n, C, c):
+    """One C at a time over np.unique occupancies, as the sweep once did."""
+    occ, mult = np.unique([k for k in counts if k > 0], return_counts=True)
+    if occ.size == 0:
+        return 1.0
+    factors = 1.0 - C * np.exp(-c * math.log(n) / occ)
+    if np.any(factors == 0.0):
+        return 0.0
+    return math.exp(2.0 * float(np.sum(mult * np.log(np.abs(factors)))))
 
 
 class TestConjectureProduct:
@@ -90,6 +103,32 @@ class TestConjectureProduct:
             conjecture_product([-1, 2], 1, 1.0, 20.0)
         with pytest.raises(ValueError):
             conjecture_product([1], 0, 1.0, 20.0)
+        with pytest.raises(ValueError, match="integers"):
+            conjecture_product([49.5, 50.5], 100, 1.0, 20.0)
+        with pytest.raises(ValueError):
+            conjecture_product([50, 50], 100, [[1.0, 2.0]], 20.0)  # C must be at most 1-d
+
+    def test_integral_float_counts_accepted(self):
+        as_floats = conjecture_product([50.0, 0.0, 50.0], 100, 1.0, 20.0)
+        assert as_floats == conjecture_product([50, 0, 50], 100, 1.0, 20.0)
+
+    @given(
+        counts=st.lists(st.integers(0, 40), max_size=30).filter(lambda cs: not cs or sum(cs) > 0),
+        n_empty=st.integers(1, 10**6),
+        Cs=st.lists(st.one_of(st.sampled_from(DEFAULT_C_LIST), st.floats(0.0, 1000.0)), min_size=1, max_size=10),
+        c=st.floats(0.5, 40.0),
+    )
+    @example(counts=[1], n_empty=1, Cs=[1.0, 2.0, 1.0], c=20.0)  # the zero short-circuit row
+    @example(counts=[], n_empty=5, Cs=[1.0], c=20.0)
+    @settings(max_examples=200, deadline=None)
+    def test_array_form_equals_scalar_calls(self, counts, n_empty, Cs, c):
+        n = sum(counts) or n_empty
+        values = conjecture_product(counts, n, Cs, c)
+        assert values.shape == (len(Cs),)
+        for k, C in enumerate(Cs):
+            scalar = conjecture_product(counts, n, C, c)
+            assert isinstance(scalar, float)
+            assert values[k] == scalar == product_per_C(counts, n, C, c)
 
 
 class TestOccupancyCounts:

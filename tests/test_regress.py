@@ -237,6 +237,22 @@ class TestFitShuffled:
         with pytest.raises(ValueError):
             fit_shuffled(np.array([0.1, 0.2]), np.array([1.0]), 0.0, FitConfig("shuffled"))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_y(self, bad):
+        x = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            fit_shuffled(x, np.array([0.0, 1.0, bad, 2.0, 3.0]), 0.1, FitConfig("shuffled"))
+
+    def test_rejects_nonfinite_x(self):
+        with pytest.raises(ValueError, match="finite"):
+            fit_shuffled(np.array([0.1, np.nan, 0.3]), np.array([0.0, 1.0, 2.0]), 0.1, FitConfig("shuffled"))
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_rejects_nonfinite_sigma(self, sigma):
+        x = np.array([0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="sigma"):
+            fit_shuffled(x, np.array([0.0, 1.0, 2.0]), sigma, FitConfig("shuffled"))
+
 
 class TestFitUnlinked:
     def test_tracks_midcell_quantiles_degenerate_noise(self):
@@ -321,6 +337,10 @@ class TestFitUnlinked:
             fit_unlinked(np.array([0.1, 0.2]), np.array([1.0]), NOISE, 0.0, cfg)
         with pytest.raises(ValueError):
             fit_unlinked(np.array([0.1, 1.2]), np.array([1.0, 2.0]), NOISE, 0.0, cfg)
+        with pytest.raises(ValueError):
+            fit_unlinked(np.array([0.1, np.nan]), np.array([1.0, 2.0]), NOISE, 0.0, cfg)
+        with pytest.raises(ValueError, match="sigma"):
+            fit_unlinked(np.array([0.1, 0.2]), np.array([1.0, 2.0]), NOISE, np.nan, cfg)
 
 
 class TestStepfnCsv:

@@ -189,6 +189,9 @@ class TestSampleDataset:
             sample_dataset("shuffled", 0, identity_link(), NoiseSpec(), 0.1, 0)
         with pytest.raises(ValueError):
             sample_dataset("shuffled", 10, identity_link(), NoiseSpec(), -0.1, 0)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                sample_dataset("shuffled", 10, identity_link(), NoiseSpec(), sigma, 0)
 
     def test_derive_seed_stable(self):
         assert derive_seed(3, "rates", 100, 7) == derive_seed(3, "rates", 100, 7)
@@ -253,3 +256,7 @@ class TestDatasetCsv:
             Dataset("deconv", np.array([0.5]), np.array([1.0]), 0.1, 0, None)
         with pytest.raises(ValueError):
             Dataset("shuffled", np.array([0.9, 0.1]), np.array([1.0, 2.0]), 0.1, 0, None)
+        with pytest.raises(ValueError, match="covariates"):
+            Dataset("shuffled", np.array([0.1, np.nan]), np.array([1.0, 2.0]), 0.1, 0, None)
+        with pytest.raises(ValueError, match="sigma"):
+            Dataset("deconv", None, np.array([1.0]), math.nan, 0, None)
