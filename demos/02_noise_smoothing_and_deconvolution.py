@@ -10,8 +10,8 @@ CDF of z.  The bandwidth rule switches between a sampling-limited branch
 
 import numpy as np
 
-from monofit.deconv import auto_grid, deconvolve_cdf, select_bandwidth
-from monofit.dist1d import EmpiricalMeasure, TabulatedDistribution, w1_tabulated
+from monofit.deconv import estimate_cdf
+from monofit.dist1d import TabulatedDistribution, w1_tabulated
 from monofit.synth import NoiseSpec, rng_stream
 
 noise = NoiseSpec()
@@ -22,13 +22,12 @@ n, sigma = 2000, 0.3
 z = rng.uniform(-1.0, 1.0, n)
 y = z + sigma * rng.normal(size=n)
 
-# The bandwidth balances noise amplification against smoothing bias.
-h = select_bandwidth(n, sigma, noise)
+# The bandwidth balances noise amplification against smoothing bias; the
+# inversion runs on an automatically padded grid.
+est, h = estimate_cdf(y, noise, sigma)
 print("n = %d, sigma = %.2f  ->  bandwidth h = %.4f" % (n, sigma, h))
 
-# Invert on an automatically padded grid and compare with the truth.
-ys = EmpiricalMeasure.from_sample(y)
-est = deconvolve_cdf(ys, noise, sigma, h, auto_grid(ys, sigma))
+# Compare with the truth.
 truth = TabulatedDistribution.from_callable(
     lambda x: np.clip((x + 1.0) / 2.0, 0.0, 1.0), est.grid_lo, est.grid_hi, est.grid.size
 )
@@ -36,9 +35,7 @@ print("W1(estimate, truth)        :", w1_tabulated(est, truth))
 
 # The same pipeline with less noise gets closer, holding n fixed.
 for s in (0.15, 0.05, 0.0):
-    yy = EmpiricalMeasure.from_sample(z + s * rng.normal(size=n))
-    hh = select_bandwidth(n, s, noise)
-    ee = deconvolve_cdf(yy, noise, s, hh, auto_grid(yy, s))
+    ee, hh = estimate_cdf(z + s * rng.normal(size=n), noise, s)
     tt = TabulatedDistribution.from_callable(
         lambda x: np.clip((x + 1.0) / 2.0, 0.0, 1.0), ee.grid_lo, ee.grid_hi, ee.grid.size
     )

@@ -1,6 +1,6 @@
 """Monotone link estimation from shuffled or unlinked one-dimensional samples.
 
-The package groups six pieces:
+The package groups seven pieces:
 
 - :mod:`monofit.dist1d` -- empirical measures, tabulated CDFs, monotone step
   functions, generalized inverses, and Wasserstein distances W1/W2.
@@ -14,6 +14,7 @@ The package groups six pieces:
   measure for unlinked data).
 - :mod:`monofit.experiments` -- Monte-Carlo harness: occupancy-product
   sweeps, risk evaluation, and rate sweeps with reproducible seeding.
+- :mod:`monofit.csvio` -- the one CSV format of every table written or read.
 - :mod:`monofit.cli` -- the ``monofit`` command line front end.
 """
 

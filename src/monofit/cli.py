@@ -16,19 +16,17 @@ Exit codes: 0 success, 2 usage error, 1 runtime failure.
 """
 
 import argparse
-import csv
 import dataclasses
 import math
 import os
 import sys
 from configparser import ConfigParser
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .deconv import auto_grid, deconvolve_cdf, select_bandwidth
-from .dist1d import EmpiricalMeasure
+from .csvio import write_table
+from .deconv import estimate_cdf
 from .experiments import (
     DEFAULT_C_LIST,
     DEFAULT_SEED,
@@ -49,24 +47,11 @@ from .synth import (
     unbounded_tail_link,
 )
 
-__all__ = ["main", "run", "RunConfig", "write_records", "render_plot", "parse_link"]
-
-_FLOAT_FMT = "%.17g"
+__all__ = ["main", "run", "write_records", "render_plot", "parse_link"]
 
 WORKERS_ENV = "MONOFIT_WORKERS"
 
 _DEFAULT_N_GRID = (100, 316, 1000, 3162, 10000)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run context shared by all subcommands."""
-
-    subcommand: str
-    config_path: str
-    out_dir: str
-    seed: int
-    workers: int
 
 
 def _float_list(text):
@@ -103,9 +88,10 @@ def parse_link(text):
 def write_records(path, records, fields=None):
     """Write homogeneous records as CSV: header first, floats at 17 digits.
 
-    Records may be dataclass instances or plain mappings.  ``fields`` fixes
-    the column order; it defaults to the first record's natural order and is
-    required when ``records`` is empty.
+    Records may be dataclass instances, plain mappings, or sequences already
+    in column order.  ``fields`` fixes the column order; it defaults to the
+    first record's natural order and is required when ``records`` is empty
+    or holds sequences.
     """
     records = list(records)
     if fields is None:
@@ -117,23 +103,15 @@ def write_records(path, records, fields=None):
         else:
             fields = tuple(first.keys())
 
-    def cell(value):
-        if isinstance(value, bool):
-            return "1" if value else "0"
-        if isinstance(value, float):
-            return _FLOAT_FMT % value
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        return str(value)
+    def row(rec):
+        if dataclasses.is_dataclass(rec):
+            return [getattr(rec, f) for f in fields]
+        if hasattr(rec, "keys"):
+            return [rec[f] for f in fields]
+        return rec
 
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fields)
-            for rec in records:
-                if dataclasses.is_dataclass(rec):
-                    rec = dataclasses.asdict(rec)
-                writer.writerow([cell(rec[f]) for f in fields])
+        write_table(path, fields, map(row, records))
     except OSError as exc:
         raise RuntimeError("failed writing %s: %s" % (path, exc))
 
@@ -299,9 +277,9 @@ def _build_parser():
 
 
 def _resolve(args, ini, section, spec):
-    """flag > config file > default, per key."""
+    """flag > config file > default, per key of ``spec`` and of --out, --seed."""
     out = {}
-    for key, (conv, default) in spec.items():
+    for key, (conv, default) in {**_COMMON_SPEC, **spec}.items():
         dest = key.replace("-", "_")
         val = getattr(args, dest, None)
         if val is None and ini is not None and ini.has_option(section, key):
@@ -331,19 +309,6 @@ _COMMON_SPEC = {
 }
 
 
-def _run_config(cmd, args, ini, workers):
-    common = _resolve(args, ini, cmd, _COMMON_SPEC)
-    out_dir = Path(common["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return RunConfig(
-        subcommand=cmd,
-        config_path=args.config,
-        out_dir=str(out_dir),
-        seed=common["seed"],
-        workers=workers,
-    )
-
-
 def _cmd_conjecture(args, ini):
     spec = {
         "n-min": (int, 100),
@@ -356,7 +321,8 @@ def _cmd_conjecture(args, ini):
     }
     opts = _resolve(args, ini, "conjecture", spec)
     workers = opts["workers"] if opts["workers"] is not None else _default_workers()
-    rc = _run_config("conjecture", args, ini, workers)
+    out = Path(opts["out"])
+    out.mkdir(parents=True, exist_ok=True)
     cfg = ConjectureConfig(
         n_min=opts["n_min"],
         n_max=opts["n_max"],
@@ -364,10 +330,9 @@ def _cmd_conjecture(args, ini):
         reps=opts["reps"],
         c=opts["c"],
         C_list=opts["c_list"],
-        seed=rc.seed,
+        seed=opts["seed"],
     )
-    rows = conjecture_sweep(cfg, workers=rc.workers)
-    out = Path(rc.out_dir)
+    rows = conjecture_sweep(cfg, workers=workers)
     table_path = out / "conjecture.csv"
     write_records(table_path, rows, fields=("n", "C", "mean", "stderr"))
     for C in cfg.C_list:
@@ -385,17 +350,18 @@ def _cmd_rates(args, ini):
         "link": (str, "identity"),
     }
     opts = _resolve(args, ini, "rates", spec)
-    rc = _run_config("rates", args, ini, _default_workers())
+    out = Path(opts["out"])
+    out.mkdir(parents=True, exist_ok=True)
     link = parse_link(opts["link"])
     records = rate_sweep(
         opts["problem"],
         opts["n_grid"],
         opts["sigma_rule"],
         reps=opts["reps"],
-        seed=rc.seed,
+        seed=opts["seed"],
         link=link,
     )
-    out_path = Path(rc.out_dir) / "risks.csv"
+    out_path = out / "risks.csv"
     write_records(out_path, records, fields=("problem", "n", "sigma", "seed", "risk_kind", "value"))
     by_n = {}
     for r in records:
@@ -414,20 +380,16 @@ def _cmd_estimate(args, ini):
         "sigma": (float, 0.0),
     }
     opts = _resolve(args, ini, "estimate", spec)
-    rc = _run_config("estimate", args, ini, _default_workers())
+    out = Path(opts["out"])
+    out.mkdir(parents=True, exist_ok=True)
     if not opts["data"]:
         raise RuntimeError("estimate needs --data (or data= in the config file)")
-    ds = dataset_from_csv(opts["data"], sigma=opts["sigma"], seed=rc.seed)
+    ds = dataset_from_csv(opts["data"], sigma=opts["sigma"], seed=opts["seed"])
     noise = NoiseSpec()
-    out = Path(rc.out_dir)
     if ds.mode == "deconv":
-        ys = EmpiricalMeasure.from_sample(ds.y)
-        h = select_bandwidth(ds.n, ds.sigma, noise)
-        grid = auto_grid(ys, ds.sigma)
-        est = deconvolve_cdf(ys, noise, ds.sigma, h, grid)
+        est, h = estimate_cdf(ds.y, noise, ds.sigma)
         out_path = out / "cdf.csv"
-        rows = [{"x": float(x), "cdf": float(c)} for x, c in zip(est.grid, est.cdf)]
-        write_records(out_path, rows, fields=("x", "cdf"))
+        write_records(out_path, zip(est.grid, est.cdf), fields=("x", "cdf"))
         print("wrote %s (bandwidth %.6g)" % (out_path, h))
         return 0
     if ds.mode == "shuffled":

@@ -22,10 +22,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.signal import czt
 
-from .dist1d import TabulatedDistribution
+from .dist1d import EmpiricalMeasure, TabulatedDistribution
 from .synth import check_sigma, noise_charfn
 
 __all__ = [
@@ -35,6 +33,7 @@ __all__ = [
     "deconvolve_cdf",
     "isotonize_cdf",
     "auto_grid",
+    "estimate_cdf",
 ]
 
 DEFAULT_FREQ_POINTS = 2**12
@@ -133,6 +132,8 @@ def _ecf(ys, ts):
 
 def _fourier_at(g, ts, xs):
     """S(x_m) = sum_j g_j exp(-i t_j x_m) for uniform ts and xs, via Bluestein."""
+    from scipy.signal import czt  # deferred: importing monofit loads no scipy
+
     dt = ts[1] - ts[0]
     dx = xs[1] - xs[0]
     out = czt(g, m=xs.size, w=np.exp(-1j * dt * dx), a=np.exp(1j * dt * xs[0]))
@@ -177,7 +178,8 @@ def deconvolve_cdf(ys, noise, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
     grid : GridSpec
         Output grid.  Must cover the observed y-range padded by
         6 (1 + sigma) on both sides, otherwise the tabulated CDF would
-        truncate real mass.
+        truncate real mass, and its step must not exceed h / 4, otherwise
+        the grid cannot resolve the smoothing scale.
     freq_points : int
         Trapezoid points for the frequency integral over [-1/h, 1/h].
 
@@ -194,6 +196,8 @@ def deconvolve_cdf(ys, noise, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
             "grid too narrow: need [%g, %g] to cover the y-range padded by %g"
             % (ys.atoms[0] - pad, ys.atoms[-1] + pad, pad)
         )
+    if grid.step > h / 4.0:
+        raise ValueError("grid too coarse: step %g exceeds h/4 = %g" % (grid.step, h / 4.0))
     ts = np.linspace(-1.0 / h, 1.0 / h, int(freq_points))
     u = h * ts
     kstar = (1.0 - u * u) ** 3  # vanishes at the truncation edges
@@ -204,5 +208,18 @@ def deconvolve_cdf(ys, noise, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
     weights[-1] *= 0.5
     xs = grid.xs
     dens = _fourier_at(g * weights, ts, xs).real / (2.0 * math.pi)
-    cdf = isotonize_cdf(cumulative_trapezoid(dens, dx=grid.step, initial=0.0))
+    mass = np.cumsum(grid.step * (dens[1:] + dens[:-1]) / 2.0)  # cumulative trapezoid
+    cdf = isotonize_cdf(np.concatenate(([0.0], mass)))
     return TabulatedDistribution(grid.lo, grid.hi, cdf)
+
+
+def estimate_cdf(y, noise, sigma):
+    """Latent CDF behind the noisy sample ``y``: the one estimation policy.
+
+    Chooses the bandwidth by :func:`select_bandwidth` at n = len(y), the
+    grid by :func:`auto_grid`, and inverts with :func:`deconvolve_cdf`.
+    Returns ``(TabulatedDistribution, h)``.
+    """
+    ys = EmpiricalMeasure.from_sample(y)
+    h = select_bandwidth(ys.n, sigma, noise)
+    return deconvolve_cdf(ys, noise, sigma, h, auto_grid(ys, sigma)), h

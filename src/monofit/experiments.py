@@ -23,10 +23,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .deconv import auto_grid, deconvolve_cdf, select_bandwidth
-from .dist1d import EmpiricalMeasure, TabulatedDistribution, w1_tabulated
+from .deconv import estimate_cdf
+from .dist1d import TabulatedDistribution, w1_tabulated
 from .regress import FitConfig, fit_shuffled, fit_unlinked
 from .synth import LinkSpec, NoiseSpec, derive_seed, identity_link, link_cdf, rng_stream, sample_dataset
 
@@ -251,6 +250,8 @@ def risk_population(mhat, m0, mu_x=None):
     ``m0``, and the sign change of mhat - m0 inside each piece (located by
     root bracketing), then each smooth piece gets 64-point Gauss-Legendre.
     """
+    from scipy.optimize import brentq  # deferred: importing monofit loads no scipy
+
     edges = _design_breakpoints(mhat, m0)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
@@ -377,11 +378,10 @@ def parse_sigma_rule(text):
 def _measure_risks(problem, ds, link, noise, kinds):
     out = {}
     if problem == "deconv":
-        ys = EmpiricalMeasure.from_sample(ds.y)
-        h = select_bandwidth(ds.n, ds.sigma, noise)
-        grid = auto_grid(ys, ds.sigma)
-        est = deconvolve_cdf(ys, noise, ds.sigma, h, grid)
-        truth = TabulatedDistribution.from_callable(lambda z: link_cdf(link, z), grid.lo, grid.hi, grid.points)
+        est, _ = estimate_cdf(ds.y, noise, ds.sigma)
+        truth = TabulatedDistribution.from_callable(
+            lambda z: link_cdf(link, z), est.grid_lo, est.grid_hi, est.cdf.size
+        )
         out["W1_measure"] = w1_tabulated(est, truth)
         return out
     if problem == "shuffled":

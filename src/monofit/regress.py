@@ -11,7 +11,7 @@ statistics and differ only in where the fitted values come from:
 
 - unlinked (:func:`fit_unlinked`): x and y are disjoint samples and y is
   observed through additive noise.  The latent y-distribution is first
-  recovered by :func:`monofit.deconv.deconvolve_cdf`; the fitted value on
+  recovered by :func:`monofit.deconv.estimate_cdf`; the fitted value on
   the i-th mass cell is its mid-cell quantile, the L1-optimal single atom
   for that cell.
 
@@ -20,14 +20,14 @@ Fitted values are then projected onto the moment ball
 left-continuous step function on [0, 1] (:func:`extend_piecewise`).
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .deconv import DEFAULT_FREQ_POINTS, auto_grid, deconvolve_cdf, select_bandwidth
-from .dist1d import EmpiricalMeasure, MonotoneStepFn, quantile
+from .csvio import read_table, write_table
+from .deconv import estimate_cdf
+from .dist1d import MonotoneStepFn, quantile
 from .synth import check_sigma
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
 ]
 
 _ETA_MODES = ("shuffled", "unlinked")
-
-_FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -169,16 +167,17 @@ def fit_shuffled(x_ordered, y, sigma, cfg, full_output=False):
     return fit, info
 
 
-def fit_unlinked(x, y, noise, sigma, cfg, grid=None, rule=None, freq_points=DEFAULT_FREQ_POINTS, full_output=False):
+def fit_unlinked(x, y, noise, sigma, cfg, full_output=False):
     """Monotone fit when x and y are disjoint samples and y is noisy.
 
-    Pipeline: deconvolve the y-sample into a latent CDF estimate, read off
-    its mid-cell quantiles v_i = quantile((2i - 1) / (2n)) as fitted values
-    on the x order statistics, project onto the moment ball, extend.
+    Pipeline: deconvolve the y-sample into a latent CDF estimate
+    (:func:`monofit.deconv.estimate_cdf`), read off its mid-cell quantiles
+    v_i = quantile((2i - 1) / (2n)) as fitted values on the x order
+    statistics, project onto the moment ball, extend.
 
-    ``grid`` defaults to :func:`monofit.deconv.auto_grid` on the y-sample;
-    ``rule`` is the bandwidth rule (defaults inside
-    :func:`monofit.deconv.select_bandwidth`).
+    With ``full_output=True`` returns ``(fit, info)`` where info records the
+    slack eta = n^{-1/2}, whether the projection activated, the bandwidth
+    ``h`` and the estimated latent CDF table ``cdf``.
     """
     if cfg.eta_mode != "unlinked":
         raise ValueError("cfg.eta_mode must be 'unlinked' for fit_unlinked")
@@ -189,11 +188,7 @@ def fit_unlinked(x, y, noise, sigma, cfg, grid=None, rule=None, freq_points=DEFA
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("covariates must lie in [0, 1]")
     n = x.size
-    ys = EmpiricalMeasure.from_sample(y)
-    h = select_bandwidth(n, sigma, noise, rule)
-    if grid is None:
-        grid = auto_grid(ys, sigma)
-    mu = deconvolve_cdf(ys, noise, sigma, h, grid, freq_points)
+    mu, h = estimate_cdf(y, noise, sigma)
     levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
     raw = np.maximum.accumulate(quantile(mu, levels))
     vals = project_moment(raw, cfg.moment_bound, cfg.moment_order)
@@ -204,7 +199,7 @@ def fit_unlinked(x, y, noise, sigma, cfg, grid=None, rule=None, freq_points=DEFA
         "eta": cfg.eta(n, sigma),
         "projected": not np.array_equal(vals, raw),
         "h": h,
-        "grid": grid,
+        "cdf": mu,
     }
     return fit, info
 
@@ -212,19 +207,12 @@ def fit_unlinked(x, y, noise, sigma, cfg, grid=None, rule=None, freq_points=DEFA
 def stepfn_to_csv(m, path, n, sigma, eta, projected):
     """Write a fitted step function as CSV with a metadata preamble.
 
-    Four comment lines record the fit context (sample size, noise scale,
+    Four preamble lines record the fit context (sample size, noise scale,
     contrast slack, whether the moment projection activated), then a
     (knot, value) table.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# n=%d\n" % int(n))
-        fh.write("# sigma=%s\n" % (_FLOAT_FMT % float(sigma)))
-        fh.write("# eta=%s\n" % (_FLOAT_FMT % float(eta)))
-        fh.write("# projected=%d\n" % (1 if projected else 0))
-        writer = csv.writer(fh)
-        writer.writerow(["knot", "value"])
-        for k, v in zip(m.knots, m.values):
-            writer.writerow([_FLOAT_FMT % k, _FLOAT_FMT % v])
+    preamble = {"n": int(n), "sigma": float(sigma), "eta": float(eta), "projected": bool(projected)}
+    write_table(path, ("knot", "value"), zip(m.knots, m.values), preamble)
 
 
 def stepfn_from_csv(path):
@@ -233,26 +221,12 @@ def stepfn_from_csv(path):
     Returns (MonotoneStepFn, metadata dict with keys n, sigma, eta,
     projected).
     """
-    meta = {}
     knots = []
     values = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = []
-        for line in fh:
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key.strip()] = val.strip()
-            else:
-                rows.append(line)
-        reader = csv.reader(rows)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["knot", "value"]:
-            raise ValueError("%s: expected header knot,value" % (path,))
-        for row in reader:
-            if not row:
-                continue
-            knots.append(float(row[0]))
-            values.append(float(row[1]))
+    with read_table(path, ("knot", "value")) as (meta, rows):
+        for knot, value in rows:
+            knots.append(float(knot))
+            values.append(float(value))
     for key in ("n", "sigma", "eta", "projected"):
         if key not in meta:
             raise ValueError("%s: missing metadata line %r" % (path, key))

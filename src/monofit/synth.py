@@ -15,11 +15,13 @@ platform-stable generators from ``(seed, purpose tags)``.  Generation is a
 pure function of its arguments: the same seed gives bit-identical output.
 """
 
-import csv
+import itertools
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
+
+from .csvio import read_table, write_table
 
 __all__ = [
     "NoiseSpec",
@@ -42,8 +44,6 @@ __all__ = [
     "dataset_to_csv",
     "dataset_from_csv",
 ]
-
-_FLOAT_FMT = "%.17g"
 
 
 def _seed_words(seed, *tags):
@@ -73,29 +73,21 @@ def derive_seed(seed, *tags):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Supersmooth noise family: charfn decaying like exp(-|t|^beta / gamma).
+    """Supersmooth noise family: charfn decaying like exp(-|t|^beta / gamma2).
 
     Only the Gaussian member is implemented; it pins beta = 2 and gamma2 = 2
-    since exp(-t^2/2) = exp(-|t|^2 / 2).  The remaining fields keep the decay
-    envelope explicit so other supersmooth families can slot in later.
+    since exp(-t^2/2) = exp(-|t|^2 / 2).
     """
 
     family: str = "gaussian"
     beta: float = 2.0
-    gamma1: float = 2.0
     gamma2: float = 2.0
-    c1: float = 1.0
-    c2: float = 1.0
-    beta_tilde: float = 0.0
 
     def __post_init__(self):
         if self.family != "gaussian":
             raise ValueError("unsupported noise family: %r" % (self.family,))
         if self.beta != 2.0 or self.gamma2 != 2.0:
             raise ValueError("gaussian noise fixes beta = 2 and gamma2 = 2")
-        for name in ("gamma1", "c1", "c2"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
 
 
 def check_sigma(sigma):
@@ -368,12 +360,9 @@ def sample_dataset(mode, n, link, noise, sigma, seed):
 
 def dataset_to_csv(ds, path):
     """Write a dataset as CSV with columns mode, index, x, y."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "index", "x", "y"])
-        for i in range(ds.n):
-            x_cell = "" if ds.mode == "deconv" else _FLOAT_FMT % ds.x_ordered[i]
-            writer.writerow([ds.mode, str(i), x_cell, _FLOAT_FMT % ds.y[i]])
+    xs = itertools.repeat("") if ds.mode == "deconv" else ds.x_ordered
+    rows = ((ds.mode, i, x, y) for i, (x, y) in enumerate(zip(xs, ds.y)))
+    write_table(path, ("mode", "index", "x", "y"), rows)
 
 
 def dataset_from_csv(path, sigma=0.0, seed=0):
@@ -382,18 +371,11 @@ def dataset_from_csv(path, sigma=0.0, seed=0):
     The file stores neither sigma nor seed nor the generating link, so sigma
     and seed are supplied by the caller and truth is left as None.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["mode", "index", "x", "y"]:
-            raise ValueError("%s: expected header mode,index,x,y" % (path,))
-        modes = set()
-        xs = []
-        ys = []
-        for row in reader:
-            if not row:
-                continue
-            mode, _idx, x_cell, y_cell = row
+    modes = set()
+    xs = []
+    ys = []
+    with read_table(path, ("mode", "index", "x", "y")) as (_, rows):
+        for mode, _idx, x_cell, y_cell in rows:
             modes.add(mode)
             if x_cell != "":
                 xs.append(float(x_cell))

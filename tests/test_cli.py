@@ -7,8 +7,9 @@ import pytest
 
 from monofit.cli import _default_workers, parse_link, render_plot, run, write_records
 from monofit.experiments import ConjectureRow
-from monofit.regress import FitConfig, fit_shuffled, stepfn_from_csv
-from monofit.synth import NoiseSpec, dataset_to_csv, identity_link, sample_dataset
+from monofit.deconv import estimate_cdf
+from monofit.regress import FitConfig, fit_shuffled, fit_unlinked, stepfn_from_csv
+from monofit.synth import Dataset, NoiseSpec, dataset_to_csv, identity_link, rng_stream, sample_dataset
 
 
 def read_csv(path):
@@ -91,18 +92,42 @@ class TestRatesCommand:
 
 
 class TestEstimateCommand:
-    def test_shuffled_round_trip(self, tmp_path, capsys):
-        ds = sample_dataset("shuffled", 25, identity_link(), NoiseSpec(), 0.05, seed=3)
+    @pytest.mark.parametrize("mode", ["shuffled", "unlinked", "deconv"])
+    def test_round_trip_matches_library(self, mode, tmp_path, capsys):
+        # the command writes exactly what the library computes
+        ds = sample_dataset(mode, 25, identity_link(), NoiseSpec(), 0.05, seed=3)
         data = tmp_path / "data.csv"
         dataset_to_csv(ds, data)
         out = tmp_path / "fit"
         assert run(["estimate", "--data", str(data), "--sigma", "0.05", "--out", str(out)]) == 0
         capsys.readouterr()
+        if mode == "deconv":
+            rows = read_csv(out / "cdf.csv")
+            assert rows[0] == ["x", "cdf"]
+            table = np.array(rows[1:], dtype=float)
+            est, _ = estimate_cdf(ds.y, NoiseSpec(), 0.05)
+            assert np.array_equal(table[:, 0], est.grid)
+            assert np.array_equal(table[:, 1], est.cdf)
+            return
         m, meta = stepfn_from_csv(out / "fit.csv")
-        direct = fit_shuffled(ds.x_ordered, ds.y, 0.05, FitConfig("shuffled"))
+        if mode == "shuffled":
+            direct = fit_shuffled(ds.x_ordered, ds.y, 0.05, FitConfig("shuffled"))
+        else:
+            direct = fit_unlinked(ds.x_ordered, ds.y, NoiseSpec(), 0.05, FitConfig("unlinked"))
         assert np.array_equal(m.knots, direct.knots)
         assert np.array_equal(m.values, direct.values)
         assert meta["n"] == 25 and meta["sigma"] == 0.05 and not meta["projected"]
+
+    def test_grid_too_coarse_exits_one(self, tmp_path, capsys):
+        rng = rng_stream(8, "outlier")
+        y = rng.random(500)
+        y[17] = 1e9
+        ds = Dataset("unlinked", np.sort(rng.random(500)), y, 0.05, 8, None)
+        data = tmp_path / "data.csv"
+        dataset_to_csv(ds, data)
+        assert run(["estimate", "--data", str(data), "--sigma", "0.05", "--out", str(tmp_path / "fit")]) == 1
+        assert "grid too coarse" in capsys.readouterr().err
+        assert not (tmp_path / "fit" / "fit.csv").exists()
 
     def test_deconv_writes_cdf_table(self, tmp_path, capsys):
         ds = sample_dataset("deconv", 40, identity_link(), NoiseSpec(), 0.2, seed=4)

@@ -26,9 +26,11 @@ from monofit.deconv import (
     GridSpec,
     auto_grid,
     deconvolve_cdf,
+    estimate_cdf,
     isotonize_cdf,
     select_bandwidth,
 )
+import monofit.deconv as deconv_mod
 from monofit.deconv import _ecf, _fourier_at
 from monofit.dist1d import EmpiricalMeasure, TabulatedDistribution, quantile, w1_tabulated
 from monofit.synth import NoiseSpec, rng_stream
@@ -274,6 +276,31 @@ class TestDeconvolveCdf:
         with pytest.raises(ValueError, match="grid too narrow"):
             deconvolve_cdf(ys, NOISE, 0.0, 0.3, GridSpec(-3.0, 4.0, 2**10))
 
+    def test_rejects_grid_coarser_than_quarter_bandwidth(self):
+        ys = EmpiricalMeasure(np.array([0.0, 1.0]))
+        grid = GridSpec(-6.0, 7.0, 2**10)
+        h = 4.0 * grid.step
+        assert isinstance(deconvolve_cdf(ys, NOISE, 0.0, h, grid), TabulatedDistribution)
+        with pytest.raises(ValueError, match="grid too coarse"):
+            deconvolve_cdf(ys, NOISE, 0.0, 0.99 * h, grid)
+
+    def test_running_integral_is_scipy_trapezoid(self, monkeypatch):
+        # the running trapezoid is written out in numpy; scipy's
+        # cumulative_trapezoid is its reference and must agree bit for bit
+        from scipy.integrate import cumulative_trapezoid
+
+        seen = {}
+        fourier, isotonize = deconv_mod._fourier_at, deconv_mod.isotonize_cdf
+        monkeypatch.setattr(deconv_mod, "_fourier_at", lambda *a: seen.setdefault("S", fourier(*a)))
+        monkeypatch.setattr(deconv_mod, "isotonize_cdf", lambda raw: isotonize(seen.setdefault("raw", raw)))
+        for k, sigma in enumerate((0.0, 0.05, 0.4)):
+            seen.clear()
+            ys = EmpiricalMeasure.from_sample(rng_stream(16, "trapz", k).normal(size=60))
+            grid = auto_grid(ys, sigma, points=2**12)
+            deconvolve_cdf(ys, NOISE, sigma, 0.3, grid)
+            dens = seen["S"].real / (2.0 * math.pi)
+            assert np.array_equal(seen["raw"], cumulative_trapezoid(dens, dx=grid.step, initial=0.0))
+
     def test_rejects_bad_bandwidth_and_sigma(self):
         ys = EmpiricalMeasure(np.array([0.0, 1.0]))
         grid = auto_grid(ys, 0.0)
@@ -286,3 +313,45 @@ class TestDeconvolveCdf:
         for sigma in (math.nan, math.inf):
             with pytest.raises(ValueError, match="sigma"):
                 deconvolve_cdf(ys, NOISE, sigma, 0.5, grid)
+
+
+class TestEstimateCdf:
+    def test_is_the_default_chain(self):
+        y = rng_stream(17, "chain").normal(size=300)
+        est, h = estimate_cdf(y, NOISE, 0.2)
+        ys = EmpiricalMeasure.from_sample(y)
+        assert h == select_bandwidth(300, 0.2, NOISE)
+        ref = deconvolve_cdf(ys, NOISE, 0.2, h, auto_grid(ys, 0.2))
+        assert (est.grid_lo, est.grid_hi) == (ref.grid_lo, ref.grid_hi)
+        assert np.array_equal(est.cdf, ref.cdf)
+
+    def test_outlier_refused(self):
+        y = rng_stream(18, "outlier").random(500)
+        y[17] = 1e9
+        with pytest.raises(ValueError, match="grid too coarse"):
+            estimate_cdf(y, NOISE, 0.05)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=120),
+        st.floats(0.0, 6.0),
+        st.floats(0.0, 2.0),
+    )
+    def test_coarse_grid_refused_or_valid_table(self, unit, log_scale, sigma):
+        # samples spread over up to 10^6 land on both sides of step = h/4:
+        # either the padded grid cannot resolve the bandwidth and the call
+        # says so, or the table is a valid CDF on a grid that resolves it
+        y = np.array(unit) * 10.0**log_scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # small-n bandwidth fallback
+            try:
+                est, h = estimate_cdf(y, NOISE, sigma)
+            except ValueError as exc:
+                assert "grid too coarse" in str(exc)
+                return
+        step = (est.grid_hi - est.grid_lo) / (est.cdf.size - 1)
+        assert 0.0 < h <= 1.0 and step <= h / 4.0
+        pad = 6.0 * (1.0 + sigma)
+        assert est.grid_lo <= y.min() - pad and est.grid_hi >= y.max() + pad
+        assert np.all(np.isfinite(est.cdf)) and np.all(np.diff(est.cdf) >= 0)
+        assert 0.0 <= est.cdf[0] <= 0.01 and 0.99 <= est.cdf[-1] <= 1.0

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monofit.deconv import auto_grid, deconvolve_cdf, select_bandwidth
+from monofit.deconv import GridSpec, deconvolve_cdf
 from monofit.dist1d import (
     EmpiricalMeasure,
     MonotoneStepFn,
@@ -271,20 +271,20 @@ class TestFitUnlinked:
         y = rng.random(n)
         x = rng.random(n)
         ys = EmpiricalMeasure.from_sample(y)
-        grid = auto_grid(ys, 0.0, points=2**12)
         cfg = FitConfig("unlinked")
-        m, info = fit_unlinked(x, y, NOISE, 0.0, cfg, grid=grid, full_output=True)
+        m, info = fit_unlinked(x, y, NOISE, 0.0, cfg, full_output=True)
         h = info["h"]
         assert h == 1.0 / math.sqrt(n)
+        est = info["cdf"]
 
         def kernel(u):
             u = np.where(np.abs(u) < 1e-8, 1e-8, np.abs(u))
             return (3.0 / math.sqrt(math.pi)) * (2.0 / u) ** 3.5 * jv(3.5, u)
 
-        xs = grid.xs
+        xs = est.grid
         dens = kernel((xs[:, None] - ys.atoms[None, :]) / h).mean(axis=1) / h
-        cdf = isotonize_cdf(cumulative_trapezoid(dens, dx=grid.step, initial=0.0))
-        oracle = TabulatedDistribution(grid.lo, grid.hi, cdf)
+        cdf = isotonize_cdf(cumulative_trapezoid(dens, dx=xs[1] - xs[0], initial=0.0))
+        oracle = TabulatedDistribution(est.grid_lo, est.grid_hi, cdf)
         levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
         ref = tab_quantile(oracle, levels)
         assert np.max(np.abs(np.asarray(m.values) - ref)) <= 2.0 * h
@@ -313,9 +313,11 @@ class TestFitUnlinked:
         x = rng.random(n)
         cfg = FitConfig("unlinked")
         m, info = fit_unlinked(x, y, NOISE, 0.0, cfg, full_output=True)
-        grid = info["grid"]
+        est = info["cdf"]
+        grid = GridSpec(est.grid_lo, est.grid_hi, est.cdf.size)
         ys = EmpiricalMeasure.from_sample(y)
         muZ = deconvolve_cdf(ys, NOISE, 0.0, info["h"], grid)
+        assert np.array_equal(muZ.cdf, est.cdf)
 
         def contrast(vals):
             emp = EmpiricalMeasure.from_sample(vals)
@@ -341,6 +343,12 @@ class TestFitUnlinked:
             fit_unlinked(np.array([0.1, np.nan]), np.array([1.0, 2.0]), NOISE, 0.0, cfg)
         with pytest.raises(ValueError, match="sigma"):
             fit_unlinked(np.array([0.1, 0.2]), np.array([1.0, 2.0]), NOISE, np.nan, cfg)
+        # one far outlier stretches the padded grid past a quarter bandwidth
+        rng = rng_stream(35, "outlier")
+        y = rng.random(500)
+        y[17] = 1e9
+        with pytest.raises(ValueError, match="grid too coarse"):
+            fit_unlinked(rng.random(500), y, NOISE, 0.05, cfg)
 
 
 class TestStepfnCsv:
