@@ -277,15 +277,20 @@ def _build_parser():
 
 
 def _resolve(args, ini, section, spec):
-    """flag > config file > default, per key of ``spec`` and of --out, --seed."""
-    out = {}
+    """flag > config file > default, per key of ``spec`` and of --out, --seed.
+
+    The --out directory comes back as a Path, created if missing.
+    """
+    opts = {}
     for key, (conv, default) in {**_COMMON_SPEC, **spec}.items():
         dest = key.replace("-", "_")
         val = getattr(args, dest, None)
         if val is None and ini is not None and ini.has_option(section, key):
             val = conv(ini.get(section, key))
-        out[dest] = default if val is None else val
-    return out
+        opts[dest] = default if val is None else val
+    opts["out"] = Path(opts["out"])
+    opts["out"].mkdir(parents=True, exist_ok=True)
+    return opts
 
 
 def _load_ini(path):
@@ -321,8 +326,6 @@ def _cmd_conjecture(args, ini):
     }
     opts = _resolve(args, ini, "conjecture", spec)
     workers = opts["workers"] if opts["workers"] is not None else _default_workers()
-    out = Path(opts["out"])
-    out.mkdir(parents=True, exist_ok=True)
     cfg = ConjectureConfig(
         n_min=opts["n_min"],
         n_max=opts["n_max"],
@@ -333,10 +336,10 @@ def _cmd_conjecture(args, ini):
         seed=opts["seed"],
     )
     rows = conjecture_sweep(cfg, workers=workers)
-    table_path = out / "conjecture.csv"
+    table_path = opts["out"] / "conjecture.csv"
     write_records(table_path, rows, fields=("n", "C", "mean", "stderr"))
     for C in cfg.C_list:
-        render_plot([r for r in rows if r.C == C], out / ("conjecture_C%g.svg" % C))
+        render_plot([r for r in rows if r.C == C], opts["out"] / ("conjecture_C%g.svg" % C))
     print("wrote %s (%d rows) and %d plots" % (table_path, len(rows), len(cfg.C_list)))
     return 0
 
@@ -350,8 +353,6 @@ def _cmd_rates(args, ini):
         "link": (str, "identity"),
     }
     opts = _resolve(args, ini, "rates", spec)
-    out = Path(opts["out"])
-    out.mkdir(parents=True, exist_ok=True)
     link = parse_link(opts["link"])
     records = rate_sweep(
         opts["problem"],
@@ -361,7 +362,7 @@ def _cmd_rates(args, ini):
         seed=opts["seed"],
         link=link,
     )
-    out_path = out / "risks.csv"
+    out_path = opts["out"] / "risks.csv"
     write_records(out_path, records, fields=("problem", "n", "sigma", "seed", "risk_kind", "value"))
     by_n = {}
     for r in records:
@@ -380,15 +381,13 @@ def _cmd_estimate(args, ini):
         "sigma": (float, 0.0),
     }
     opts = _resolve(args, ini, "estimate", spec)
-    out = Path(opts["out"])
-    out.mkdir(parents=True, exist_ok=True)
     if not opts["data"]:
         raise RuntimeError("estimate needs --data (or data= in the config file)")
     ds = dataset_from_csv(opts["data"], sigma=opts["sigma"], seed=opts["seed"])
     noise = NoiseSpec()
     if ds.mode == "deconv":
         est, h = estimate_cdf(ds.y, noise, ds.sigma)
-        out_path = out / "cdf.csv"
+        out_path = opts["out"] / "cdf.csv"
         write_records(out_path, zip(est.grid, est.cdf), fields=("x", "cdf"))
         print("wrote %s (bandwidth %.6g)" % (out_path, h))
         return 0
@@ -396,7 +395,7 @@ def _cmd_estimate(args, ini):
         m, info = fit_shuffled(ds.x_ordered, ds.y, ds.sigma, FitConfig("shuffled"), full_output=True)
     else:
         m, info = fit_unlinked(ds.x_ordered, ds.y, noise, ds.sigma, FitConfig("unlinked"), full_output=True)
-    out_path = out / "fit.csv"
+    out_path = opts["out"] / "fit.csv"
     stepfn_to_csv(m, out_path, n=ds.n, sigma=ds.sigma, eta=info["eta"], projected=info["projected"])
     print("wrote %s (%d knots)" % (out_path, m.knots.size))
     return 0

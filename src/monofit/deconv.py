@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_FREQ_POINTS = 2**12
+MAX_GRID_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -130,13 +131,34 @@ def _ecf(ys, ts):
     return out
 
 
-def _fourier_at(g, ts, xs):
-    """S(x_m) = sum_j g_j exp(-i t_j x_m) for uniform ts and xs, via Bluestein."""
-    from scipy.signal import czt  # deferred: importing monofit loads no scipy
+def _next_fast_len(target):
+    """Smallest 2-3-5-7-11-smooth integer >= target, as scipy.fft.next_fast_len."""
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
+
+def _fourier_at(g, ts, xs):
+    """S(x_m) = sum_j g_j exp(-i t_j x_m) for uniform ts and xs, via Bluestein.
+
+    The chirp-z transform follows scipy.signal.czt step for step, so the
+    two agree bit for bit without importing scipy.
+    """
     dt = ts[1] - ts[0]
     dx = xs[1] - xs[0]
-    out = czt(g, m=xs.size, w=np.exp(-1j * dt * dx), a=np.exp(1j * dt * xs[0]))
+    w, a = np.exp(-1j * dt * dx), np.exp(1j * dt * xs[0])
+    n, m = g.size, xs.size
+    k = np.arange(max(m, n), dtype=np.int64)
+    wk2 = w ** (k**2 / 2.0)
+    nfft = _next_fast_len(n + m - 1)
+    chirp = np.fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
+    out = np.fft.ifft(chirp * np.fft.fft(g * (a ** -k[:n] * wk2[:n]), nfft))[n - 1 : n + m - 1] * wk2[:m]
     out *= np.exp(-1j * ts[0] * xs)
     return out
 
@@ -181,7 +203,9 @@ def deconvolve_cdf(ys, noise, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
         truncate real mass, and its step must not exceed h / 4, otherwise
         the grid cannot resolve the smoothing scale.
     freq_points : int
-        Trapezoid points for the frequency integral over [-1/h, 1/h].
+        Trapezoid points for the frequency integral over [-1/h, 1/h].  The
+        trapezoid sum repeats the sample's density with period
+        pi (freq_points - 1) h, so no shifted copy may land on the grid.
 
     Returns
     -------
@@ -198,6 +222,12 @@ def deconvolve_cdf(ys, noise, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
         )
     if grid.step > h / 4.0:
         raise ValueError("grid too coarse: step %g exceeds h/4 = %g" % (grid.step, h / 4.0))
+    period = math.pi * (int(freq_points) - 1) * h
+    reach = max(grid.hi - ys.atoms[0], ys.atoms[-1] - grid.lo)
+    if reach >= period:
+        raise ValueError(
+            "grid too wide: it reaches %g from the sample, the density's period is %g" % (reach, period)
+        )
     ts = np.linspace(-1.0 / h, 1.0 / h, int(freq_points))
     u = h * ts
     kstar = (1.0 - u * u) ** 3  # vanishes at the truncation edges
@@ -217,9 +247,14 @@ def estimate_cdf(y, noise, sigma):
     """Latent CDF behind the noisy sample ``y``: the one estimation policy.
 
     Chooses the bandwidth by :func:`select_bandwidth` at n = len(y), the
-    grid by :func:`auto_grid`, and inverts with :func:`deconvolve_cdf`.
+    :func:`auto_grid` grid with the fewest points, a power of two from 2^14
+    to ``MAX_GRID_POINTS``, whose step is at most h/4, and inverts with
+    :func:`deconvolve_cdf`, which refuses too spread a sample.
     Returns ``(TabulatedDistribution, h)``.
     """
     ys = EmpiricalMeasure.from_sample(y)
     h = select_bandwidth(ys.n, sigma, noise)
-    return deconvolve_cdf(ys, noise, sigma, h, auto_grid(ys, sigma)), h
+    grid = auto_grid(ys, sigma)
+    while grid.step > h / 4.0 and grid.points < MAX_GRID_POINTS:
+        grid = auto_grid(ys, sigma, points=2 * grid.points)
+    return deconvolve_cdf(ys, noise, sigma, h, grid), h

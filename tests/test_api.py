@@ -29,10 +29,17 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported inside the functions that need it, so commands
-    # that never call them (conjecture, selftest's setup) do not pay for it
-    code = "import sys, monofit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_cli_import_and_deconvolution_load_no_scipy():
+    # scipy is imported only inside the functions that need it, and the
+    # deconvolution path needs none, so neither importing the command line
+    # nor deconvolving pays for it
+    code = (
+        "import sys, numpy as np, monofit.cli\n"
+        "from monofit.deconv import estimate_cdf\n"
+        "from monofit.synth import NoiseSpec\n"
+        "estimate_cdf(np.linspace(0.0, 1.0, 50), NoiseSpec(), 0.1)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(monofit.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=120)
     assert out.stdout.strip() == "[]"

@@ -129,6 +129,19 @@ class TestEstimateCommand:
         assert "grid too coarse" in capsys.readouterr().err
         assert not (tmp_path / "fit" / "fit.csv").exists()
 
+    def test_default_sigma_at_large_n(self, tmp_path, capsys):
+        # the default --sigma 0 gives h = n^(-1/2); at n = 1e5 the grid is
+        # refined to resolve it instead of the call being refused
+        ds = sample_dataset("unlinked", 100_000, identity_link(), NoiseSpec(), 0.0, seed=9)
+        data = tmp_path / "data.csv"
+        dataset_to_csv(ds, data)
+        assert run(["estimate", "--data", str(data), "--out", str(tmp_path / "fit")]) == 0
+        capsys.readouterr()
+        m, meta = stepfn_from_csv(tmp_path / "fit" / "fit.csv")
+        direct = fit_unlinked(ds.x_ordered, ds.y, NoiseSpec(), 0.0, FitConfig("unlinked"))
+        assert meta["n"] == 100_000 and meta["sigma"] == 0.0
+        assert np.array_equal(m.values, direct.values)
+
     def test_deconv_writes_cdf_table(self, tmp_path, capsys):
         ds = sample_dataset("deconv", 40, identity_link(), NoiseSpec(), 0.2, seed=4)
         data = tmp_path / "data.csv"

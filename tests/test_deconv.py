@@ -31,7 +31,7 @@ from monofit.deconv import (
     select_bandwidth,
 )
 import monofit.deconv as deconv_mod
-from monofit.deconv import _ecf, _fourier_at
+from monofit.deconv import _ecf, _fourier_at, _next_fast_len
 from monofit.dist1d import EmpiricalMeasure, TabulatedDistribution, quantile, w1_tabulated
 from monofit.synth import NoiseSpec, rng_stream
 
@@ -201,6 +201,23 @@ class TestFrequencyHelpers:
         direct = (g[None, :] * np.exp(-1j * ts[None, :] * xs[:, None])).sum(axis=1)
         assert np.max(np.abs(_fourier_at(g, ts, xs) - direct)) < 1e-9
 
+    def test_chirp_z_is_scipy_czt(self):
+        # the numpy chirp-z transform replaced scipy.signal.czt and must
+        # agree with it bit for bit, so every deconvolved table keeps its bytes
+        from scipy.fft import next_fast_len
+        from scipy.signal import czt
+
+        assert all(_next_fast_len(t) == next_fast_len(t, real=False) for t in range(1, 5000))
+        rng = rng_stream(6, "czt-scipy")
+        for n, m in ((4096, 2**14), (4096, 2**15), (4096, 2**11), (60, 2**12), (1000, 777), (17, 3)):
+            g = rng.normal(size=n) + 1j * rng.normal(size=n)
+            ts = np.linspace(-rng.uniform(1.0, 300.0), rng.uniform(1.0, 300.0), n)
+            xs = np.linspace(-rng.uniform(1.0, 20.0), rng.uniform(1.0, 20.0), m)
+            dt, dx = ts[1] - ts[0], xs[1] - xs[0]
+            ref = czt(g, m=xs.size, w=np.exp(-1j * dt * dx), a=np.exp(1j * dt * xs[0]))
+            ref *= np.exp(-1j * ts[0] * xs)
+            assert np.array_equal(_fourier_at(g, ts, xs), ref)
+
 
 class TestDeconvolveCdf:
     def test_sigma_zero_matches_kernel_oracle(self):
@@ -284,6 +301,20 @@ class TestDeconvolveCdf:
         with pytest.raises(ValueError, match="grid too coarse"):
             deconvolve_cdf(ys, NOISE, 0.0, 0.99 * h, grid)
 
+    def test_rejects_grid_reached_by_aliases(self):
+        # with 64 frequency points at h = 0.5 the density repeats every
+        # 63 pi / 2 = 98.96; the copy of the atom at b lands on the grid
+        # [-8, b + 8] once b + 8 reaches that period
+        for b, refused in ((80.0, False), (95.0, True)):
+            ys = EmpiricalMeasure(np.array([0.0, b]))
+            grid = auto_grid(ys, 0.0, points=2**10)
+            if refused:
+                with pytest.raises(ValueError, match="grid too wide"):
+                    deconvolve_cdf(ys, NOISE, 0.0, 0.5, grid, freq_points=64)
+            else:
+                est = deconvolve_cdf(ys, NOISE, 0.0, 0.5, grid, freq_points=64)
+                assert abs(est.cdf[np.searchsorted(est.grid, b / 2.0)] - 0.5) < 0.01
+
     def test_running_integral_is_scipy_trapezoid(self, monkeypatch):
         # the running trapezoid is written out in numpy; scipy's
         # cumulative_trapezoid is its reference and must agree bit for bit
@@ -325,6 +356,16 @@ class TestEstimateCdf:
         assert (est.grid_lo, est.grid_hi) == (ref.grid_lo, ref.grid_hi)
         assert np.array_equal(est.cdf, ref.cdf)
 
+    def test_grid_refined_to_quarter_bandwidth(self):
+        # at n = 1e5 and sigma = 0, h = n^(-1/2) needs more than 2^14 points
+        # over [0, 1] padded by 8: the grid doubles once, it is not refused
+        y = rng_stream(18, "fine").random(100_000)
+        est, h = estimate_cdf(y, NOISE, 0.0)
+        assert h == 1.0 / math.sqrt(100_000)
+        assert est.cdf.size == 2**15
+        assert (est.grid_hi - est.grid_lo) / (est.cdf.size - 1) <= h / 4.0
+        assert est.cdf[0] <= 1e-3 and est.cdf[-1] >= 1.0 - 1e-3
+
     def test_outlier_refused(self):
         y = rng_stream(18, "outlier").random(500)
         y[17] = 1e9
@@ -338,19 +379,22 @@ class TestEstimateCdf:
         st.floats(0.0, 2.0),
     )
     def test_coarse_grid_refused_or_valid_table(self, unit, log_scale, sigma):
-        # samples spread over up to 10^6 land on both sides of step = h/4:
-        # either the padded grid cannot resolve the bandwidth and the call
-        # says so, or the table is a valid CDF on a grid that resolves it
+        # samples spread over up to 10^6 land on both sides of the limits:
+        # either 2^20 points cannot resolve the bandwidth, or the grid lies
+        # beyond the frequency quadrature's period, and the call says so;
+        # or the table is a valid CDF on the smallest grid resolving h
         y = np.array(unit) * 10.0**log_scale
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # small-n bandwidth fallback
             try:
                 est, h = estimate_cdf(y, NOISE, sigma)
             except ValueError as exc:
-                assert "grid too coarse" in str(exc)
+                assert "grid too coarse" in str(exc) or "grid too wide" in str(exc)
                 return
         step = (est.grid_hi - est.grid_lo) / (est.cdf.size - 1)
         assert 0.0 < h <= 1.0 and step <= h / 4.0
+        coarser = (est.grid_hi - est.grid_lo) / (est.cdf.size // 2 - 1)
+        assert est.cdf.size == 2**14 or coarser > h / 4.0
         pad = 6.0 * (1.0 + sigma)
         assert est.grid_lo <= y.min() - pad and est.grid_hi >= y.max() + pad
         assert np.all(np.isfinite(est.cdf)) and np.all(np.diff(est.cdf) >= 0)

@@ -289,6 +289,19 @@ class TestFitUnlinked:
         ref = tab_quantile(oracle, levels)
         assert np.max(np.abs(np.asarray(m.values) - ref)) <= 2.0 * h
 
+    def test_large_n_without_noise(self):
+        # n = 1e5, sigma = 0: h = n^(-1/2) is finer than 2^14 grid points
+        # resolve, so the grid is refined; away from the kernel tails at the
+        # edges the fit tracks the uniform quantiles (2i - 1) / (2n) within
+        # the smoothing width
+        n = 100_000
+        rng = rng_stream(25, "large-n")
+        m, info = fit_unlinked(rng.random(n), rng.random(n), NOISE, 0.0, FitConfig("unlinked"), full_output=True)
+        assert info["h"] == 1.0 / math.sqrt(n) and info["cdf"].cdf.size == 2**15
+        levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+        bulk = (levels >= 0.01) & (levels <= 0.99)
+        assert np.max(np.abs(np.asarray(m.values) - levels)[bulk]) <= 2.0 * info["h"]
+
     def test_values_nondecreasing(self):
         rng = rng_stream(26, "mono")
         y = rng.normal(0.5, 0.7, 150)
@@ -343,7 +356,8 @@ class TestFitUnlinked:
             fit_unlinked(np.array([0.1, np.nan]), np.array([1.0, 2.0]), NOISE, 0.0, cfg)
         with pytest.raises(ValueError, match="sigma"):
             fit_unlinked(np.array([0.1, 0.2]), np.array([1.0, 2.0]), NOISE, np.nan, cfg)
-        # one far outlier stretches the padded grid past a quarter bandwidth
+        # one far outlier stretches the padded grid past what 2^20 points
+        # resolve at a quarter bandwidth
         rng = rng_stream(35, "outlier")
         y = rng.random(500)
         y[17] = 1e9
