@@ -110,8 +110,9 @@ def write_records(path, records, fields=None):
             return [rec[f] for f in fields]
         return rec
 
+    rows = [row(rec) for rec in records]
     try:
-        write_table(path, fields, map(row, records))
+        write_table(path, fields, [[r[i] for r in rows] for i in range(len(fields))])
     except OSError as exc:
         raise RuntimeError("failed writing %s: %s" % (path, exc))
 

@@ -10,6 +10,8 @@ function of the values written.  Booleans are written as 1 and 0.
 import csv
 from contextlib import contextmanager
 
+import numpy as np
+
 __all__ = ["write_table", "read_table"]
 
 FLOAT_FMT = "%.17g"
@@ -24,8 +26,15 @@ def _cell(value):
     return str(value)
 
 
-def write_table(path, header, rows, preamble=None):
-    """Write ``rows`` under ``header`` to ``path``, one row at a time.
+def _column(values):
+    """The cells of one column; a float array skips the per-cell type dispatch."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return map(FLOAT_FMT.__mod__, values)
+    return map(_cell, values)
+
+
+def write_table(path, header, columns, preamble=None):
+    """Write equal-length ``columns`` under ``header`` to ``path``, one row at a time.
 
     ``preamble`` maps keys to values written as ``# key=value`` lines ahead
     of the header.  Every value is formatted as the module docstring states.
@@ -35,8 +44,7 @@ def write_table(path, header, rows, preamble=None):
             fh.write("# %s=%s\n" % (key, _cell(value)))
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(map(_cell, row))
+        writer.writerows(zip(*map(_column, columns), strict=True))
 
 
 @contextmanager

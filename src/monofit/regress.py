@@ -212,7 +212,7 @@ def stepfn_to_csv(m, path, n, sigma, eta, projected):
     (knot, value) table.
     """
     preamble = {"n": int(n), "sigma": float(sigma), "eta": float(eta), "projected": bool(projected)}
-    write_table(path, ("knot", "value"), zip(m.knots, m.values), preamble)
+    write_table(path, ("knot", "value"), (m.knots, m.values), preamble)
 
 
 def stepfn_from_csv(path):

@@ -360,9 +360,8 @@ def sample_dataset(mode, n, link, noise, sigma, seed):
 
 def dataset_to_csv(ds, path):
     """Write a dataset as CSV with columns mode, index, x, y."""
-    xs = itertools.repeat("") if ds.mode == "deconv" else ds.x_ordered
-    rows = ((ds.mode, i, x, y) for i, (x, y) in enumerate(zip(xs, ds.y)))
-    write_table(path, ("mode", "index", "x", "y"), rows)
+    xs = itertools.repeat("", ds.n) if ds.mode == "deconv" else ds.x_ordered
+    write_table(path, ("mode", "index", "x", "y"), (itertools.repeat(ds.mode, ds.n), range(ds.n), xs, ds.y))
 
 
 def dataset_from_csv(path, sigma=0.0, seed=0):
