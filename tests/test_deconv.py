@@ -22,7 +22,6 @@ from scipy.special import jv
 
 from monofit.deconv import (
     DEFAULT_FREQ_POINTS,
-    BandwidthRule,
     GridSpec,
     auto_grid,
     deconvolve_cdf,
@@ -49,6 +48,18 @@ def kernel_oracle(x):
     return out
 
 
+def ecf_loop(ys, ts):
+    """The ECF recurrence one frequency at a time: the reference for ``_ecf``."""
+    dt = ts[1] - ts[0]
+    acc = np.exp(1j * ts[0] * ys)
+    base = np.exp(1j * dt * ys)
+    out = np.empty(ts.size, dtype=complex)
+    for j in range(ts.size):
+        out[j] = acc.mean()
+        acc *= base
+    return out
+
+
 def smoothed_empirical_oracle(ys, h, grid):
     """Kernel-smoothed empirical CDF computed straight from the closed form."""
     xs = grid.xs
@@ -60,19 +71,8 @@ def smoothed_empirical_oracle(ys, h, grid):
 
 class TestBandwidthRule:
     def test_default_constants_valid(self):
-        rule = BandwidthRule()
-        assert rule.C_const == 0.1 and rule.eta == 0.2
-
-    @pytest.mark.parametrize("c", [0.0, -0.1, 0.5, 0.7])
-    def test_c_const_range(self, c):
-        with pytest.raises(ValueError):
-            BandwidthRule(C_const=c)
-
-    def test_eta_floor(self):
-        # with C = 0.1 the floor is 0.1 / 0.8 = 0.125
-        with pytest.raises(ValueError):
-            BandwidthRule(C_const=0.1, eta=0.125)
-        BandwidthRule(C_const=0.1, eta=0.1251)
+        # the rule's theory needs its constant C inside (0, 1/2)
+        assert 0.0 < deconv_mod.BANDWIDTH_C < 0.5
 
 
 class TestSelectBandwidth:
@@ -92,9 +92,11 @@ class TestSelectBandwidth:
         assert h != 1.0 / math.sqrt(n)
 
     def test_frozen_anchor(self):
-        # n = 10^4, sigma = 0.5, default constants
+        # both branches at the rule's constant C = 0.1, to the last bit
+        assert select_bandwidth(10**6, 0.01, NOISE) == 0.008315473033895458
+        assert select_bandwidth(10**4, 0.001, NOISE) == 0.01
         h = select_bandwidth(10**4, 0.5, NOISE)
-        assert h == pytest.approx(0.3527715834582116, abs=1e-12)
+        assert h == 0.3527715834582116
         closed = 0.5 * (0.2 * math.log(2500.0 * math.log(10**4))) ** -0.5
         assert h == pytest.approx(closed, rel=1e-12)
 
@@ -188,10 +190,38 @@ class TestIsotonize:
 class TestFrequencyHelpers:
     def test_ecf_matches_direct(self):
         rng = rng_stream(5, "ecf")
-        ys = rng.normal(size=37)
         ts = np.linspace(-8.0, 8.0, 129)
-        direct = np.exp(1j * ts[:, None] * ys[None, :]).mean(axis=1)
-        assert np.max(np.abs(_ecf(ys, ts) - direct)) < 1e-10
+        for n in (37, 1000):  # one block of rows; several
+            ys = rng.normal(size=n)
+            direct = np.exp(1j * ts[:, None] * ys[None, :]).mean(axis=1)
+            assert np.max(np.abs(_ecf(ys, ts) - direct)) < 1e-10
+
+    @pytest.mark.parametrize("T", [2, 17, 4096])
+    @pytest.mark.parametrize("n", [1, 2, 37, 100, 8193, 16384, 16385, 40000])
+    def test_ecf_is_the_loop_bit_for_bit(self, n, T):
+        ys = 3.0 * rng_stream(5, "ecf-bits", n, T).normal(size=n)
+        ts = np.linspace(-math.sqrt(n), math.sqrt(n), T)
+        assert np.array_equal(_ecf(ys, ts).view(float), ecf_loop(ys, ts).view(float))
+
+    @pytest.mark.parametrize(
+        "n, blocks",
+        [
+            (1000, 1.0),
+            (1000, 2.0),
+            (1000, 3.5),
+            (1000, 4 + 1 / 32),
+            (deconv_mod.ECF_BLOCK_CELLS // 2, 3.5),
+            (deconv_mod.ECF_BLOCK_CELLS // 2 + 1, 3.0),
+        ],
+    )
+    def test_ecf_block_edges_bit_for_bit(self, n, blocks):
+        # one full block, whole blocks, a ragged last block, a last block of
+        # one row, blocks of two rows, and one row a block
+        rows = deconv_mod.ECF_BLOCK_CELLS // n
+        T = int(blocks * rows)
+        ys = rng_stream(5, "ecf-edges", n, T).normal(size=n)
+        ts = np.linspace(-30.0, 30.0, T)
+        assert np.array_equal(_ecf(ys, ts).view(float), ecf_loop(ys, ts).view(float))
 
     def test_fourier_matches_direct(self):
         rng = rng_stream(6, "czt")
@@ -331,6 +361,12 @@ class TestDeconvolveCdf:
             deconvolve_cdf(ys, NOISE, sigma, 0.3, grid)
             dens = seen["S"].real / (2.0 * math.pi)
             assert np.array_equal(seen["raw"], cumulative_trapezoid(dens, dx=grid.step, initial=0.0))
+
+    @pytest.mark.parametrize("freq_points", [1, 0, -5])
+    def test_rejects_fewer_than_two_freq_points(self, freq_points):
+        ys = EmpiricalMeasure(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="freq_points must be at least 2"):
+            deconvolve_cdf(ys, NOISE, 0.0, 0.5, auto_grid(ys, 0.0), freq_points=freq_points)
 
     def test_rejects_bad_bandwidth_and_sigma(self):
         ys = EmpiricalMeasure(np.array([0.0, 1.0]))
