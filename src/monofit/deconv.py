@@ -166,6 +166,11 @@ def _fourier_at(g, ts, xs):
     return out
 
 
+def _running_trapezoid(f, dx):
+    """Trapezoid integrals of ``f`` from its first grid point to each one."""
+    return np.concatenate(([0.0], np.cumsum(dx * (f[1:] + f[:-1]) / 2.0)))
+
+
 def isotonize_cdf(raw):
     """Project a raw CDF table onto valid CDFs: running max, then clip to [0, 1].
 
@@ -244,8 +249,7 @@ def deconvolve_cdf(ys, noise, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
     weights[-1] *= 0.5
     xs = grid.xs
     dens = _fourier_at(g * weights, ts, xs).real / (2.0 * math.pi)
-    mass = np.cumsum(grid.step * (dens[1:] + dens[:-1]) / 2.0)  # cumulative trapezoid
-    cdf = isotonize_cdf(np.concatenate(([0.0], mass)))
+    cdf = isotonize_cdf(_running_trapezoid(dens, grid.step))
     return TabulatedDistribution(grid.lo, grid.hi, cdf)
 
 

@@ -229,53 +229,43 @@ def risk_empirical(mhat, m0, xs):
     return float(np.mean(np.abs(mhat(xs) - m0(xs))))
 
 
-def _design_breakpoints(mhat, m0):
-    pts = [np.array([0.0, 1.0]), np.asarray(mhat.knots)]
-    if isinstance(m0, LinkSpec):
-        if m0.kind == "step":
-            k = len(m0.levels)
-            pts.append(np.arange(1, k) / k)
-        elif m0.kind == "unbounded_tail":
-            # geometric refinement toward the singular origin
-            pts.append(m0.cut * 0.5 ** np.arange(0, 51))
-    edges = np.unique(np.concatenate(pts))
-    return edges[(edges >= 0.0) & (edges <= 1.0)]
-
-
 def risk_population(mhat, m0, mu_x=None):
     """integral of |mhat - m0| against the design law on [0, 1].
 
-    ``mu_x`` is the design density as a callable (None means Uniform[0,1]).
-    The integral is split at the knots of ``mhat``, the discontinuities of
-    ``m0``, and the sign change of mhat - m0 inside each piece (located by
-    root bracketing), then each smooth piece gets 64-point Gauss-Legendre.
+    ``m0`` is a :class:`LinkSpec`; ``mu_x`` is the design density as a
+    callable (None means Uniform[0,1]).  The integral is split at the knots
+    of ``mhat`` and the jumps of ``m0``.  On a piece (a, b] where mhat = v,
+    m0 - v changes sign at clip(link_cdf(m0, v), a, b), as link_cdf is
+    Leb{m0 <= v}; each side gets 64-point Gauss-Legendre, evaluated one
+    node at a time across all panels.
     """
-    from scipy.optimize import brentq  # deferred: importing monofit loads no scipy
-
-    edges = _design_breakpoints(mhat, m0)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a < 1e-15:
-            continue
-        v = float(mhat(b))  # constant on (a, b]
-        xa = a + 1e-12 * (b - a)
-        fa = float(m0(xa)) - v
-        fb = float(m0(b)) - v
-        if fa * fb < 0.0:
-            xc = brentq(lambda x: float(m0(x)) - v, xa, b, xtol=1e-15, rtol=1e-14)
-            panels = ((a, xc), (xc, b))
-        else:
-            panels = ((a, b),)
-        for p_lo, p_hi in panels:
-            half = 0.5 * (p_hi - p_lo)
-            if half <= 0.0:
-                continue
-            xs = half * _GL_NODES + 0.5 * (p_lo + p_hi)
-            vals = np.abs(v - np.asarray(m0(xs), dtype=float))
-            if mu_x is not None:
-                vals = vals * np.asarray(mu_x(xs), dtype=float)
-            total += half * float(np.dot(_GL_WEIGHTS, vals))
-    return total
+    if not isinstance(m0, LinkSpec):
+        raise TypeError("m0 must be a LinkSpec")
+    edges = [np.array([0.0, 1.0]), mhat.knots]
+    if m0.kind == "step":
+        edges.append(np.arange(1, len(m0.levels)) / len(m0.levels))
+    elif m0.kind == "unbounded_tail":
+        edges.append(m0.cut * 0.5 ** np.arange(0, 51))  # refine toward the singular origin
+    edges = np.unique(np.concatenate(edges))
+    a, b = edges[:-1], edges[1:]
+    v = mhat(b)  # constant on (a, b]
+    cross = np.clip(link_cdf(m0, v), a, b)
+    lo = np.concatenate((a, cross))
+    hi = np.concatenate((cross, b))
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    # a zero-width panel adds nothing; at the origin its nodes would land
+    # where the tail link is -inf, so it is dropped before evaluation
+    keep = (half > 0.0) & (half * _GL_NODES[0] + mid > 0.0)
+    half, mid, v = half[keep], mid[keep], np.concatenate((v, v))[keep]
+    acc = np.zeros_like(half)
+    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        xs = half * node + mid
+        vals = np.abs(v - m0(xs))
+        if mu_x is not None:
+            vals *= np.asarray(mu_x(xs), dtype=float)
+        acc += weight * vals
+    return float(np.dot(half, acc))
 
 
 _PRESETS = ("below-root", "root-log-small", "root-log-large", "intermediate", "fixed")

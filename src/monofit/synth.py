@@ -16,6 +16,7 @@ pure function of its arguments: the same seed gives bit-identical output.
 """
 
 import itertools
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -124,7 +125,8 @@ class LinkSpec:
     - ``cube``            m(x) = x ** 3
     - ``step``            levels[i] on ((i-1)/k, i/k]; levels[0] on [0, 1/k]
     - ``unbounded_tail``  -(x * log^{1+eps}(1/x))^{-1/(a+2)} on (0, cut],
-                          0 on (cut, 1], with cut = tail_scale / n_tail.
+                          0 on (cut, 1], with cut = tail_scale / n_tail
+                          below e^{-(1+eps)}, past which it would decrease.
                           Unbounded below near the origin (the origin itself
                           maps to -inf, a probability-zero input under any
                           continuous design), yet its (a+2)-moment under
@@ -157,8 +159,8 @@ class LinkSpec:
                 raise ValueError("unbounded_tail needs eps, a, tail_scale > 0")
             if self.n_tail < 1:
                 raise ValueError("unbounded_tail needs the sample size n_tail >= 1")
-            if not self.tail_scale / self.n_tail < 1.0:
-                raise ValueError("tail cutoff tail_scale / n_tail must stay below 1")
+            if not self.tail_scale / self.n_tail < math.exp(-(1.0 + self.eps)):
+                raise ValueError("tail cutoff tail_scale / n_tail must stay below exp(-(1 + eps))")
 
     def __call__(self, x):
         return eval_link(self, x)
@@ -192,7 +194,7 @@ def unbounded_tail_link(eps, a, tail_scale, n):
 def link_catalog(n):
     """The default links exercised by tests and sweeps, keyed by name.
 
-    ``n`` fixes the cutoff of the unbounded-tail member.
+    ``n`` fixes the cutoff 0.5 / n of the unbounded-tail member, so n >= 3.
     """
     return {
         "identity": identity_link(),
@@ -250,31 +252,21 @@ def link_cdf(spec, z):
 
 
 def _unbounded_tail_cdf(spec, z_arr):
-    from scipy.optimize import brentq
-
-    cut = spec.cut
-    # x * log^{1+eps}(1/x) must be increasing on (0, cut] for inversion
-    if cut >= np.exp(-(1.0 + spec.eps)):
-        raise ValueError("tail cutoff too large to invert the tail profile")
-    p = spec.a + 2.0
-
-    def profile(x):
-        return x * np.log(1.0 / x) ** (1.0 + spec.eps)
-
-    g_cut = profile(cut) ** (-1.0 / p)
-    out = np.empty_like(z_arr)
-    for i, z in enumerate(z_arr):
-        if z >= 0.0:
-            out[i] = 1.0
-        elif -z <= g_cut:
-            # tail values below cut are all <= z already
-            out[i] = cut
-        else:
-            target = (-z) ** (-p)
-            lo = cut
-            while profile(lo) > target and lo > 1e-300:
-                lo *= 0.5
-            out[i] = brentq(lambda x: profile(x) - target, lo, cut, xtol=1e-15, rtol=1e-14)
+    # For z below the tail's top value m(cut), m(x) <= z iff
+    # t + (1 + eps) log(-t) <= -(a + 2) log(-z) in t = log x, and the left
+    # side rises for t < log(cut): bisect for the largest such t.  exp(t)
+    # underflows to 0 below t = -745, so [-800, log cut] holds every root.
+    tail = z_arr < eval_link(spec, spec.cut)
+    target = -(spec.a + 2.0) * np.log(-z_arr[tail])
+    lo = np.full(target.shape, -800.0)
+    hi = np.full(target.shape, math.log(spec.cut))
+    for _ in range(64):  # 800 / 2^64 is below one ulp of |t| > 1
+        mid = 0.5 * (lo + hi)
+        below = mid + (1.0 + spec.eps) * np.log(-mid) <= target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out = np.where(z_arr >= 0.0, 1.0, spec.cut)
+    out[tail] = np.exp(lo)
     return out
 
 

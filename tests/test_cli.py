@@ -37,6 +37,14 @@ class TestExitCodes:
         assert "error:" in err
 
 
+    def test_non_monotone_tail_link_refused(self, tmp_path, capsys):
+        # a cut past e^{-(1+eps)} would make the tail link decrease
+        argv = ["rates", "--link", "unbounded-tail:0.5,1,0.5,2", "--n-grid", "100", "--reps", "1"]
+        assert run([*argv, "--out", str(tmp_path)]) == 1
+        assert "exp(-(1 + eps))" in capsys.readouterr().err
+        assert not (tmp_path / "risks.csv").exists()
+
+
 class TestConjectureCommand:
     ARGS = ["--n-min", "100", "--n-max", "1000", "--grid-points", "2", "--reps", "5", "--C-list", "1,100"]
 

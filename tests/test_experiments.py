@@ -2,8 +2,9 @@
 
 Oracles: direct-product evaluation of the occupancy expression (safe from
 underflow up to n = 10^3), closed-form population risks for simple
-step-vs-link pairs, and an independent scipy quadrature for the
-singular-tail link.
+step-vs-link pairs, and an independent scipy quadrature (adaptive, split at
+root-bracketed crossings, log-substituted at the singular origin) for every
+catalog link.
 """
 
 import math
@@ -36,6 +37,62 @@ from monofit.synth import (
     step_link,
     unbounded_tail_link,
 )
+
+CATALOG_NAMES = sorted(link_catalog(3))
+
+
+def risk_quad(mhat, m0, mu_x=None):
+    """Population L1 risk by scipy quad, independent of the library's solver.
+
+    Pieces end at the knots of mhat and the jumps of m0; brentq locates the
+    sign change of m0 - v inside a piece, and a panel starting at the
+    origin is integrated in s = log(b / x), where the tail link's
+    singularity becomes an exponential decay.
+    """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    def f(x):
+        val = abs(float(mhat(x)) - float(m0(x)))
+        return val * float(mu_x(x)) if mu_x is not None else val
+
+    def panel(lo, hi):
+        if not hi > lo:
+            return 0.0
+        if lo > 0.0:
+            return quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        # x = hi e^{-s}: the integrand decays like e^{-2s/3}, so past
+        # s = 600 lies under e^{-400} of the panel
+        g = lambda s: f(hi * math.exp(-s)) * hi * math.exp(-s)  # noqa: E731
+        return quad(g, 0.0, 600.0, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+    edges = {0.0, 1.0, *map(float, mhat.knots)}
+    if m0.kind == "step":
+        edges.update(np.arange(1, len(m0.levels)) / len(m0.levels))
+    elif m0.kind == "unbounded_tail":
+        edges.add(m0.cut)
+    edges = sorted(edges)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        v = float(mhat(b))
+        # inside (a, b], past a jump at a; at the origin, stay where the
+        # tail link's 1/x is finite
+        xa = float(np.nextafter(a, b)) if a > 0.0 else b * 1e-300
+        fa, fb = float(m0(xa)) - v, float(m0(b)) - v
+        if fa < 0.0 < fb:
+            xc = brentq(lambda x: float(m0(x)) - v, xa, b, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=2000)
+            total += panel(a, xc) + panel(xc, b)
+        else:
+            total += panel(a, b)
+    return total
+
+
+@st.composite
+def step_fits(draw):
+    """A monotone step function with 1 to 8 knots in (0, 1] and values in [-4, 4]."""
+    knots = sorted(draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=8, unique=True)))
+    values = sorted(draw(st.lists(st.floats(-4.0, 4.0), min_size=len(knots), max_size=len(knots))))
+    return extend_piecewise(np.array(knots), np.array(values))
 
 
 def product_direct(counts, n, C, c):
@@ -255,6 +312,34 @@ class TestRisks:
         mzero = extend_piecewise(np.array([1.0]), np.array([0.0]))
         ref, _ = quad(lambda x: -ub(x), 1e-300, ub.cut, points=[ub.cut * 1e-6, ub.cut * 1e-3], limit=200)
         assert risk_population(mzero, ub) == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [3, 50, 1000, 10**6])
+    def test_population_singular_tail_to_1e12(self, n):
+        # the pieces next to the singular origin count in full
+        ub = link_catalog(n)["unbounded_tail"]
+        mzero = extend_piecewise(np.array([1.0]), np.array([0.0]))
+        assert risk_population(mzero, ub) == pytest.approx(risk_quad(mzero, ub), rel=1e-12)
+
+    @given(name=st.sampled_from(CATALOG_NAMES), n=st.integers(3, 10**6), mhat=step_fits(), dens=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_population_matches_quad_oracle(self, name, n, mhat, dens):
+        m0 = link_catalog(n)[name]
+        mu_x = (lambda x: 0.5 + x) if dens else None
+        assert risk_population(mhat, m0, mu_x) == pytest.approx(risk_quad(mhat, m0, mu_x), rel=1e-12)
+
+    def test_population_zero_width_panel_at_origin_adds_nothing(self):
+        # a level so low that the tail link crosses it only at x = 0, where
+        # the link is -inf: the empty panel there must not turn the sum to nan
+        ub = link_catalog(100)["unbounded_tail"]
+        mhat = extend_piecewise(np.array([0.5, 1.0]), np.array([-1e200, 0.0]))
+        val = risk_population(mhat, ub)
+        assert math.isfinite(val)
+        assert val == pytest.approx(0.5e200, rel=1e-12)
+
+    def test_population_needs_a_link_spec(self):
+        mzero = extend_piecewise(np.array([1.0]), np.array([0.0]))
+        with pytest.raises(TypeError, match="LinkSpec"):
+            risk_population(mzero, lambda x: x)
 
     def test_population_custom_density(self):
         # density 2x on [0,1], mhat = 0, m0 = identity: int 2x^2 = 2/3

@@ -4,7 +4,8 @@ Oracles:
 
 - an exhaustive n!-assignment search certifies that sorting realizes the
   squared-contrast minimum over pairings (n <= 6);
-- closed-form winsorization thresholds certify the moment projection;
+- closed-form winsorization thresholds certify the moment projection, and
+  on catalog data its threshold is checked to be the largest feasible one;
 - the mid-cell quantiles of the smoothed empirical CDF certify the fitted
   values of the unlinked estimator when noise is degenerate.
 """
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monofit.deconv import GridSpec, deconvolve_cdf
@@ -36,6 +37,8 @@ from monofit.regress import (
 )
 from monofit.synth import (
     NoiseSpec,
+    affine_link,
+    derive_seed,
     eval_link,
     link_catalog,
     rng_stream,
@@ -129,6 +132,37 @@ class TestProjectMoment:
         assert np.mean(np.abs(out) ** p) <= bound + 1e-9 * (1.0 + bound)
         if np.mean(np.abs(v) ** p) <= bound:
             assert np.array_equal(out, v)
+
+    @staticmethod
+    def assert_largest_feasible(raw, bound, p):
+        out = project_moment(raw, bound, p)
+        tau = float(np.max(np.abs(out)))
+        assert np.array_equal(out, np.clip(raw, -tau, tau))
+        assert np.mean(np.abs(out) ** p) <= bound * (1 + 1e-12)
+        assert np.mean(np.minimum(np.abs(raw), tau * (1 + 1e-12)) ** p) > bound
+
+    @given(
+        st.sampled_from(sorted(link_catalog(3))),
+        st.integers(1, 100),
+        st.sampled_from([0.0, 0.1, 1.0]),
+        st.integers(0, 2**32),
+        st.floats(0.01, 0.99),
+        st.sampled_from([1.0, 2.0, 3.0, 3.5]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_threshold_is_largest_feasible_on_catalog_data(self, name, n, sigma, seed, frac, p):
+        ds = sample_dataset("shuffled", n, link_catalog(max(n, 3))[name], NOISE, sigma, seed=seed)
+        raw = np.sort(ds.y)
+        full = np.mean(np.abs(raw) ** p)
+        assume(full > 0.0)
+        self.assert_largest_feasible(raw, frac * full, p)
+
+    @pytest.mark.parametrize("mode", ["shuffled", "unlinked"])
+    def test_threshold_is_largest_feasible_at_1e5(self, mode):
+        # n = 1e5 responses like those of the benchmark's estimate
+        # workload, where the default bound M / c_X = 10 at p = 3 binds
+        ds = sample_dataset(mode, 10**5, affine_link(8.0, -4.0), NOISE, 0.1, seed=derive_seed(5, mode))
+        self.assert_largest_feasible(np.sort(ds.y), 10.0, 3.0)
 
 
 class TestExtendPiecewise:

@@ -68,6 +68,20 @@ class TestLinkSpec:
         with pytest.raises(ValueError):
             unbounded_tail_link(0.5, 1.0, 2.0, 1)
 
+    def test_rejects_tail_cut_where_link_turns_down(self):
+        # x log^{1+eps}(1/x) peaks at e^{-(1+eps)}: with eps = 0.5 a cut of
+        # 0.25 lies past the peak, and the link falls from -1.3462 at 0.22
+        # to -1.3482 at 0.25
+        xs = np.array([0.22, 0.25])
+        assert np.all(np.diff(-((xs * np.log(1.0 / xs) ** 1.5) ** (-1.0 / 3.0))) < 0)
+        with pytest.raises(ValueError, match="exp"):
+            unbounded_tail_link(0.5, 1.0, 0.5, 2)
+        with pytest.raises(ValueError, match="exp"):
+            LinkSpec("unbounded_tail", eps=0.1, n_tail=1, tail_scale=math.exp(-1.1))
+        below = LinkSpec("unbounded_tail", eps=0.1, n_tail=1, tail_scale=math.exp(-1.1) * (1.0 - 1e-12))
+        grid = np.linspace(0.0, below.cut, 10_001)[1:]
+        assert np.all(np.diff(eval_link(below, grid)) >= 0)
+
     def test_identity(self):
         assert eval_link(identity_link(), 0.3) == 0.3
 
@@ -139,6 +153,24 @@ class TestLinkCdf:
         for z in (-8.0, -4.0, -2.5, -0.01, 0.0, 1.0):
             want = np.mean(vals <= z)
             assert link_cdf(link, z) == pytest.approx(want, abs=1e-5)
+
+
+    @pytest.mark.parametrize("eps, a, n", [(0.5, 1.0, 1000), (0.5, 1.0, 3), (0.1, 2.5, 50), (2.0, 0.5, 10**6)])
+    def test_unbounded_tail_solves_profile_equation(self, eps, a, n):
+        # below the cut, x = Leb{m <= z} solves log x + (1+eps) log log(1/x)
+        # = -(a+2) log(-z); elsewhere the CDF is exactly the cut or 1
+        link = unbounded_tail_link(eps, a, 0.5, n)
+        z = -np.geomspace(1e-3, 1e3, 2000)
+        x = link_cdf(link, z)
+        tail = x < link.cut
+        resid = np.log(x[tail]) + (1.0 + eps) * np.log(-np.log(x[tail])) + (a + 2.0) * np.log(-z[tail])
+        assert tail.sum() > 100
+        assert np.max(np.abs(resid)) <= 1e-12
+        assert np.all(x[~tail] == link.cut)
+
+    def test_unbounded_tail_extremes(self):
+        link = link_catalog(100)["unbounded_tail"]
+        assert np.array_equal(link_cdf(link, [-np.inf, -1e300, 0.0, 5.0]), [0.0, 0.0, 1.0, 1.0])
 
 
 class TestSampleDataset:
