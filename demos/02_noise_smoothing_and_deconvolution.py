@@ -12,9 +12,8 @@ import numpy as np
 
 from monofit.deconv import estimate_cdf
 from monofit.dist1d import TabulatedDistribution, w1_tabulated
-from monofit.synth import NoiseSpec, rng_stream
+from monofit.synth import rng_stream
 
-noise = NoiseSpec()
 rng = rng_stream(0, "demo-deconv")
 
 # True signal: uniform on [-1, 1].  Observed with noise scale 0.3.
@@ -24,7 +23,7 @@ y = z + sigma * rng.normal(size=n)
 
 # The bandwidth balances noise amplification against smoothing bias; the
 # inversion runs on an automatically padded grid.
-est, h = estimate_cdf(y, noise, sigma)
+est, h = estimate_cdf(y, sigma)
 print("n = %d, sigma = %.2f  ->  bandwidth h = %.4f" % (n, sigma, h))
 
 # Compare with the truth.
@@ -35,7 +34,7 @@ print("W1(estimate, truth)        :", w1_tabulated(est, truth))
 
 # The same pipeline with less noise gets closer, holding n fixed.
 for s in (0.15, 0.05, 0.0):
-    ee, hh = estimate_cdf(z + s * rng.normal(size=n), noise, s)
+    ee, hh = estimate_cdf(z + s * rng.normal(size=n), s)
     tt = TabulatedDistribution.from_callable(
         lambda x: np.clip((x + 1.0) / 2.0, 0.0, 1.0), ee.grid_lo, ee.grid_hi, ee.grid.size
     )

@@ -35,10 +35,8 @@ from .experiments import (
     fit_loglog_slope,
     rate_sweep,
 )
-from .regress import FitConfig, fit_shuffled, fit_unlinked, stepfn_to_csv
+from .regress import fit_shuffled, fit_unlinked, stepfn_to_csv
 from .synth import (
-    LinkSpec,
-    NoiseSpec,
     affine_link,
     cube_link,
     dataset_from_csv,
@@ -280,10 +278,20 @@ def _build_parser():
 def _resolve(args, ini, section, spec):
     """flag > config file > default, per key of ``spec`` and of --out, --seed.
 
+    Any other key in the config file's ``[section]`` is refused.  Keys that
+    a ``[DEFAULT]`` section lends to every section are not checked, since
+    another subcommand may be the one that reads them.
     The --out directory comes back as a Path, created if missing.
     """
+    spec = {**_COMMON_SPEC, **spec}
+    if ini is not None and ini.has_section(section):
+        unknown = sorted(set(ini.options(section)) - set(ini.defaults()) - set(spec))
+        if unknown:
+            raise ValueError(
+                "unknown key %r in [%s]; it accepts %s" % (unknown[0], section, ", ".join(sorted(spec)))
+            )
     opts = {}
-    for key, (conv, default) in {**_COMMON_SPEC, **spec}.items():
+    for key, (conv, default) in spec.items():
         dest = key.replace("-", "_")
         val = getattr(args, dest, None)
         if val is None and ini is not None and ini.has_option(section, key):
@@ -385,20 +393,16 @@ def _cmd_estimate(args, ini):
     if not opts["data"]:
         raise RuntimeError("estimate needs --data (or data= in the config file)")
     ds = dataset_from_csv(opts["data"], sigma=opts["sigma"], seed=opts["seed"])
-    noise = NoiseSpec()
     if ds.mode == "deconv":
-        est, h = estimate_cdf(ds.y, noise, ds.sigma)
+        est, h = estimate_cdf(ds.y, ds.sigma)
         out_path = opts["out"] / "cdf.csv"
         write_records(out_path, zip(est.grid, est.cdf), fields=("x", "cdf"))
         print("wrote %s (bandwidth %.6g)" % (out_path, h))
         return 0
-    if ds.mode == "shuffled":
-        m, info = fit_shuffled(ds.x_ordered, ds.y, ds.sigma, FitConfig("shuffled"), full_output=True)
-    else:
-        m, info = fit_unlinked(ds.x_ordered, ds.y, noise, ds.sigma, FitConfig("unlinked"), full_output=True)
+    res = (fit_shuffled if ds.mode == "shuffled" else fit_unlinked)(ds.x_ordered, ds.y, ds.sigma)
     out_path = opts["out"] / "fit.csv"
-    stepfn_to_csv(m, out_path, n=ds.n, sigma=ds.sigma, eta=info["eta"], projected=info["projected"])
-    print("wrote %s (%d knots)" % (out_path, m.knots.size))
+    stepfn_to_csv(res.fit, out_path, n=ds.n, sigma=ds.sigma, eta=res.eta, projected=res.projected)
+    print("wrote %s (%d knots)" % (out_path, res.fit.knots.size))
     return 0
 
 

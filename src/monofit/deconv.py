@@ -66,15 +66,16 @@ class GridSpec:
         return (self.hi - self.lo) / (self.points - 1)
 
 
-def select_bandwidth(n, sigma, noise):
+def select_bandwidth(n, sigma):
     """Regime-dependent bandwidth in (0, 1].
 
     sigma >= n^{-1/2}:  h = sigma * (C gamma2 log(n sigma^2 log n))^{-1/beta}
     sigma <  n^{-1/2}:  h = n^{-1/2}
 
-    with C = ``BANDWIDTH_C``.  The boundary sigma = n^{-1/2} belongs to the
-    first branch.  If the inner logarithm comes out nonpositive (tiny n),
-    the rule falls back to n^{-1/2} and warns.
+    with C = ``BANDWIDTH_C`` and gamma2 = beta = 2, the decay of the
+    Gaussian charfn exp(-|t|^beta / gamma2).  The boundary sigma = n^{-1/2}
+    belongs to the first branch.  If the inner logarithm comes out
+    nonpositive (tiny n), the rule falls back to n^{-1/2} and warns.
     """
     n = int(n)
     if n < 2:
@@ -84,7 +85,7 @@ def select_bandwidth(n, sigma, noise):
     if sigma < root:
         return root
     inner = n * sigma * sigma * math.log(n)
-    scale = BANDWIDTH_C * noise.gamma2 * math.log(inner)
+    scale = BANDWIDTH_C * 2.0 * math.log(inner)
     if scale <= 0.0:
         warnings.warn(
             "bandwidth log term nonpositive at n=%d sigma=%g; falling back to n^(-1/2)"
@@ -92,7 +93,7 @@ def select_bandwidth(n, sigma, noise):
             RuntimeWarning,
         )
         return root
-    h = sigma * scale ** (-1.0 / noise.beta)
+    h = sigma * scale**-0.5
     return float(min(h, 1.0))
 
 
@@ -192,14 +193,13 @@ def auto_grid(ys, sigma, points=2**14):
     return GridSpec(float(ys.atoms[0]) - pad, float(ys.atoms[-1]) + pad, points)
 
 
-def deconvolve_cdf(ys, noise, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
+def deconvolve_cdf(ys, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
     """Estimate the CDF of the latent signal behind ``ys``.
 
     Parameters
     ----------
     ys : EmpiricalMeasure
-        Observed sample of Y = Z + sigma * delta.
-    noise : NoiseSpec
+        Observed sample of Y = Z + sigma * delta, delta standard Gaussian.
     sigma : float
         Known noise scale; sigma = 0 reduces the estimator to a
         kernel-smoothed empirical CDF.
@@ -243,7 +243,7 @@ def deconvolve_cdf(ys, noise, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
     u = h * ts
     kstar = (1.0 - u * u) ** 3  # vanishes at the truncation edges
     phi = _ecf(ys.atoms, ts)
-    g = kstar * phi / noise_charfn(noise, sigma * ts)
+    g = kstar * phi / noise_charfn(sigma * ts)
     weights = np.full(ts.size, ts[1] - ts[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
@@ -253,7 +253,7 @@ def deconvolve_cdf(ys, noise, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
     return TabulatedDistribution(grid.lo, grid.hi, cdf)
 
 
-def estimate_cdf(y, noise, sigma):
+def estimate_cdf(y, sigma):
     """Latent CDF behind the noisy sample ``y``: the one estimation policy.
 
     Chooses the bandwidth by :func:`select_bandwidth` at n = len(y), the
@@ -263,8 +263,8 @@ def estimate_cdf(y, noise, sigma):
     Returns ``(TabulatedDistribution, h)``.
     """
     ys = EmpiricalMeasure.from_sample(y)
-    h = select_bandwidth(ys.n, sigma, noise)
+    h = select_bandwidth(ys.n, sigma)
     grid = auto_grid(ys, sigma)
     while grid.step > h / 4.0 and grid.points < MAX_GRID_POINTS:
         grid = auto_grid(ys, sigma, points=2 * grid.points)
-    return deconvolve_cdf(ys, noise, sigma, h, grid), h
+    return deconvolve_cdf(ys, sigma, h, grid), h

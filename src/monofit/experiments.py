@@ -26,7 +26,7 @@ import numpy as np
 
 from .deconv import estimate_cdf
 from .dist1d import TabulatedDistribution, w1_tabulated
-from .regress import FitConfig, fit_shuffled, fit_unlinked
+from .regress import fit_shuffled, fit_unlinked
 from .synth import LinkSpec, NoiseSpec, derive_seed, identity_link, link_cdf, rng_stream, sample_dataset
 
 __all__ = [
@@ -79,11 +79,11 @@ class ConjectureConfig:
             raise ValueError("need at least one grid point")
         if self.reps < 1:
             raise ValueError("need at least one replication")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError("c must be finite and positive, got %r" % (self.c,))
         C_list = tuple(float(C) for C in self.C_list)
-        if not C_list or any(C <= 0 for C in C_list):
-            raise ValueError("C_list must be nonempty with positive entries")
+        if not C_list or not all(math.isfinite(C) and C > 0 for C in C_list):
+            raise ValueError("C_list must be nonempty with finite, positive entries")
         object.__setattr__(self, "C_list", C_list)
 
     @property
@@ -194,6 +194,8 @@ def conjecture_sweep(cfg, workers=None):
     or on a process pool — the chunks are reassembled in replication order
     before the means are taken.
     """
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be at least 1, got %r" % (workers,))
     tasks = []
     spans = []
     for n in cfg.n_grid:
@@ -365,19 +367,19 @@ def parse_sigma_rule(text):
     return SigmaRule(text)
 
 
-def _measure_risks(problem, ds, link, noise, kinds):
+def _measure_risks(problem, ds, link, kinds):
     out = {}
     if problem == "deconv":
-        est, _ = estimate_cdf(ds.y, noise, ds.sigma)
+        est, _ = estimate_cdf(ds.y, ds.sigma)
         truth = TabulatedDistribution.from_callable(
             lambda z: link_cdf(link, z), est.grid_lo, est.grid_hi, est.cdf.size
         )
         out["W1_measure"] = w1_tabulated(est, truth)
         return out
     if problem == "shuffled":
-        mhat = fit_shuffled(ds.x_ordered, ds.y, ds.sigma, FitConfig("shuffled"))
+        mhat = fit_shuffled(ds.x_ordered, ds.y, ds.sigma).fit
     else:
-        mhat = fit_unlinked(ds.x_ordered, ds.y, noise, ds.sigma, FitConfig("unlinked"))
+        mhat = fit_unlinked(ds.x_ordered, ds.y, ds.sigma).fit
     for kind in kinds:
         if kind == "empirical_L1":
             out[kind] = risk_empirical(mhat, link, ds.x_ordered)
@@ -386,7 +388,7 @@ def _measure_risks(problem, ds, link, noise, kinds):
     return out
 
 
-def rate_sweep(problem, n_grid, sigma_rule, reps, seed, link=None, noise=None, risk_kinds=None):
+def rate_sweep(problem, n_grid, sigma_rule, reps, seed, link=None, risk_kinds=None):
     """Generate-fit-measure replications across an n-grid.
 
     One :class:`RiskRecord` per (n, replication, risk kind); each
@@ -399,7 +401,6 @@ def rate_sweep(problem, n_grid, sigma_rule, reps, seed, link=None, noise=None, r
     if isinstance(sigma_rule, str):
         sigma_rule = parse_sigma_rule(sigma_rule)
     link = identity_link() if link is None else link
-    noise = NoiseSpec() if noise is None else noise
     kinds = tuple(risk_kinds) if risk_kinds else _COMPATIBLE[problem][:1]
     for kind in kinds:
         if kind not in _COMPATIBLE[problem]:
@@ -411,8 +412,8 @@ def rate_sweep(problem, n_grid, sigma_rule, reps, seed, link=None, noise=None, r
         sig = sigma_rule.sigma(n)
         for rep in range(int(reps)):
             child = derive_seed(seed, problem, n, rep)
-            ds = sample_dataset(problem, n, link, noise, sig, seed=child)
-            risks = _measure_risks(problem, ds, link, noise, kinds)
+            ds = sample_dataset(problem, n, link, NoiseSpec(), sig, seed=child)
+            risks = _measure_risks(problem, ds, link, kinds)
             for kind in kinds:
                 records.append(
                     RiskRecord(problem=problem, n=n, sigma=sig, seed=child, risk_kind=kind, value=risks[kind])

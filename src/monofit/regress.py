@@ -16,7 +16,8 @@ statistics and differ only in where the fitted values come from:
   for that cell.
 
 Fitted values are then projected onto the moment ball
-(1/n) sum |v_i|^{a+2} <= M / c_X (:func:`project_moment`) and extended to a
+(1/n) sum |v_i|^{a+2} <= M / c_X (:func:`project_moment`, with
+``MOMENT_ORDER`` = a + 2 and ``MOMENT_BOUND`` = M / c_X) and extended to a
 left-continuous step function on [0, 1] (:func:`extend_piecewise`).
 """
 
@@ -31,7 +32,9 @@ from .dist1d import MonotoneStepFn, quantile
 from .synth import check_sigma
 
 __all__ = [
-    "FitConfig",
+    "MOMENT_BOUND",
+    "MOMENT_ORDER",
+    "FitResult",
     "fit_shuffled",
     "fit_unlinked",
     "project_moment",
@@ -40,45 +43,25 @@ __all__ = [
     "stepfn_from_csv",
 ]
 
-_ETA_MODES = ("shuffled", "unlinked")
+# The moment ball (1/n) sum |v_i|^{a+2} <= M / c_X of both fits: M = 10
+# bounds the (a+2)-th moment of the link under the design measure, c_X = 1
+# the design density from below, and a = 1.
+MOMENT_BOUND = 10.0
+MOMENT_ORDER = 3.0
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    """Constraint set and slack schedule of the minimum-contrast fits.
+class FitResult:
+    """A fitted link with its contrast slack and projection flag.
 
-    ``M`` bounds the (a+2)-th moment of the link under the design measure
-    and ``c_X`` is the known lower bound on the design density, so the
-    fitted values must satisfy (1/n) sum |v_i|^{a+2} <= M / c_X.
-    ``eta_mode`` selects the contrast slack: sigma^2 for shuffled fits,
-    n^{-1/2} for unlinked ones.
+    ``fit`` is the step function, ``eta`` the slack of the minimum-contrast
+    problem (sigma^2 for shuffled fits, n^{-1/2} for unlinked ones), and
+    ``projected`` says whether the moment projection changed the values.
     """
 
-    eta_mode: str
-    M: float = 10.0
-    a: float = 1.0
-    c_X: float = 1.0
-
-    def __post_init__(self):
-        if self.eta_mode not in _ETA_MODES:
-            raise ValueError("eta_mode must be one of %s" % (_ETA_MODES,))
-        for name in ("M", "a", "c_X"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
-
-    @property
-    def moment_order(self):
-        return self.a + 2.0
-
-    @property
-    def moment_bound(self):
-        return self.M / self.c_X
-
-    def eta(self, n, sigma):
-        """Contrast slack for a fit at sample size n and noise scale sigma."""
-        if self.eta_mode == "shuffled":
-            return float(sigma) ** 2
-        return 1.0 / math.sqrt(int(n))
+    fit: MonotoneStepFn
+    eta: float
+    projected: bool
 
 
 def project_moment(values, bound, p):
@@ -139,18 +122,20 @@ def extend_piecewise(x_ordered, values):
     return MonotoneStepFn(x, v)
 
 
-def fit_shuffled(x_ordered, y, sigma, cfg, full_output=False):
+def _project_and_extend(x_ordered, raw, eta):
+    """FitResult of the raw fitted values projected onto the moment ball."""
+    vals = project_moment(raw, MOMENT_BOUND, MOMENT_ORDER)
+    return FitResult(extend_piecewise(x_ordered, vals), eta, not np.array_equal(vals, raw))
+
+
+def fit_shuffled(x_ordered, y, sigma):
     """Monotone fit when the x-y pairing is hidden by an unknown permutation.
 
     The fitted values are sorted(y) assigned to the covariate order
     statistics — the exact minimizer of the W2 contrast over monotone
-    assignments — projected onto the moment ball of ``cfg``.
-
-    With ``full_output=True`` returns ``(fit, info)`` where info records the
-    slack eta = sigma^2 and whether the projection activated.
+    assignments — projected onto the moment ball.  Returns a
+    :class:`FitResult` with slack eta = sigma^2.
     """
-    if cfg.eta_mode != "shuffled":
-        raise ValueError("cfg.eta_mode must be 'shuffled' for fit_shuffled")
     x = np.asarray(x_ordered, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -158,29 +143,18 @@ def fit_shuffled(x_ordered, y, sigma, cfg, full_output=False):
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("x_ordered and y must be finite")
     sigma = check_sigma(sigma)
-    raw = np.sort(y, kind="stable")
-    vals = project_moment(raw, cfg.moment_bound, cfg.moment_order)
-    fit = extend_piecewise(x, vals)
-    if not full_output:
-        return fit
-    info = {"eta": cfg.eta(x.size, sigma), "projected": not np.array_equal(vals, raw)}
-    return fit, info
+    return _project_and_extend(x, np.sort(y, kind="stable"), sigma**2)
 
 
-def fit_unlinked(x, y, noise, sigma, cfg, full_output=False):
+def fit_unlinked(x, y, sigma):
     """Monotone fit when x and y are disjoint samples and y is noisy.
 
     Pipeline: deconvolve the y-sample into a latent CDF estimate
     (:func:`monofit.deconv.estimate_cdf`), read off its mid-cell quantiles
     v_i = quantile((2i - 1) / (2n)) as fitted values on the x order
-    statistics, project onto the moment ball, extend.
-
-    With ``full_output=True`` returns ``(fit, info)`` where info records the
-    slack eta = n^{-1/2}, whether the projection activated, the bandwidth
-    ``h`` and the estimated latent CDF table ``cdf``.
+    statistics, project onto the moment ball, extend.  Returns a
+    :class:`FitResult` with slack eta = n^{-1/2}.
     """
-    if cfg.eta_mode != "unlinked":
-        raise ValueError("cfg.eta_mode must be 'unlinked' for fit_unlinked")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -188,20 +162,10 @@ def fit_unlinked(x, y, noise, sigma, cfg, full_output=False):
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("covariates must lie in [0, 1]")
     n = x.size
-    mu, h = estimate_cdf(y, noise, sigma)
+    mu, _ = estimate_cdf(y, sigma)
     levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
     raw = np.maximum.accumulate(quantile(mu, levels))
-    vals = project_moment(raw, cfg.moment_bound, cfg.moment_order)
-    fit = extend_piecewise(np.sort(x, kind="stable"), vals)
-    if not full_output:
-        return fit
-    info = {
-        "eta": cfg.eta(n, sigma),
-        "projected": not np.array_equal(vals, raw),
-        "h": h,
-        "cdf": mu,
-    }
-    return fit, info
+    return _project_and_extend(np.sort(x, kind="stable"), raw, 1.0 / math.sqrt(n))
 
 
 def stepfn_to_csv(m, path, n, sigma, eta, projected):

@@ -58,10 +58,9 @@ def _check_empirical_quantile_cells():
 
 
 def _check_noiseless_recovery():
-    cfg = regress.FitConfig("shuffled")
     for link in synth.link_catalog(200).values():
         ds = synth.sample_dataset("shuffled", 200, link, synth.NoiseSpec(), 0.0, seed=3)
-        m = regress.fit_shuffled(ds.x_ordered, ds.y, 0.0, cfg)
+        m = regress.fit_shuffled(ds.x_ordered, ds.y, 0.0).fit
         assert np.max(np.abs(m(ds.x_ordered) - synth.eval_link(link, ds.x_ordered))) == 0.0
 
 
@@ -73,13 +72,12 @@ def _check_moment_projection():
 
 
 def _check_bandwidth_branches():
-    noise = synth.NoiseSpec()
-    assert deconv.select_bandwidth(10**4, 0.001, noise) == 0.01
-    h = deconv.select_bandwidth(10**4, 0.5, noise)
+    assert deconv.select_bandwidth(10**4, 0.001) == 0.01
+    h = deconv.select_bandwidth(10**4, 0.5)
     assert abs(h - 0.3527715834582116) < 1e-12
     for n in (100, 10**4):
         for sig in (0.0, 0.01, 0.3, 1.0):
-            h = deconv.select_bandwidth(n, sig, noise)
+            h = deconv.select_bandwidth(n, sig)
             assert 0.0 < h <= 1.0
 
 
@@ -108,7 +106,7 @@ def _check_deconv_kernel_oracle():
     ys = dist1d.EmpiricalMeasure.from_sample(rng.normal(size=20))
     h = 0.3
     grid = deconv.auto_grid(ys, 0.0, points=2**11)
-    est = deconv.deconvolve_cdf(ys, synth.NoiseSpec(), 0.0, h, grid)
+    est = deconv.deconvolve_cdf(ys, 0.0, h, grid)
     u = np.abs((grid.xs[:, None] - ys.atoms[None, :]) / h)
     dens = (48.0 / math.pi) * _j3_over_cube(u).mean(axis=1) / h
     cdf = deconv.isotonize_cdf(deconv._running_trapezoid(dens, grid.step))

@@ -99,8 +99,8 @@ def check_sigma(sigma):
     return sigma
 
 
-def noise_charfn(spec, t):
-    """Characteristic function of the noise at t; real and positive, 1 at 0."""
+def noise_charfn(t):
+    """Characteristic function exp(-t^2/2) of the Gaussian noise at t."""
     t_arr = np.asarray(t, dtype=float)
     out = np.exp(-0.5 * t_arr * t_arr)
     return out if np.ndim(t) else float(out)
@@ -226,7 +226,7 @@ def eval_link(spec, x):
         out = np.zeros_like(x_arr)
         inside = (x_arr > 0.0) & (x_arr <= cut)
         xi = x_arr[inside]
-        out[inside] = -((xi * np.log(1.0 / xi) ** (1.0 + spec.eps)) ** (-1.0 / (spec.a + 2.0)))
+        out[inside] = -((xi * (-np.log(xi)) ** (1.0 + spec.eps)) ** (-1.0 / (spec.a + 2.0)))
         out[x_arr == 0.0] = -np.inf
     return out if np.ndim(x) else float(out)
 

@@ -29,7 +29,7 @@ from monofit.experiments import (
     rate_sweep,
     risk_empirical,
 )
-from monofit.regress import FitConfig, fit_shuffled
+from monofit.regress import fit_shuffled
 from monofit.synth import (
     NoiseSpec,
     affine_link,
@@ -52,7 +52,6 @@ def _verdict(num, ok, detail):
 
 def test_01_noiseless_shuffled_exact_recovery():
     """With zero noise the sorted responses recover the link exactly."""
-    cfg = FitConfig("shuffled")
     noise = NoiseSpec()
     t0 = time.perf_counter()
     worst = 0.0
@@ -60,7 +59,7 @@ def test_01_noiseless_shuffled_exact_recovery():
         ds = sample_dataset(
             "shuffled", 1000, link, noise, 0.0, seed=derive_seed(SEED, "acc1", name)
         )
-        mhat = fit_shuffled(ds.x_ordered, ds.y, 0.0, cfg)
+        mhat = fit_shuffled(ds.x_ordered, ds.y, 0.0).fit
         worst = max(worst, risk_empirical(mhat, link, ds.x_ordered))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 1.0
@@ -89,7 +88,6 @@ def test_02_shuffled_risk_slope_in_sigma():
     """
     link = link_catalog(4096)["step"]
     noise = NoiseSpec()
-    cfg = FitConfig("shuffled")
     sigmas = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
     t0 = time.perf_counter()
     pts = []
@@ -100,7 +98,7 @@ def test_02_shuffled_risk_slope_in_sigma():
                 "shuffled", 4096, link, noise, sigma,
                 seed=derive_seed(SEED, "acc2", si, rep),
             )
-            mhat = fit_shuffled(ds.x_ordered, ds.y, sigma, cfg)
+            mhat = fit_shuffled(ds.x_ordered, ds.y, sigma).fit
             risks.append(risk_empirical(mhat, link, ds.x_ordered))
         pts.append((sigma, float(np.mean(risks))))
     elapsed = time.perf_counter() - t0
@@ -118,7 +116,6 @@ def test_02_shuffled_risk_slope_in_sigma():
 def test_03_oracle_inequality_every_instance():
     """Squared design-point error vs the recorded-noise oracle bound."""
     noise = NoiseSpec()
-    cfg = FitConfig("shuffled")
     cat = link_catalog(300)
     margin = math.inf
     checked = 0
@@ -127,7 +124,7 @@ def test_03_oracle_inequality_every_instance():
             for rep in range(25):
                 seed = derive_seed(SEED, "acc3", name, rep)
                 ds = sample_dataset("shuffled", 300, cat[name], noise, sigma, seed=seed)
-                mhat = fit_shuffled(ds.x_ordered, ds.y, sigma, cfg)
+                mhat = fit_shuffled(ds.x_ordered, ds.y, sigma).fit
                 # same stream the sampler used, so these are the realized noises
                 delta = sample_noise(noise, 300, rng_stream(seed, "noise"))
                 lhs = float(np.mean((mhat(ds.x_ordered) - eval_link(cat[name], ds.x_ordered)) ** 2))

@@ -8,7 +8,7 @@ import pytest
 from monofit.cli import _default_workers, parse_link, render_plot, run, write_records
 from monofit.experiments import ConjectureRow
 from monofit.deconv import estimate_cdf
-from monofit.regress import FitConfig, fit_shuffled, fit_unlinked, stepfn_from_csv
+from monofit.regress import fit_shuffled, fit_unlinked, stepfn_from_csv
 from monofit.synth import Dataset, NoiseSpec, dataset_to_csv, identity_link, rng_stream, sample_dataset
 
 
@@ -73,6 +73,16 @@ class TestConjectureCommand:
         assert len(read_csv(out2 / "conjecture.csv")) == 1 + 3 * 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "bad", [["--c", "nan"], ["--c", "inf"], ["--C-list", "nan,1"], ["--workers", "0"], ["--workers", "-3"]]
+    )
+    def test_bad_value_refused_before_output(self, bad, tmp_path, capsys):
+        argv = ["conjecture", "--grid-points", "2", "--n-min", "100", "--n-max", "1000", "--reps", "3"]
+        assert run([*argv, *bad, "--out", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "conjecture.csv").exists()
+        assert not list(tmp_path.glob("*.svg"))
+
 
 class TestRatesCommand:
     def test_records_and_determinism(self, tmp_path, capsys):
@@ -98,6 +108,24 @@ class TestRatesCommand:
         out = capsys.readouterr().out
         assert "slope" in out
 
+    def test_unknown_config_key_refused(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[rates]\nsigma_rule = constant:0.1\nn_grid = 100,200\nreps = 1\n")
+        out = tmp_path / "out"
+        assert run(["rates", "--config", str(ini), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "'n_grid'" in err and "sigma-rule" in err and "n-grid" in err
+        assert not (out / "risks.csv").exists()
+
+    def test_default_section_keys_not_checked(self, tmp_path, capsys):
+        # [DEFAULT] is shared by every section: a key only another
+        # subcommand reads is no error here
+        ini = tmp_path / "run.ini"
+        ini.write_text("[DEFAULT]\nworkers = 2\nreps = 1\n[rates]\nn-grid = 100,200\n")
+        assert run(["rates", "--config", str(ini), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(read_csv(tmp_path / "risks.csv")) == 1 + 2
+
 
 class TestEstimateCommand:
     @pytest.mark.parametrize("mode", ["shuffled", "unlinked", "deconv"])
@@ -113,18 +141,15 @@ class TestEstimateCommand:
             rows = read_csv(out / "cdf.csv")
             assert rows[0] == ["x", "cdf"]
             table = np.array(rows[1:], dtype=float)
-            est, _ = estimate_cdf(ds.y, NoiseSpec(), 0.05)
+            est, _ = estimate_cdf(ds.y, 0.05)
             assert np.array_equal(table[:, 0], est.grid)
             assert np.array_equal(table[:, 1], est.cdf)
             return
         m, meta = stepfn_from_csv(out / "fit.csv")
-        if mode == "shuffled":
-            direct = fit_shuffled(ds.x_ordered, ds.y, 0.05, FitConfig("shuffled"))
-        else:
-            direct = fit_unlinked(ds.x_ordered, ds.y, NoiseSpec(), 0.05, FitConfig("unlinked"))
-        assert np.array_equal(m.knots, direct.knots)
-        assert np.array_equal(m.values, direct.values)
-        assert meta["n"] == 25 and meta["sigma"] == 0.05 and not meta["projected"]
+        direct = (fit_shuffled if mode == "shuffled" else fit_unlinked)(ds.x_ordered, ds.y, 0.05)
+        assert np.array_equal(m.knots, direct.fit.knots)
+        assert np.array_equal(m.values, direct.fit.values)
+        assert meta == {"n": 25, "sigma": 0.05, "eta": direct.eta, "projected": False}
 
     def test_grid_too_coarse_exits_one(self, tmp_path, capsys):
         rng = rng_stream(8, "outlier")
@@ -146,9 +171,9 @@ class TestEstimateCommand:
         assert run(["estimate", "--data", str(data), "--out", str(tmp_path / "fit")]) == 0
         capsys.readouterr()
         m, meta = stepfn_from_csv(tmp_path / "fit" / "fit.csv")
-        direct = fit_unlinked(ds.x_ordered, ds.y, NoiseSpec(), 0.0, FitConfig("unlinked"))
+        direct = fit_unlinked(ds.x_ordered, ds.y, 0.0)
         assert meta["n"] == 100_000 and meta["sigma"] == 0.0
-        assert np.array_equal(m.values, direct.values)
+        assert np.array_equal(m.values, direct.fit.values)
 
     def test_deconv_writes_cdf_table(self, tmp_path, capsys):
         ds = sample_dataset("deconv", 40, identity_link(), NoiseSpec(), 0.2, seed=4)

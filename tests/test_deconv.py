@@ -32,9 +32,7 @@ from monofit.deconv import (
 import monofit.deconv as deconv_mod
 from monofit.deconv import _ecf, _fourier_at, _next_fast_len
 from monofit.dist1d import EmpiricalMeasure, TabulatedDistribution, quantile, w1_tabulated
-from monofit.synth import NoiseSpec, rng_stream
-
-NOISE = NoiseSpec()
+from monofit.synth import rng_stream
 
 
 def kernel_oracle(x):
@@ -79,23 +77,23 @@ class TestSelectBandwidth:
     def test_below_root_branch(self):
         for n in (100, 10**4, 10**6):
             sig = 0.5 / math.sqrt(n)
-            assert select_bandwidth(n, sig, NOISE) == 1.0 / math.sqrt(n)
-        assert select_bandwidth(10**4, 0.0, NOISE) == 0.01
+            assert select_bandwidth(n, sig) == 1.0 / math.sqrt(n)
+        assert select_bandwidth(10**4, 0.0) == 0.01
 
     def test_boundary_goes_to_noise_branch(self):
         n = 10**4
         sig = 1.0 / math.sqrt(n)
-        h = select_bandwidth(n, sig, NOISE)
+        h = select_bandwidth(n, sig)
         inner = n * sig * sig * math.log(n)
-        expected = sig * (0.1 * NOISE.gamma2 * math.log(inner)) ** -0.5
+        expected = sig * (0.1 * 2.0 * math.log(inner)) ** -0.5
         assert h == pytest.approx(expected, rel=1e-12)
         assert h != 1.0 / math.sqrt(n)
 
     def test_frozen_anchor(self):
         # both branches at the rule's constant C = 0.1, to the last bit
-        assert select_bandwidth(10**6, 0.01, NOISE) == 0.008315473033895458
-        assert select_bandwidth(10**4, 0.001, NOISE) == 0.01
-        h = select_bandwidth(10**4, 0.5, NOISE)
+        assert select_bandwidth(10**6, 0.01) == 0.008315473033895458
+        assert select_bandwidth(10**4, 0.001) == 0.01
+        h = select_bandwidth(10**4, 0.5)
         assert h == 0.3527715834582116
         closed = 0.5 * (0.2 * math.log(2500.0 * math.log(10**4))) ** -0.5
         assert h == pytest.approx(closed, rel=1e-12)
@@ -103,20 +101,20 @@ class TestSelectBandwidth:
     def test_fallback_warns(self):
         # n = 2, sigma = n^{-1/2}: inner log is negative
         with pytest.warns(RuntimeWarning):
-            h = select_bandwidth(2, 2**-0.5, NOISE)
+            h = select_bandwidth(2, 2**-0.5)
         assert h == 1.0 / math.sqrt(2)
 
     def test_clamped_to_one(self):
-        assert select_bandwidth(100, 2.0, NOISE) == 1.0
+        assert select_bandwidth(100, 2.0) == 1.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            select_bandwidth(1, 0.1, NOISE)
+            select_bandwidth(1, 0.1)
         with pytest.raises(ValueError):
-            select_bandwidth(100, -0.1, NOISE)
+            select_bandwidth(100, -0.1)
         for sigma in (math.nan, math.inf):
             with pytest.raises(ValueError, match="sigma"):
-                select_bandwidth(100, sigma, NOISE)
+                select_bandwidth(100, sigma)
 
     def test_noise_amplification_bounded(self):
         # the integrand divides by the noise charfn at |t| <= 1/h; the rule
@@ -126,7 +124,7 @@ class TestSelectBandwidth:
         for n in (100, 1000, 10**4, 10**5, 10**6):
             root = 1.0 / math.sqrt(n)
             for sig in (1e-4, 0.3 * root, 0.999 * root, root, 3.0 * root, 0.05, 0.2, 0.5, 1.0):
-                h = select_bandwidth(n, sig, NOISE)
+                h = select_bandwidth(n, sig)
                 assert 0.0 < h <= 1.0
                 amp = math.exp(sig * sig / (2.0 * h * h))
                 if sig < root:
@@ -255,7 +253,7 @@ class TestDeconvolveCdf:
         ys = EmpiricalMeasure.from_sample(rng.normal(0.0, 1.0, 40))
         h = 0.25
         grid = auto_grid(ys, 0.0, points=2**13)
-        est = deconvolve_cdf(ys, NOISE, 0.0, h, grid)
+        est = deconvolve_cdf(ys, 0.0, h, grid)
         oracle = smoothed_empirical_oracle(ys, h, grid)
         assert w1_tabulated(est, oracle) < 1e-6
         assert np.max(np.abs(est.cdf - oracle.cdf)) < 1e-6
@@ -264,7 +262,7 @@ class TestDeconvolveCdf:
         # all observations equal: the estimate is one kernel bump at that point
         ys = EmpiricalMeasure(np.full(5, 0.7))
         grid = auto_grid(ys, 0.0, points=2**13)
-        est = deconvolve_cdf(ys, NOISE, 0.0, 0.2, grid)
+        est = deconvolve_cdf(ys, 0.0, 0.2, grid)
         assert abs(quantile(est, 0.5) - 0.7) < 2.0 * 0.2
 
     def test_smoothing_displacement_order_h(self):
@@ -275,7 +273,7 @@ class TestDeconvolveCdf:
             ys = EmpiricalMeasure.from_sample(rng.normal(0.0, 1.0, 60))
             h = 0.05 + 0.3 * rng.random()
             grid = auto_grid(ys, 0.0, points=2**13)
-            est = deconvolve_cdf(ys, NOISE, 0.0, h, grid)
+            est = deconvolve_cdf(ys, 0.0, h, grid)
             emp = TabulatedDistribution.from_callable(ys.cdf, grid.lo, grid.hi, grid.points)
             assert w1_tabulated(est, emp) < 1.5 * h
 
@@ -283,9 +281,9 @@ class TestDeconvolveCdf:
         rng = rng_stream(12, "freq")
         ys = EmpiricalMeasure.from_sample(rng.normal(0.0, 1.0, 200) + 0.3 * rng.random(200))
         grid = auto_grid(ys, 0.3, points=2**13)
-        h = select_bandwidth(200, 0.3, NOISE)
-        coarse = deconvolve_cdf(ys, NOISE, 0.3, h, grid, freq_points=DEFAULT_FREQ_POINTS)
-        fine = deconvolve_cdf(ys, NOISE, 0.3, h, grid, freq_points=2 * DEFAULT_FREQ_POINTS)
+        h = select_bandwidth(200, 0.3)
+        coarse = deconvolve_cdf(ys, 0.3, h, grid, freq_points=DEFAULT_FREQ_POINTS)
+        fine = deconvolve_cdf(ys, 0.3, h, grid, freq_points=2 * DEFAULT_FREQ_POINTS)
         assert w1_tabulated(coarse, fine) < 1e-3
 
     def test_risk_shrinks_with_n(self):
@@ -295,13 +293,13 @@ class TestDeconvolveCdf:
         sig = 0.5
         means = []
         for n in (300, 3000):
-            h = select_bandwidth(n, sig, NOISE)
+            h = select_bandwidth(n, sig)
             vals = []
             for rep in range(8):
                 rng = rng_stream(13, "risk", n, rep)
                 ys = EmpiricalMeasure.from_sample(rng.random(n) + sig * rng.standard_normal(n))
                 grid = auto_grid(ys, sig, points=2**13)
-                est = deconvolve_cdf(ys, NOISE, sig, h, grid)
+                est = deconvolve_cdf(ys, sig, h, grid)
                 truth = TabulatedDistribution.from_callable(
                     lambda x: np.clip(x, 0.0, 1.0), grid.lo, grid.hi, grid.points
                 )
@@ -313,7 +311,7 @@ class TestDeconvolveCdf:
         rng = rng_stream(14, "valid")
         ys = EmpiricalMeasure.from_sample(rng.random(100))
         grid = auto_grid(ys, 0.1)
-        est = deconvolve_cdf(ys, NOISE, 0.1, 0.3, grid)
+        est = deconvolve_cdf(ys, 0.1, 0.3, grid)
         assert isinstance(est, TabulatedDistribution)
         assert np.all(np.diff(est.cdf) >= 0)
         assert est.cdf[0] == 0.0 and est.cdf[-1] >= 0.99
@@ -321,15 +319,15 @@ class TestDeconvolveCdf:
     def test_rejects_narrow_grid(self):
         ys = EmpiricalMeasure(np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="grid too narrow"):
-            deconvolve_cdf(ys, NOISE, 0.0, 0.3, GridSpec(-3.0, 4.0, 2**10))
+            deconvolve_cdf(ys, 0.0, 0.3, GridSpec(-3.0, 4.0, 2**10))
 
     def test_rejects_grid_coarser_than_quarter_bandwidth(self):
         ys = EmpiricalMeasure(np.array([0.0, 1.0]))
         grid = GridSpec(-6.0, 7.0, 2**10)
         h = 4.0 * grid.step
-        assert isinstance(deconvolve_cdf(ys, NOISE, 0.0, h, grid), TabulatedDistribution)
+        assert isinstance(deconvolve_cdf(ys, 0.0, h, grid), TabulatedDistribution)
         with pytest.raises(ValueError, match="grid too coarse"):
-            deconvolve_cdf(ys, NOISE, 0.0, 0.99 * h, grid)
+            deconvolve_cdf(ys, 0.0, 0.99 * h, grid)
 
     def test_rejects_grid_reached_by_aliases(self):
         # with 64 frequency points at h = 0.5 the density repeats every
@@ -340,9 +338,9 @@ class TestDeconvolveCdf:
             grid = auto_grid(ys, 0.0, points=2**10)
             if refused:
                 with pytest.raises(ValueError, match="grid too wide"):
-                    deconvolve_cdf(ys, NOISE, 0.0, 0.5, grid, freq_points=64)
+                    deconvolve_cdf(ys, 0.0, 0.5, grid, freq_points=64)
             else:
-                est = deconvolve_cdf(ys, NOISE, 0.0, 0.5, grid, freq_points=64)
+                est = deconvolve_cdf(ys, 0.0, 0.5, grid, freq_points=64)
                 assert abs(est.cdf[np.searchsorted(est.grid, b / 2.0)] - 0.5) < 0.01
 
     def test_running_integral_is_scipy_trapezoid(self, monkeypatch):
@@ -358,7 +356,7 @@ class TestDeconvolveCdf:
             seen.clear()
             ys = EmpiricalMeasure.from_sample(rng_stream(16, "trapz", k).normal(size=60))
             grid = auto_grid(ys, sigma, points=2**12)
-            deconvolve_cdf(ys, NOISE, sigma, 0.3, grid)
+            deconvolve_cdf(ys, sigma, 0.3, grid)
             dens = seen["S"].real / (2.0 * math.pi)
             assert np.array_equal(seen["raw"], cumulative_trapezoid(dens, dx=grid.step, initial=0.0))
 
@@ -366,29 +364,29 @@ class TestDeconvolveCdf:
     def test_rejects_fewer_than_two_freq_points(self, freq_points):
         ys = EmpiricalMeasure(np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="freq_points must be at least 2"):
-            deconvolve_cdf(ys, NOISE, 0.0, 0.5, auto_grid(ys, 0.0), freq_points=freq_points)
+            deconvolve_cdf(ys, 0.0, 0.5, auto_grid(ys, 0.0), freq_points=freq_points)
 
     def test_rejects_bad_bandwidth_and_sigma(self):
         ys = EmpiricalMeasure(np.array([0.0, 1.0]))
         grid = auto_grid(ys, 0.0)
         with pytest.raises(ValueError):
-            deconvolve_cdf(ys, NOISE, 0.0, 0.0, grid)
+            deconvolve_cdf(ys, 0.0, 0.0, grid)
         with pytest.raises(ValueError):
-            deconvolve_cdf(ys, NOISE, 0.0, 1.5, grid)
+            deconvolve_cdf(ys, 0.0, 1.5, grid)
         with pytest.raises(ValueError):
-            deconvolve_cdf(ys, NOISE, -0.2, 0.5, grid)
+            deconvolve_cdf(ys, -0.2, 0.5, grid)
         for sigma in (math.nan, math.inf):
             with pytest.raises(ValueError, match="sigma"):
-                deconvolve_cdf(ys, NOISE, sigma, 0.5, grid)
+                deconvolve_cdf(ys, sigma, 0.5, grid)
 
 
 class TestEstimateCdf:
     def test_is_the_default_chain(self):
         y = rng_stream(17, "chain").normal(size=300)
-        est, h = estimate_cdf(y, NOISE, 0.2)
+        est, h = estimate_cdf(y, 0.2)
         ys = EmpiricalMeasure.from_sample(y)
-        assert h == select_bandwidth(300, 0.2, NOISE)
-        ref = deconvolve_cdf(ys, NOISE, 0.2, h, auto_grid(ys, 0.2))
+        assert h == select_bandwidth(300, 0.2)
+        ref = deconvolve_cdf(ys, 0.2, h, auto_grid(ys, 0.2))
         assert (est.grid_lo, est.grid_hi) == (ref.grid_lo, ref.grid_hi)
         assert np.array_equal(est.cdf, ref.cdf)
 
@@ -396,7 +394,7 @@ class TestEstimateCdf:
         # at n = 1e5 and sigma = 0, h = n^(-1/2) needs more than 2^14 points
         # over [0, 1] padded by 8: the grid doubles once, it is not refused
         y = rng_stream(18, "fine").random(100_000)
-        est, h = estimate_cdf(y, NOISE, 0.0)
+        est, h = estimate_cdf(y, 0.0)
         assert h == 1.0 / math.sqrt(100_000)
         assert est.cdf.size == 2**15
         assert (est.grid_hi - est.grid_lo) / (est.cdf.size - 1) <= h / 4.0
@@ -406,7 +404,7 @@ class TestEstimateCdf:
         y = rng_stream(18, "outlier").random(500)
         y[17] = 1e9
         with pytest.raises(ValueError, match="grid too coarse"):
-            estimate_cdf(y, NOISE, 0.05)
+            estimate_cdf(y, 0.05)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -423,7 +421,7 @@ class TestEstimateCdf:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # small-n bandwidth fallback
             try:
-                est, h = estimate_cdf(y, NOISE, sigma)
+                est, h = estimate_cdf(y, sigma)
             except ValueError as exc:
                 assert "grid too coarse" in str(exc) or "grid too wide" in str(exc)
                 return

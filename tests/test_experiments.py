@@ -402,7 +402,7 @@ class TestRateSweep:
         recs = rate_sweep("shuffled", [80], "constant:0.2", reps=2, seed=11)
         r = recs[1]
         ds = sample_dataset("shuffled", r.n, identity_link(), NoiseSpec(), r.sigma, seed=r.seed)
-        again = _measure_risks("shuffled", ds, identity_link(), NoiseSpec(), (r.risk_kind,))
+        again = _measure_risks("shuffled", ds, identity_link(), (r.risk_kind,))
         assert again[r.risk_kind] == r.value
 
     def test_incompatible_risk_kind(self):

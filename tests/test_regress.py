@@ -18,16 +18,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from monofit.deconv import GridSpec, deconvolve_cdf
+from monofit.deconv import GridSpec, deconvolve_cdf, estimate_cdf
 from monofit.dist1d import (
     EmpiricalMeasure,
     MonotoneStepFn,
     TabulatedDistribution,
+    quantile,
     w1_tabulated,
     w2_empirical,
 )
 from monofit.regress import (
-    FitConfig,
+    MOMENT_BOUND,
+    MOMENT_ORDER,
+    FitResult,
     extend_piecewise,
     fit_shuffled,
     fit_unlinked,
@@ -57,30 +60,66 @@ def min_assignment_sq(v, y):
     return best
 
 
-class TestFitConfig:
+class TestFitResult:
     def test_eta_schedule(self):
-        assert FitConfig("shuffled").eta(100, 0.5) == 0.25
-        assert FitConfig("unlinked").eta(400, 0.5) == 0.05
+        rng = rng_stream(20, "eta")
+        assert fit_shuffled(np.sort(rng.random(100)), rng.normal(size=100), 0.5).eta == 0.25
+        assert fit_unlinked(rng.random(400), rng.normal(size=400), 0.5).eta == 0.05
 
-    def test_derived_bounds(self):
-        cfg = FitConfig("shuffled", M=6.0, a=2.0, c_X=0.5)
-        assert cfg.moment_order == 4.0
-        assert cfg.moment_bound == 12.0
+    def test_frozen(self):
+        res = fit_shuffled(np.array([0.2, 0.7]), np.array([1.0, 0.0]), 0.1)
+        assert isinstance(res, FitResult)
+        with pytest.raises(AttributeError):
+            res.eta = 0.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FitConfig("detached")
-        for bad in ({"M": 0.0}, {"a": -1.0}, {"c_X": 0.0}):
-            with pytest.raises(ValueError):
-                FitConfig("shuffled", **bad)
+    @staticmethod
+    def assert_valid(res, raw, eta):
+        values = np.asarray(res.fit.values)
+        assert np.all(np.isfinite(values)) and np.all(np.diff(values) >= 0)
+        assert np.mean(np.abs(values) ** MOMENT_ORDER) <= MOMENT_BOUND * (1 + 1e-12)
+        assert res.projected == bool(np.mean(np.abs(raw) ** MOMENT_ORDER) > MOMENT_BOUND)
+        assert res.eta == eta
 
-    def test_mode_mismatch_raises(self):
-        x = np.array([0.2, 0.8])
-        y = np.array([0.1, 0.3])
-        with pytest.raises(ValueError):
-            fit_shuffled(x, y, 0.0, FitConfig("unlinked"))
-        with pytest.raises(ValueError):
-            fit_unlinked(x, y, NOISE, 0.0, FitConfig("shuffled"))
+    @given(
+        st.sampled_from(sorted(link_catalog(3))),
+        st.integers(3, 300),
+        st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_shuffled_property_on_catalog(self, name, n, sigma, seed):
+        ds = sample_dataset("shuffled", n, link_catalog(n)[name], NOISE, sigma, seed=seed)
+        res = fit_shuffled(ds.x_ordered, ds.y, sigma)
+        self.assert_valid(res, np.sort(ds.y), sigma**2)
+        assert np.array_equal(res.fit.knots, ds.x_ordered)
+
+    @given(
+        st.sampled_from(sorted(link_catalog(3))),
+        st.integers(3, 200),
+        st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_unlinked_property_on_catalog(self, name, n, sigma, seed):
+        ds = sample_dataset("unlinked", n, link_catalog(n)[name], NOISE, sigma, seed=seed)
+        res = fit_unlinked(ds.x_ordered, ds.y, sigma)
+        est, _ = estimate_cdf(ds.y, sigma)
+        raw = np.maximum.accumulate(quantile(est, (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)))
+        self.assert_valid(res, raw, 1.0 / math.sqrt(n))
+        assert np.array_equal(res.fit.knots, ds.x_ordered)
+
+    @pytest.mark.parametrize("slope, offset, projected", [(1.0, 0.0, False), (8.0, -4.0, True)])
+    def test_unlinked_values_are_projected_midcell_quantiles(self, slope, offset, projected):
+        # the fit is exactly the moment projection of the running max of the
+        # mid-cell quantiles of estimate_cdf's table, bit for bit
+        n, sigma = 2000, 0.1
+        ds = sample_dataset("unlinked", n, affine_link(slope, offset), NOISE, sigma, seed=36)
+        res = fit_unlinked(ds.x_ordered, ds.y, sigma)
+        est, _ = estimate_cdf(ds.y, sigma)
+        levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+        want = project_moment(np.maximum.accumulate(quantile(est, levels)), MOMENT_BOUND, MOMENT_ORDER)
+        assert np.array_equal(res.fit.values, want)
+        assert res.projected is projected
 
 
 class TestProjectMoment:
@@ -185,24 +224,21 @@ class TestExtendPiecewise:
 
 class TestFitShuffled:
     def test_noiseless_recovery_all_links(self):
-        cfg = FitConfig("shuffled")
         for n in (10, 100, 1000):
             for link in link_catalog(n).values():
                 ds = sample_dataset("shuffled", n, link, NOISE, 0.0, seed=42)
-                m = fit_shuffled(ds.x_ordered, ds.y, 0.0, cfg)
+                m = fit_shuffled(ds.x_ordered, ds.y, 0.0).fit
                 truth = eval_link(link, ds.x_ordered)
                 assert np.max(np.abs(m(ds.x_ordered) - truth)) == 0.0
 
     def test_sorted_assignment_is_optimal(self):
         # the fitted values minimize the assignment cost over all n! pairings
-        cfg = FitConfig("shuffled")
         rng = rng_stream(22, "brute")
         for n in range(2, 7):
             for _ in range(5):
                 y = rng.normal(size=n)
                 x = np.sort(rng.random(n))
-                m = fit_shuffled(x, y, 0.0, cfg)
-                v = m(x)
+                v = fit_shuffled(x, y, 0.0).fit(x)
                 assert min_assignment_sq(v, y) == pytest.approx(0.0, abs=1e-20)
                 # and for an arbitrary monotone candidate the sorted pairing
                 # is still the best assignment
@@ -214,27 +250,25 @@ class TestFitShuffled:
     def test_oracle_inequality(self):
         # (1/n) sum (mhat(X_(i)) - m0(X_(i)))^2 <= (4 sigma^2/n) sum delta_i^2
         # + 2 sigma^2, deterministically, whenever the projection is inactive
-        cfg = FitConfig("shuffled")
         n = 300
         for name in ("identity", "affine", "cube", "step"):
             link = link_catalog(n)[name]
             for sig in (0.1, 0.5):
                 for seed in range(5):
                     ds = sample_dataset("shuffled", n, link, NOISE, sig, seed=seed)
-                    m, info = fit_shuffled(ds.x_ordered, ds.y, sig, cfg, full_output=True)
-                    assert not info["projected"]
+                    res = fit_shuffled(ds.x_ordered, ds.y, sig)
+                    assert not res.projected
                     delta = sample_noise(NOISE, n, rng_stream(seed, "noise"))
-                    lhs = np.mean((m(ds.x_ordered) - eval_link(link, ds.x_ordered)) ** 2)
+                    lhs = np.mean((res.fit(ds.x_ordered) - eval_link(link, ds.x_ordered)) ** 2)
                     rhs = 4.0 * sig**2 * np.mean(delta**2) + 2.0 * sig**2
                     assert lhs <= rhs
 
     def test_permutation_invariance(self):
-        cfg = FitConfig("shuffled")
         rng = rng_stream(23, "perm")
         x = np.sort(rng.random(50))
         y = rng.normal(size=50)
-        m1 = fit_shuffled(x, y, 0.1, cfg)
-        m2 = fit_shuffled(x, y[rng.permutation(50)], 0.1, cfg)
+        m1 = fit_shuffled(x, y, 0.1).fit
+        m2 = fit_shuffled(x, y[rng.permutation(50)], 0.1).fit
         assert np.array_equal(m1.knots, m2.knots)
         assert np.array_equal(m1.values, m2.values)
 
@@ -245,47 +279,45 @@ class TestFitShuffled:
         n = 200
         y = rng.normal(0.0, 6.0, n)
         x = np.sort(rng.random(n))
-        cfg = FitConfig("shuffled")
-        m, info = fit_shuffled(x, y, 1.0, cfg, full_output=True)
-        assert info["projected"]
+        res = fit_shuffled(x, y, 1.0)
+        assert res.projected
         a = EmpiricalMeasure.from_sample(y)
-        achieved = w2_empirical(a, EmpiricalMeasure.from_sample(m(x)))
+        achieved = w2_empirical(a, EmpiricalMeasure.from_sample(res.fit(x)))
         best = math.inf
         for k in range(1000):
             crng = rng_stream(32, "cand", k)
             v = np.sort(crng.normal(0.0, 2.0 + 4.0 * crng.random(), n))
-            v = project_moment(v, cfg.moment_bound, cfg.moment_order)
+            v = project_moment(v, MOMENT_BOUND, MOMENT_ORDER)
             best = min(best, w2_empirical(a, EmpiricalMeasure(v)))
-        assert achieved <= best + info["eta"]
+        assert achieved <= best + res.eta
 
     def test_membership_in_moment_ball(self):
-        cfg = FitConfig("shuffled")
         rng = rng_stream(24, "ball")
         x = np.sort(rng.random(80))
         y = rng.normal(0.0, 20.0, 80)  # way outside the ball
-        m = fit_shuffled(x, y, 0.3, cfg)
+        m = fit_shuffled(x, y, 0.3).fit
         assert np.all(np.diff(m.values) >= 0)
-        assert np.mean(np.abs(m.values) ** cfg.moment_order) <= cfg.moment_bound * (1 + 1e-12)
+        assert np.mean(np.abs(m.values) ** MOMENT_ORDER) <= MOMENT_BOUND * (1 + 1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            fit_shuffled(np.array([0.1, 0.2]), np.array([1.0]), 0.0, FitConfig("shuffled"))
+            fit_shuffled(np.array([0.1, 0.2]), np.array([1.0]), 0.0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_nonfinite_y(self, bad):
         x = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         with pytest.raises(ValueError, match="finite"):
-            fit_shuffled(x, np.array([0.0, 1.0, bad, 2.0, 3.0]), 0.1, FitConfig("shuffled"))
+            fit_shuffled(x, np.array([0.0, 1.0, bad, 2.0, 3.0]), 0.1)
 
     def test_rejects_nonfinite_x(self):
         with pytest.raises(ValueError, match="finite"):
-            fit_shuffled(np.array([0.1, np.nan, 0.3]), np.array([0.0, 1.0, 2.0]), 0.1, FitConfig("shuffled"))
+            fit_shuffled(np.array([0.1, np.nan, 0.3]), np.array([0.0, 1.0, 2.0]), 0.1)
 
     @pytest.mark.parametrize("sigma", [np.nan, np.inf])
     def test_rejects_nonfinite_sigma(self, sigma):
         x = np.array([0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="sigma"):
-            fit_shuffled(x, np.array([0.0, 1.0, 2.0]), sigma, FitConfig("shuffled"))
+            fit_shuffled(x, np.array([0.0, 1.0, 2.0]), sigma)
 
 
 class TestFitUnlinked:
@@ -305,11 +337,9 @@ class TestFitUnlinked:
         y = rng.random(n)
         x = rng.random(n)
         ys = EmpiricalMeasure.from_sample(y)
-        cfg = FitConfig("unlinked")
-        m, info = fit_unlinked(x, y, NOISE, 0.0, cfg, full_output=True)
-        h = info["h"]
+        m = fit_unlinked(x, y, 0.0).fit
+        est, h = estimate_cdf(y, 0.0)
         assert h == 1.0 / math.sqrt(n)
-        est = info["cdf"]
 
         def kernel(u):
             u = np.where(np.abs(u) < 1e-8, 1e-8, np.abs(u))
@@ -330,17 +360,19 @@ class TestFitUnlinked:
         # the smoothing width
         n = 100_000
         rng = rng_stream(25, "large-n")
-        m, info = fit_unlinked(rng.random(n), rng.random(n), NOISE, 0.0, FitConfig("unlinked"), full_output=True)
-        assert info["h"] == 1.0 / math.sqrt(n) and info["cdf"].cdf.size == 2**15
+        y = rng.random(n)
+        m = fit_unlinked(rng.random(n), y, 0.0).fit
+        est, h = estimate_cdf(y, 0.0)
+        assert h == 1.0 / math.sqrt(n) and est.cdf.size == 2**15
         levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
         bulk = (levels >= 0.01) & (levels <= 0.99)
-        assert np.max(np.abs(np.asarray(m.values) - levels)[bulk]) <= 2.0 * info["h"]
+        assert np.max(np.abs(np.asarray(m.values) - levels)[bulk]) <= 2.0 * h
 
     def test_values_nondecreasing(self):
         rng = rng_stream(26, "mono")
         y = rng.normal(0.5, 0.7, 150)
         x = rng.random(150)
-        m = fit_unlinked(x, y, NOISE, 0.2, FitConfig("unlinked"))
+        m = fit_unlinked(x, y, 0.2).fit
         assert np.all(np.diff(m.values) >= 0)
         assert np.mean(np.abs(m.values) ** 3) <= 10.0 * (1 + 1e-12)
 
@@ -349,7 +381,7 @@ class TestFitUnlinked:
         # risk at n = 10^4 comes out two orders below the 0.05 budget
         n = 10**4
         ds = sample_dataset("unlinked", n, link_catalog(n)["identity"], NOISE, 0.0, seed=7)
-        m = fit_unlinked(ds.x_ordered, ds.y, NOISE, 0.0, FitConfig("unlinked"))
+        m = fit_unlinked(ds.x_ordered, ds.y, 0.0).fit
         risk = np.mean(np.abs(m(ds.x_ordered) - ds.x_ordered))
         assert risk <= 0.05
 
@@ -358,12 +390,11 @@ class TestFitUnlinked:
         rng = rng_stream(33, "unl")
         y = rng.random(n)
         x = rng.random(n)
-        cfg = FitConfig("unlinked")
-        m, info = fit_unlinked(x, y, NOISE, 0.0, cfg, full_output=True)
-        est = info["cdf"]
+        res = fit_unlinked(x, y, 0.0)
+        est, h = estimate_cdf(y, 0.0)
         grid = GridSpec(est.grid_lo, est.grid_hi, est.cdf.size)
         ys = EmpiricalMeasure.from_sample(y)
-        muZ = deconvolve_cdf(ys, NOISE, 0.0, info["h"], grid)
+        muZ = deconvolve_cdf(ys, 0.0, h, grid)
         assert np.array_equal(muZ.cdf, est.cdf)
 
         def contrast(vals):
@@ -371,32 +402,31 @@ class TestFitUnlinked:
             tab = TabulatedDistribution.from_callable(emp.cdf, grid.lo, grid.hi, grid.points)
             return w1_tabulated(tab, muZ)
 
-        achieved = contrast(np.asarray(m.values))
+        achieved = contrast(np.asarray(res.fit.values))
         best = math.inf
         for k in range(1000):
             crng = rng_stream(34, "cand", k)
             v = np.sort(crng.normal(0.5, 0.1 + 0.6 * crng.random(), n))
-            v = project_moment(v, cfg.moment_bound, cfg.moment_order)
+            v = project_moment(v, MOMENT_BOUND, MOMENT_ORDER)
             best = min(best, contrast(v))
-        assert achieved <= best + cfg.eta(n, 0.0)
+        assert achieved <= best + res.eta
 
     def test_input_validation(self):
-        cfg = FitConfig("unlinked")
         with pytest.raises(ValueError):
-            fit_unlinked(np.array([0.1, 0.2]), np.array([1.0]), NOISE, 0.0, cfg)
+            fit_unlinked(np.array([0.1, 0.2]), np.array([1.0]), 0.0)
         with pytest.raises(ValueError):
-            fit_unlinked(np.array([0.1, 1.2]), np.array([1.0, 2.0]), NOISE, 0.0, cfg)
+            fit_unlinked(np.array([0.1, 1.2]), np.array([1.0, 2.0]), 0.0)
         with pytest.raises(ValueError):
-            fit_unlinked(np.array([0.1, np.nan]), np.array([1.0, 2.0]), NOISE, 0.0, cfg)
+            fit_unlinked(np.array([0.1, np.nan]), np.array([1.0, 2.0]), 0.0)
         with pytest.raises(ValueError, match="sigma"):
-            fit_unlinked(np.array([0.1, 0.2]), np.array([1.0, 2.0]), NOISE, np.nan, cfg)
+            fit_unlinked(np.array([0.1, 0.2]), np.array([1.0, 2.0]), np.nan)
         # one far outlier stretches the padded grid past what 2^20 points
         # resolve at a quarter bandwidth
         rng = rng_stream(35, "outlier")
         y = rng.random(500)
         y[17] = 1e9
         with pytest.raises(ValueError, match="grid too coarse"):
-            fit_unlinked(rng.random(500), y, NOISE, 0.05, cfg)
+            fit_unlinked(rng.random(500), y, 0.05)
 
 
 class TestStepfnCsv:

@@ -1,6 +1,7 @@
 """Tests for monofit.synth: link catalog, noise law, sampling schemes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,11 +39,10 @@ class TestNoiseSpec:
             NoiseSpec(family="cauchy")
 
     def test_charfn_values(self):
-        spec = NoiseSpec()
-        assert noise_charfn(spec, 0.0) == 1.0
-        assert noise_charfn(spec, 1.0) == pytest.approx(math.exp(-0.5))
+        assert noise_charfn(0.0) == 1.0
+        assert noise_charfn(1.0) == pytest.approx(math.exp(-0.5))
         ts = np.linspace(-30, 30, 1001)
-        assert np.all(noise_charfn(spec, ts) > 0.0)
+        assert np.all(noise_charfn(ts) > 0.0)
 
     def test_sample_moments(self):
         # centered, unit variance, within 5 standard errors
@@ -106,6 +106,17 @@ class TestLinkSpec:
         x = 0.5 / 200.0
         want = -((x * math.log(1.0 / x) ** 1.1) ** (-1.0 / 3.0))
         assert eval_link(link, x) == pytest.approx(want, rel=1e-12)
+
+    def test_unbounded_tail_nondecreasing_down_to_subnormals(self):
+        # log(x) stays finite down to the smallest subnormal, where 1 / x
+        # would overflow to inf and flip the link to -0.0
+        link = link_catalog(1000)["unbounded_tail"]
+        xs = np.array([0.0, 5e-324, 1e-310, 5e-309, 1e-300, 1e-200, link.cut])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = eval_link(link, xs)
+        assert np.all(np.diff(vals) >= 0)
+        assert np.all(vals[1:] < 0.0)
 
     def test_all_catalog_members_nondecreasing(self):
         xs = np.linspace(0.0, 1.0, 4001)[1:]  # skip 0: the tail link is -inf there
