@@ -34,7 +34,7 @@ print("smallest mean over the grid: %.6f (bounded away from zero)" % floor)
 # Persist the table and one figure per C, exactly like the CLI does.
 out = Path("demo_out")
 out.mkdir(exist_ok=True)
-write_records(out / "mini_sweep.csv", rows)
+write_records(out / "mini_sweep.csv", rows, fields=("n", "C", "mean", "stderr"))
 for c_val in cfg.C_list:
     subset = [row for row in rows if row.C == c_val]
     render_plot(subset, out / ("mini_sweep_C%g.svg" % c_val))

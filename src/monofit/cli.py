@@ -10,7 +10,8 @@ Four subcommands:
 - ``selftest``    run the library's invariant checks.
 
 Every value may come from a flag, from an INI-style config file (section
-named after the subcommand; flags win), or from the documented default.
+named after the subcommand; flags win), or from its default.  One option
+table per subcommand declares each flag, config key and default once.
 Outputs are a pure function of (config, seed) down to the byte level.
 Exit codes: 0 success, 2 usage error, 1 runtime failure.
 """
@@ -22,13 +23,13 @@ import os
 import sys
 from configparser import ConfigParser
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .csvio import write_table
 from .deconv import estimate_cdf
 from .experiments import (
-    DEFAULT_C_LIST,
     DEFAULT_SEED,
     ConjectureConfig,
     conjecture_sweep,
@@ -48,8 +49,6 @@ from .synth import (
 __all__ = ["main", "run", "write_records", "render_plot", "parse_link"]
 
 WORKERS_ENV = "MONOFIT_WORKERS"
-
-_DEFAULT_N_GRID = (100, 316, 1000, 3162, 10000)
 
 
 def _float_list(text):
@@ -83,32 +82,13 @@ def parse_link(text):
     raise ValueError("unknown link: %r" % (text,))
 
 
-def write_records(path, records, fields=None):
+def write_records(path, records, fields):
     """Write homogeneous records as CSV: header first, floats at 17 digits.
 
-    Records may be dataclass instances, plain mappings, or sequences already
-    in column order.  ``fields`` fixes the column order; it defaults to the
-    first record's natural order and is required when ``records`` is empty
-    or holds sequences.
+    Records are dataclass instances or sequences already in column order;
+    ``fields`` names the columns in order.
     """
-    records = list(records)
-    if fields is None:
-        if not records:
-            raise ValueError("fields is required for an empty record set")
-        first = records[0]
-        if dataclasses.is_dataclass(first):
-            fields = tuple(f.name for f in dataclasses.fields(first))
-        else:
-            fields = tuple(first.keys())
-
-    def row(rec):
-        if dataclasses.is_dataclass(rec):
-            return [getattr(rec, f) for f in fields]
-        if hasattr(rec, "keys"):
-            return [rec[f] for f in fields]
-        return rec
-
-    rows = [row(rec) for rec in records]
+    rows = [[getattr(rec, f) for f in fields] if dataclasses.is_dataclass(rec) else rec for rec in records]
     try:
         write_table(path, fields, [[r[i] for r in rows] for i in range(len(fields))])
     except OSError as exc:
@@ -130,19 +110,14 @@ _SVG_W, _SVG_H = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 24, 20, 52
 
 
-def _row_fields(row):
-    if dataclasses.is_dataclass(row):
-        row = dataclasses.asdict(row)
-    return int(row["n"]), float(row["C"]), float(row["mean"]), float(row["stderr"])
-
-
 def render_plot(table, path):
     """Standalone SVG line chart of mean vs log10(n), one series per C.
 
     Whiskers mark plus/minus one standard error.  Output bytes depend only
     on the table contents.
     """
-    rows = sorted((_row_fields(r) for r in table), key=lambda t: (t[1], t[0]))
+    rows = [(int(r.n), float(r.C), float(r.mean), float(r.stderr)) for r in table]
+    rows.sort(key=lambda t: (t[1], t[0]))
     if not rows:
         raise ValueError("cannot plot an empty table")
     xs = [math.log10(n) for n, _, _, _ in rows]
@@ -235,68 +210,89 @@ def render_plot(table, path):
         raise RuntimeError("failed writing %s: %s" % (path, exc))
 
 
+class _Option(NamedTuple):
+    type: object
+    default: object
+    help: str
+    choices: tuple = None
+
+
+# One table per subcommand: each flag, which is also its config-file key,
+# with its type, default and help.  A default of None leaves the option
+# unset for the command to fill in.
+_COMMON = {
+    "out": _Option(str, ".", "output directory (default: current directory)"),
+    "seed": _Option(int, DEFAULT_SEED, "base seed (default %d)" % DEFAULT_SEED),
+}
+
+_OPTIONS = {
+    "conjecture": {
+        "n-min": _Option(int, None, "smallest sample size"),
+        "n-max": _Option(int, None, "largest sample size"),
+        "grid-points": _Option(int, None, "sample sizes, log-spaced from n-min to n-max"),
+        "reps": _Option(int, None, "occupancy draws per sample size"),
+        "c": _Option(float, None, "constant c of the occupancy product"),
+        "C-list": _Option(_float_list, None, "comma-separated C values, one plot each"),
+        "workers": _Option(int, None, "process count (default: $%s or 1)" % WORKERS_ENV),
+    },
+    "rates": {
+        "problem": _Option(str, "shuffled", "estimation problem", ("shuffled", "unlinked", "deconv")),
+        "sigma-rule": _Option(str, "below-root", "noise level as a function of n"),
+        "n-grid": _Option(_int_list, (100, 316, 1000, 3162, 10000), "comma-separated sample sizes"),
+        "reps": _Option(int, 30, "replications per sample size"),
+        "link": _Option(str, "identity", "true link: a catalog name or name:params"),
+    },
+    "estimate": {
+        "data": _Option(str, None, "dataset CSV (columns mode,index,x,y)"),
+        "sigma": _Option(float, 0.0, "noise level of the data"),
+    },
+    "selftest": {},
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="monofit",
         description="monotone-link estimation and Monte-Carlo experiment runner",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def common(p):
+    for cmd, help_text in (
+        ("conjecture", "occupancy-product Monte-Carlo sweep"),
+        ("rates", "risk rate sweep over an n-grid"),
+        ("estimate", "fit one dataset from CSV"),
+        ("selftest", "run library invariant checks"),
+    ):
+        p = sub.add_parser(cmd, help=help_text)
         p.add_argument("--config", help="INI config file; section per subcommand, flags win")
-        p.add_argument("--out", help="output directory (default: current directory)")
-        p.add_argument("--seed", type=int, help="base seed (default %d)" % DEFAULT_SEED)
-
-    p_conj = sub.add_parser("conjecture", help="occupancy-product Monte-Carlo sweep")
-    common(p_conj)
-    p_conj.add_argument("--n-min", type=int)
-    p_conj.add_argument("--n-max", type=int)
-    p_conj.add_argument("--grid-points", type=int)
-    p_conj.add_argument("--reps", type=int)
-    p_conj.add_argument("--c", type=float)
-    p_conj.add_argument("--C-list", dest="c_list", type=_float_list)
-    p_conj.add_argument("--workers", type=int, help="process count (default: $%s or 1)" % WORKERS_ENV)
-
-    p_rates = sub.add_parser("rates", help="risk rate sweep over an n-grid")
-    common(p_rates)
-    p_rates.add_argument("--problem", choices=("shuffled", "unlinked", "deconv"))
-    p_rates.add_argument("--sigma-rule", dest="sigma_rule")
-    p_rates.add_argument("--n-grid", dest="n_grid", type=_int_list)
-    p_rates.add_argument("--reps", type=int)
-    p_rates.add_argument("--link")
-
-    p_est = sub.add_parser("estimate", help="fit one dataset from CSV")
-    common(p_est)
-    p_est.add_argument("--data", help="dataset CSV (columns mode,index,x,y)")
-    p_est.add_argument("--sigma", type=float)
-
-    p_self = sub.add_parser("selftest", help="run library invariant checks")
-    common(p_self)
+        for flag, opt in {**_COMMON, **_OPTIONS[cmd]}.items():
+            p.add_argument("--" + flag, type=opt.type, choices=opt.choices, help=opt.help)
     return parser
 
 
-def _resolve(args, ini, section, spec):
-    """flag > config file > default, per key of ``spec`` and of --out, --seed.
+def _resolve(args, ini, section):
+    """flag > config file > default, per option of ``section``.
 
     Any other key in the config file's ``[section]`` is refused.  Keys that
     a ``[DEFAULT]`` section lends to every section are not checked, since
-    another subcommand may be the one that reads them.
-    The --out directory comes back as a Path, created if missing.
+    another subcommand may be the one that reads them.  Config keys are
+    case-insensitive.  Options come back keyed by their argparse dest; the
+    --out directory comes back as a Path, created if missing.
     """
-    spec = {**_COMMON_SPEC, **spec}
+    table = {**_COMMON, **_OPTIONS[section]}
     if ini is not None and ini.has_section(section):
-        unknown = sorted(set(ini.options(section)) - set(ini.defaults()) - set(spec))
+        keys = {ini.optionxform(flag) for flag in table}
+        unknown = sorted(set(ini.options(section)) - set(ini.defaults()) - keys)
         if unknown:
             raise ValueError(
-                "unknown key %r in [%s]; it accepts %s" % (unknown[0], section, ", ".join(sorted(spec)))
+                "unknown key %r in [%s]; it accepts %s" % (unknown[0], section, ", ".join(sorted(keys)))
             )
     opts = {}
-    for key, (conv, default) in spec.items():
-        dest = key.replace("-", "_")
-        val = getattr(args, dest, None)
-        if val is None and ini is not None and ini.has_option(section, key):
-            val = conv(ini.get(section, key))
-        opts[dest] = default if val is None else val
+    for flag, opt in table.items():
+        dest = flag.replace("-", "_")
+        val = getattr(args, dest)
+        if val is None and ini is not None and ini.has_option(section, flag):
+            val = opt.type(ini.get(section, flag))
+        opts[dest] = opt.default if val is None else val
     opts["out"] = Path(opts["out"])
     opts["out"].mkdir(parents=True, exist_ok=True)
     return opts
@@ -313,63 +309,43 @@ def _load_ini(path):
 
 
 def _default_workers():
+    """Worker count from $MONOFIT_WORKERS: unset or empty means 1."""
     raw = os.environ.get(WORKERS_ENV)
-    return int(raw) if raw else 1
+    if not raw:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError("$%s must be a positive integer, got %r" % (WORKERS_ENV, raw))
+    return workers
 
 
-_COMMON_SPEC = {
-    "out": (str, "."),
-    "seed": (int, DEFAULT_SEED),
-}
-
-
-def _cmd_conjecture(args, ini):
-    spec = {
-        "n-min": (int, 100),
-        "n-max": (int, 1_000_000),
-        "grid-points": (int, 30),
-        "reps": (int, 500),
-        "c": (float, 20.0),
-        "c-list": (_float_list, DEFAULT_C_LIST),
-        "workers": (int, None),
-    }
-    opts = _resolve(args, ini, "conjecture", spec)
-    workers = opts["workers"] if opts["workers"] is not None else _default_workers()
-    cfg = ConjectureConfig(
-        n_min=opts["n_min"],
-        n_max=opts["n_max"],
-        grid_points=opts["grid_points"],
-        reps=opts["reps"],
-        c=opts["c"],
-        C_list=opts["c_list"],
-        seed=opts["seed"],
-    )
+def _cmd_conjecture(opts):
+    out = opts.pop("out")
+    workers = opts.pop("workers")
+    if workers is None:
+        workers = _default_workers()
+    # unset options take ConjectureConfig's defaults
+    cfg = ConjectureConfig(**{k: v for k, v in opts.items() if v is not None})
     rows = conjecture_sweep(cfg, workers=workers)
-    table_path = opts["out"] / "conjecture.csv"
+    table_path = out / "conjecture.csv"
     write_records(table_path, rows, fields=("n", "C", "mean", "stderr"))
     for C in cfg.C_list:
-        render_plot([r for r in rows if r.C == C], opts["out"] / ("conjecture_C%g.svg" % C))
+        render_plot([r for r in rows if r.C == C], out / ("conjecture_C%g.svg" % C))
     print("wrote %s (%d rows) and %d plots" % (table_path, len(rows), len(cfg.C_list)))
     return 0
 
 
-def _cmd_rates(args, ini):
-    spec = {
-        "problem": (str, "shuffled"),
-        "sigma-rule": (str, "below-root"),
-        "n-grid": (_int_list, _DEFAULT_N_GRID),
-        "reps": (int, 30),
-        "link": (str, "identity"),
-    }
-    opts = _resolve(args, ini, "rates", spec)
-    link = parse_link(opts["link"])
+def _cmd_rates(opts):
     records = rate_sweep(
         opts["problem"],
         opts["n_grid"],
         opts["sigma_rule"],
         reps=opts["reps"],
         seed=opts["seed"],
-        link=link,
+        link=parse_link(opts["link"]),
     )
     out_path = opts["out"] / "risks.csv"
     write_records(out_path, records, fields=("problem", "n", "sigma", "seed", "risk_kind", "value"))
@@ -384,15 +360,10 @@ def _cmd_rates(args, ini):
     return 0
 
 
-def _cmd_estimate(args, ini):
-    spec = {
-        "data": (str, None),
-        "sigma": (float, 0.0),
-    }
-    opts = _resolve(args, ini, "estimate", spec)
+def _cmd_estimate(opts):
     if not opts["data"]:
         raise RuntimeError("estimate needs --data (or data= in the config file)")
-    ds = dataset_from_csv(opts["data"], sigma=opts["sigma"], seed=opts["seed"])
+    ds = dataset_from_csv(opts["data"], sigma=opts["sigma"])
     if ds.mode == "deconv":
         est, h = estimate_cdf(ds.y, ds.sigma)
         out_path = opts["out"] / "cdf.csv"
@@ -406,17 +377,10 @@ def _cmd_estimate(args, ini):
     return 0
 
 
-def _cmd_selftest(args, ini):
-    from .selftest import run_selftest
-
-    return 0 if run_selftest() == 0 else 1
-
-
 _DISPATCH = {
     "conjecture": _cmd_conjecture,
     "rates": _cmd_rates,
     "estimate": _cmd_estimate,
-    "selftest": _cmd_selftest,
 }
 
 
@@ -429,7 +393,11 @@ def run(argv):
         return int(exc.code or 0)
     try:
         ini = _load_ini(args.config)
-        return _DISPATCH[args.cmd](args, ini)
+        if args.cmd == "selftest":  # reads no option and writes nothing
+            from .selftest import run_selftest
+
+            return 0 if run_selftest() == 0 else 1
+        return _DISPATCH[args.cmd](_resolve(args, ini, args.cmd))
     except Exception as exc:  # noqa: BLE001 - boundary: report, signal failure
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -146,7 +146,7 @@ def _check_dataset_csv_round_trip():
     os.close(fd)
     try:
         synth.dataset_to_csv(ds, path)
-        back = synth.dataset_from_csv(path, sigma=0.1, seed=9)
+        back = synth.dataset_from_csv(path, sigma=0.1)
         assert back.mode == "shuffled"
         assert np.array_equal(back.x_ordered, ds.x_ordered)
         assert np.array_equal(back.y, ds.y)

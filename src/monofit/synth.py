@@ -278,16 +278,13 @@ class Dataset:
     """One simulated draw of an observation scheme.
 
     ``x_ordered`` is the sorted covariate sample (None in deconv mode);
-    ``y`` is the response sample in exposure order.  ``truth`` may be None
-    for datasets loaded from disk, where the generating link is unknown.
+    ``y`` is the response sample in exposure order.
     """
 
     mode: str
     x_ordered: np.ndarray
     y: np.ndarray
     sigma: float
-    seed: int
-    truth: LinkSpec
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -337,17 +334,17 @@ def sample_dataset(mode, n, link, noise, sigma, seed):
         delta = sample_noise(noise, n, rng_stream(seed, "noise"))
         y_linked = eval_link(link, x) + sigma * delta
         y = y_linked[rng_stream(seed, "perm").permutation(n)]
-        return Dataset("shuffled", x, y, sigma, int(seed), link)
+        return Dataset("shuffled", x, y, sigma)
     if mode == "unlinked":
         x = np.sort(rng_stream(seed, "x").random(n), kind="stable")
         x_latent = rng_stream(seed, "latent").random(n)
         delta = sample_noise(noise, n, rng_stream(seed, "noise"))
         y = eval_link(link, x_latent) + sigma * delta
-        return Dataset("unlinked", x, y, sigma, int(seed), link)
+        return Dataset("unlinked", x, y, sigma)
     x_latent = rng_stream(seed, "latent").random(n)
     delta = sample_noise(noise, n, rng_stream(seed, "noise"))
     y = eval_link(link, x_latent) + sigma * delta
-    return Dataset("deconv", None, y, sigma, int(seed), link)
+    return Dataset("deconv", None, y, sigma)
 
 
 def dataset_to_csv(ds, path):
@@ -356,11 +353,10 @@ def dataset_to_csv(ds, path):
     write_table(path, ("mode", "index", "x", "y"), (itertools.repeat(ds.mode, ds.n), range(ds.n), xs, ds.y))
 
 
-def dataset_from_csv(path, sigma=0.0, seed=0):
+def dataset_from_csv(path, sigma=0.0):
     """Read a dataset written by :func:`dataset_to_csv`.
 
-    The file stores neither sigma nor seed nor the generating link, so sigma
-    and seed are supplied by the caller and truth is left as None.
+    The file does not store sigma, so the caller supplies it.
     """
     modes = set()
     xs = []
@@ -375,7 +371,7 @@ def dataset_from_csv(path, sigma=0.0, seed=0):
         raise ValueError("%s: expected a single mode, found %s" % (path, sorted(modes)))
     mode = modes.pop()
     if mode == "deconv":
-        return Dataset("deconv", None, np.asarray(ys), float(sigma), int(seed), None)
+        return Dataset("deconv", None, np.asarray(ys), float(sigma))
     if len(xs) != len(ys):
         raise ValueError("%s: x column incomplete for mode %s" % (path, mode))
-    return Dataset(mode, np.asarray(xs), np.asarray(ys), float(sigma), int(seed), None)
+    return Dataset(mode, np.asarray(xs), np.asarray(ys), float(sigma))

@@ -1,12 +1,14 @@
 """Tests for the command-line layer: exit codes, files, byte determinism."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
 
+from monofit import cli
 from monofit.cli import _default_workers, parse_link, render_plot, run, write_records
-from monofit.experiments import ConjectureRow
+from monofit.experiments import ConjectureConfig, ConjectureRow
 from monofit.deconv import estimate_cdf
 from monofit.regress import fit_shuffled, fit_unlinked, stepfn_from_csv
 from monofit.synth import Dataset, NoiseSpec, dataset_to_csv, identity_link, rng_stream, sample_dataset
@@ -22,6 +24,7 @@ class TestExitCodes:
         assert run(["conjecture", "--bogus"]) == 2
         assert run(["nonsense"]) == 2
         assert run([]) == 2
+        assert run(["rates", "--problem", "bogus"]) == 2
         capsys.readouterr()
 
     def test_help_is_success(self, capsys):
@@ -43,6 +46,33 @@ class TestExitCodes:
         assert run([*argv, "--out", str(tmp_path)]) == 1
         assert "exp(-(1 + eps))" in capsys.readouterr().err
         assert not (tmp_path / "risks.csv").exists()
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("cmd", ["conjecture", "rates", "estimate"])
+    def test_flags_are_the_config_keys(self, cmd, tmp_path, capsys):
+        assert run([cmd, "--help"]) == 0
+        flags = set(re.findall(r"--([A-Za-z][\w-]*)", capsys.readouterr().out)) - {"help", "config"}
+        ini = tmp_path / "run.ini"
+        ini.write_text("[%s]\nno-such-key = 1\n" % cmd)
+        assert run([cmd, "--config", str(ini), "--out", str(tmp_path)]) == 1
+        keys = capsys.readouterr().err.strip().partition("it accepts ")[2].split(", ")
+        # config keys are case-insensitive: --C-list is read as c-list
+        assert sorted(f.lower() for f in flags) == keys
+
+    def test_conjecture_defaults_are_the_config_class(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def fake_sweep(cfg, workers=None):
+            seen.append((cfg, workers))
+            return [ConjectureRow(n=100, C=C, mean=0.5, stderr=0.0) for C in cfg.C_list]
+
+        monkeypatch.setattr(cli, "conjecture_sweep", fake_sweep)
+        monkeypatch.delenv("MONOFIT_WORKERS", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert run(["conjecture"]) == 0
+        capsys.readouterr()
+        assert seen == [(ConjectureConfig(), 1)]
 
 
 class TestConjectureCommand:
@@ -155,7 +185,7 @@ class TestEstimateCommand:
         rng = rng_stream(8, "outlier")
         y = rng.random(500)
         y[17] = 1e9
-        ds = Dataset("unlinked", np.sort(rng.random(500)), y, 0.05, 8, None)
+        ds = Dataset("unlinked", np.sort(rng.random(500)), y, 0.05)
         data = tmp_path / "data.csv"
         dataset_to_csv(ds, data)
         assert run(["estimate", "--data", str(data), "--sigma", "0.05", "--out", str(tmp_path / "fit")]) == 1
@@ -195,6 +225,10 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "checks passed" in out
 
+    def test_accepts_common_flags(self, capsys):
+        assert run(["selftest", "--seed", "5"]) == 0
+        capsys.readouterr()
+
 
 class TestWriteRecords:
     def test_empty_set_header_only(self, tmp_path):
@@ -202,13 +236,9 @@ class TestWriteRecords:
         write_records(path, [], fields=("a", "b"))
         assert path.read_bytes() == b"a,b\r\n"
 
-    def test_empty_set_needs_fields(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_records(tmp_path / "x.csv", [])
-
     def test_one_record_two_lines(self, tmp_path):
         path = tmp_path / "one.csv"
-        write_records(path, [{"a": 1, "b": 0.5}])
+        write_records(path, [(1, 0.5)], fields=("a", "b"))
         assert path.read_bytes() == b"a,b\r\n1,0.5\r\n"
 
     def test_dataclass_round_trip(self, tmp_path):
@@ -217,7 +247,7 @@ class TestWriteRecords:
             ConjectureRow(n=316, C=1.0, mean=2 / 3, stderr=0.002),
         ]
         path = tmp_path / "rows.csv"
-        write_records(path, rows)
+        write_records(path, rows, fields=("n", "C", "mean", "stderr"))
         parsed = read_csv(path)
         assert parsed[0] == ["n", "C", "mean", "stderr"]
         back = [
@@ -229,7 +259,7 @@ class TestWriteRecords:
     def test_io_error_mentions_path(self, tmp_path):
         bad = tmp_path / "no_dir" / "x.csv"
         with pytest.raises(RuntimeError, match="no_dir"):
-            write_records(bad, [{"a": 1}])
+            write_records(bad, [(1,)], fields=("a",))
 
 
 class TestRenderPlot:
@@ -270,8 +300,18 @@ class TestHelpers:
         with pytest.raises(ValueError):
             parse_link("spline")
 
-    def test_default_workers_env(self, monkeypatch):
+    def test_default_workers_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("MONOFIT_WORKERS", raising=False)
+        assert _default_workers() == 1
+        monkeypatch.setenv("MONOFIT_WORKERS", "")
         assert _default_workers() == 1
         monkeypatch.setenv("MONOFIT_WORKERS", "3")
         assert _default_workers() == 3
+        argv = ["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--reps", "1"]
+        for bad in ("two", " ", "0", "-2", "1.5"):
+            monkeypatch.setenv("MONOFIT_WORKERS", bad)
+            with pytest.raises(ValueError, match="MONOFIT_WORKERS"):
+                _default_workers()
+            assert run([*argv, "--out", str(tmp_path)]) == 1
+            assert "MONOFIT_WORKERS" in capsys.readouterr().err
+            assert not list(tmp_path.iterdir())

@@ -24,6 +24,7 @@ from monofit.synth import (
     noise_charfn,
     rng_stream,
     sample_dataset,
+    sample_noise,
     step_link,
     unbounded_tail_link,
 )
@@ -46,9 +47,8 @@ class TestNoiseSpec:
 
     def test_sample_moments(self):
         # centered, unit variance, within 5 standard errors
-        spec = NoiseSpec()
         n = 200_000
-        draws = rng_stream(4, "noise").standard_normal(n)
+        draws = sample_noise(NoiseSpec(), n, rng_stream(4, "noise"))
         se_mean = 1.0 / math.sqrt(n)
         assert abs(draws.mean()) < 5 * se_mean
         se_var = math.sqrt(2.0 / n)
@@ -274,7 +274,7 @@ class TestDatasetCsv:
         ds = sample_dataset("shuffled", 23, cube_link(), NoiseSpec(), 0.2, seed=8)
         path = tmp_path / "ds.csv"
         dataset_to_csv(ds, path)
-        back = dataset_from_csv(path, sigma=0.2, seed=8)
+        back = dataset_from_csv(path, sigma=0.2)
         assert back.mode == "shuffled"
         assert np.array_equal(back.x_ordered, ds.x_ordered)
         assert np.array_equal(back.y, ds.y)
@@ -296,10 +296,10 @@ class TestDatasetCsv:
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            Dataset("deconv", np.array([0.5]), np.array([1.0]), 0.1, 0, None)
+            Dataset("deconv", np.array([0.5]), np.array([1.0]), 0.1)
         with pytest.raises(ValueError):
-            Dataset("shuffled", np.array([0.9, 0.1]), np.array([1.0, 2.0]), 0.1, 0, None)
+            Dataset("shuffled", np.array([0.9, 0.1]), np.array([1.0, 2.0]), 0.1)
         with pytest.raises(ValueError, match="covariates"):
-            Dataset("shuffled", np.array([0.1, np.nan]), np.array([1.0, 2.0]), 0.1, 0, None)
+            Dataset("shuffled", np.array([0.1, np.nan]), np.array([1.0, 2.0]), 0.1)
         with pytest.raises(ValueError, match="sigma"):
-            Dataset("deconv", None, np.array([1.0]), math.nan, 0, None)
+            Dataset("deconv", None, np.array([1.0]), math.nan)
