@@ -276,7 +276,8 @@ def _resolve(args, ini, section):
     a ``[DEFAULT]`` section lends to every section are not checked, since
     another subcommand may be the one that reads them.  Config keys are
     case-insensitive.  Options come back keyed by their argparse dest; the
-    --out directory comes back as a Path, created if missing.
+    --out directory comes back as a Path, which each command creates just
+    before its first write, so a refused run leaves no directory behind.
     """
     table = {**_COMMON, **_OPTIONS[section]}
     if ini is not None and ini.has_section(section):
@@ -294,7 +295,6 @@ def _resolve(args, ini, section):
             val = opt.type(ini.get(section, flag))
         opts[dest] = opt.default if val is None else val
     opts["out"] = Path(opts["out"])
-    opts["out"].mkdir(parents=True, exist_ok=True)
     return opts
 
 
@@ -330,6 +330,7 @@ def _cmd_conjecture(opts):
     # unset options take ConjectureConfig's defaults
     cfg = ConjectureConfig(**{k: v for k, v in opts.items() if v is not None})
     rows = conjecture_sweep(cfg, workers=workers)
+    out.mkdir(parents=True, exist_ok=True)
     table_path = out / "conjecture.csv"
     write_records(table_path, rows, fields=("n", "C", "mean", "stderr"))
     for C in cfg.C_list:
@@ -347,6 +348,7 @@ def _cmd_rates(opts):
         seed=opts["seed"],
         link=parse_link(opts["link"]),
     )
+    opts["out"].mkdir(parents=True, exist_ok=True)
     out_path = opts["out"] / "risks.csv"
     write_records(out_path, records, fields=("problem", "n", "sigma", "seed", "risk_kind", "value"))
     by_n = {}
@@ -366,11 +368,13 @@ def _cmd_estimate(opts):
     ds = dataset_from_csv(opts["data"], sigma=opts["sigma"])
     if ds.mode == "deconv":
         est, h = estimate_cdf(ds.y, ds.sigma)
+        opts["out"].mkdir(parents=True, exist_ok=True)
         out_path = opts["out"] / "cdf.csv"
         write_records(out_path, zip(est.grid, est.cdf), fields=("x", "cdf"))
         print("wrote %s (bandwidth %.6g)" % (out_path, h))
         return 0
     res = (fit_shuffled if ds.mode == "shuffled" else fit_unlinked)(ds.x_ordered, ds.y, ds.sigma)
+    opts["out"].mkdir(parents=True, exist_ok=True)
     out_path = opts["out"] / "fit.csv"
     stepfn_to_csv(res.fit, out_path, n=ds.n, sigma=ds.sigma, eta=res.eta, projected=res.projected)
     print("wrote %s (%d knots)" % (out_path, res.fit.knots.size))

@@ -103,35 +103,53 @@ def _ecf(ys, ts):
     Uses the geometric recurrence exp(i t_j y) = exp(i t_0 y) * exp(i dt y)^j,
     which costs one complex multiply per (j, k) instead of one exp.
 
-    Consecutive rows of the recurrence are written into one C-contiguous
-    block of at most ``ECF_BLOCK_CELLS`` cells, each row by the same
-    element-wise SIMD multiply as an in-place ``acc *= base``, and the block
-    is averaged by one ``mean(axis=1)``, which sums each row exactly as a
-    1-d ``mean()`` does.  So the values equal the row-at-a-time loop bit
-    for bit, with one mean call per block in place of one per frequency.
-    A sample too large for two rows a block runs that loop itself, which is
-    faster than a block of one row.  So does a single observation: numpy
-    multiplies a one-element array in place by its scalar loop, whose
-    rounding differs from the SIMD loop's.
+    The values equal the loop ``out[j] = acc.mean(); acc *= base`` bit for
+    bit.  numpy's ``mean`` of a contiguous complex row is its pairwise sum
+    divided by n, and that sum splits a row of more than 64 values into
+    ``sum(a[:h]) + sum(a[h:])`` with ``h = (n - n % 8) // 2``.
+    :func:`_ecf_sum` follows the same tree down to leaves of at most
+    ``ECF_BLOCK_CELLS // 4`` samples, small enough to stay in cache, and
+    adds the leaves' sums in tree order; the total is divided by n once, as
+    ``mean`` does.  Every row comes from the same element-wise SIMD multiply
+    as the loop's in-place ``acc *= base``.  A single observation runs the
+    loop itself: numpy multiplies a one-element array in place by its scalar
+    loop, whose rounding differs from the SIMD loop's.
     """
     dt = ts[1] - ts[0]
     acc = np.exp(1j * ts[0] * ys)
     base = np.exp(1j * dt * ys)
-    out = np.empty(ts.size, dtype=complex)
-    rows = min(ts.size, ECF_BLOCK_CELLS // ys.size)
-    if rows < 2 or ys.size == 1:
+    if ys.size == 1:
+        out = np.empty(ts.size, dtype=complex)
         for j in range(ts.size):
             out[j] = acc.mean()
             acc *= base
         return out
-    block = np.empty((rows, ys.size), dtype=complex)
+    return _ecf_sum(acc, base, ts.size) / ys.size
+
+
+def _ecf_sum(acc, base, freqs):
+    """Row sums sum_k acc_k base_k^j for j < freqs, split as numpy's pairwise sum.
+
+    A leaf writes consecutive rows of the recurrence into one C-contiguous
+    block of at most ``ECF_BLOCK_CELLS`` cells, four rows or more, and sums
+    the block by one ``np.add.reduce(axis=1)``, which sums each row exactly
+    as a 1-d ``sum()`` does.
+    """
+    n = acc.size
+    if n > ECF_BLOCK_CELLS // 4:
+        h = (n - n % 8) // 2
+        return _ecf_sum(acc[:h], base[:h], freqs) + _ecf_sum(acc[h:], base[h:], freqs)
+    rows = min(freqs, ECF_BLOCK_CELLS // n)
+    out = np.empty(freqs, dtype=complex)
+    block = np.empty((rows, n), dtype=complex)
     block[0] = acc
-    for j in range(0, ts.size, rows):
-        r = min(rows, ts.size - j)
+    row = list(block)  # views made once, not once a multiply
+    for j in range(0, freqs, rows):
+        r = min(rows, freqs - j)
         for i in range(1, r):
-            np.multiply(block[i - 1], base, out=block[i])
-        out[j : j + r] = block[:r].mean(axis=1)
-        np.multiply(block[r - 1], base, out=block[0])
+            np.multiply(row[i - 1], base, out=row[i])
+        np.add.reduce(block[:r], axis=1, out=out[j : j + r])
+        np.multiply(row[r - 1], base, out=row[0])
     return out
 
 

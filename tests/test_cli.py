@@ -39,6 +39,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv, workers",
+        [
+            (["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--reps", "1"], "two"),
+            (["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--c", "nan"], "1"),
+            (["rates", "--sigma-rule", "junk", "--n-grid", "100", "--reps", "1"], "1"),
+            (["estimate"], "1"),
+        ],
+    )
+    def test_refused_run_creates_no_out_directory(self, argv, workers, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MONOFIT_WORKERS", workers)
+        out = tmp_path / "x" / "y"
+        assert run([*argv, "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_non_monotone_tail_link_refused(self, tmp_path, capsys):
         # a cut past e^{-(1+eps)} would make the tail link decrease

@@ -32,7 +32,9 @@ from monofit.deconv import (
 import monofit.deconv as deconv_mod
 from monofit.deconv import _ecf, _fourier_at, _next_fast_len
 from monofit.dist1d import EmpiricalMeasure, TabulatedDistribution, quantile, w1_tabulated
-from monofit.synth import rng_stream
+from monofit.synth import NoiseSpec, link_catalog, rng_stream, sample_dataset
+
+ECF_LEAF = deconv_mod.ECF_BLOCK_CELLS // 4  # largest leaf of _ecf's summation tree
 
 
 def kernel_oracle(x):
@@ -210,6 +212,11 @@ class TestFrequencyHelpers:
             (1000, 4 + 1 / 32),
             (deconv_mod.ECF_BLOCK_CELLS // 2, 3.5),
             (deconv_mod.ECF_BLOCK_CELLS // 2 + 1, 3.0),
+            # larger samples split into leaves of at most ECF_LEAF, so the
+            # two cases above now run leaves of four rows a block; these run
+            # four-row blocks in one leaf, a ragged last block and one of one row
+            (ECF_LEAF, 3.5),
+            (ECF_LEAF, 4 + 1 / 4),
         ],
     )
     def test_ecf_block_edges_bit_for_bit(self, n, blocks):
@@ -220,6 +227,44 @@ class TestFrequencyHelpers:
         ys = rng_stream(5, "ecf-edges", n, T).normal(size=n)
         ts = np.linspace(-30.0, 30.0, T)
         assert np.array_equal(_ecf(ys, ts).view(float), ecf_loop(ys, ts).view(float))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5 * ECF_LEAF), st.integers(2, 64), st.integers(0, 2**32))
+    def test_ecf_tree_is_the_loop_bit_for_bit(self, n, T, seed):
+        ys = 3.0 * rng_stream(seed, "ecf-tree").normal(size=n)
+        ts = np.linspace(-math.sqrt(n), math.sqrt(n), T)
+        assert np.array_equal(_ecf(ys, ts).view(float), ecf_loop(ys, ts).view(float))
+
+    @pytest.mark.parametrize(
+        "n, T",
+        [(ECF_LEAF, 64), (ECF_LEAF + 1, 64), (2 * ECF_LEAF + 1, 64)]
+        + [(2 * ECF_LEAF + r, 9) for r in range(1, 8)]
+        + [(100_000, 4096)],
+    )
+    def test_ecf_tree_edges_bit_for_bit(self, n, T):
+        # the largest leaf, the first split, a split into a leaf and two,
+        # every residue of n % 8 at the split, and the estimate-size sample
+        ys = rng_stream(5, "ecf-tree-edges", n, T).normal(size=n)
+        ts = np.linspace(-30.0, 30.0, T)
+        assert np.array_equal(_ecf(ys, ts).view(float), ecf_loop(ys, ts).view(float))
+
+    @pytest.mark.parametrize("n", [65, 100, 129, 1000, ECF_LEAF + 1, 2 * ECF_LEAF + 7, 100_003])
+    def test_numpy_sums_a_complex_row_pairwise(self, n):
+        # _ecf's tree of leaves stands on how numpy sums a contiguous row
+        a = rng_stream(5, "pairwise", n).normal(size=2 * n).view(complex)
+        h = (n - n % 8) // 2
+        halves = a[:h].sum() + a[h:].sum()
+        assert np.array_equal(np.array([a.sum()]).view(float), np.array([halves]).view(float)), (
+            "numpy's pairwise summation no longer splits a complex row of %d values at %d" % (n, h)
+        )
+        assert np.array_equal(np.array([a.mean()]).view(float), np.array([a.sum() / n]).view(float)), (
+            "numpy's mean is no longer its pairwise summation divided by n"
+        )
+        block = np.stack([a, a[::-1]])
+        rows = np.array([a.sum(), a[::-1].sum()])
+        assert np.array_equal(np.add.reduce(block, axis=1).view(float), rows.view(float)), (
+            "numpy's pairwise summation sums the rows of a block differently from a 1-d row"
+        )
 
     def test_fourier_matches_direct(self):
         rng = rng_stream(6, "czt")
@@ -431,5 +476,26 @@ class TestEstimateCdf:
         assert est.cdf.size == 2**14 or coarser > h / 4.0
         pad = 6.0 * (1.0 + sigma)
         assert est.grid_lo <= y.min() - pad and est.grid_hi >= y.max() + pad
+        assert np.all(np.isfinite(est.cdf)) and np.all(np.diff(est.cdf) >= 0)
+        assert 0.0 <= est.cdf[0] <= 0.01 and 0.99 <= est.cdf[-1] <= 1.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(sorted(link_catalog(3))),
+        st.integers(3, 3 * ECF_LEAF),
+        st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+        st.integers(0, 2**32),
+    )
+    def test_catalog_sample_refused_or_valid_table(self, name, n, sigma, seed):
+        # a deconv sample from each catalog link, the unbounded-tail one
+        # included, is either refused for its spread or yields a valid CDF
+        ds = sample_dataset("deconv", n, link_catalog(n)[name], NoiseSpec(), sigma, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # small-n bandwidth fallback
+            try:
+                est, _ = estimate_cdf(ds.y, sigma)
+            except ValueError as exc:
+                assert "grid too coarse" in str(exc) or "grid too wide" in str(exc)
+                return
         assert np.all(np.isfinite(est.cdf)) and np.all(np.diff(est.cdf) >= 0)
         assert 0.0 <= est.cdf[0] <= 0.01 and 0.99 <= est.cdf[-1] <= 1.0
