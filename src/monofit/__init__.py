@@ -22,9 +22,7 @@ from .dist1d import (
     EmpiricalMeasure,
     MonotoneStepFn,
     TabulatedDistribution,
-    empirical_moment,
     generalized_inverse,
-    pushforward,
     quantile,
     w1_cdf_area,
     w1_empirical,
@@ -38,9 +36,7 @@ __all__ = [
     "EmpiricalMeasure",
     "MonotoneStepFn",
     "TabulatedDistribution",
-    "empirical_moment",
     "generalized_inverse",
-    "pushforward",
     "quantile",
     "w1_cdf_area",
     "w1_empirical",

@@ -59,27 +59,38 @@ def _int_list(text):
     return tuple(int(v) for v in text.split(",") if v.strip() != "")
 
 
+# parameter count of each link form; None takes any nonzero count
+_LINK_PARAMS = {"identity": 0, "cube": 0, "affine": 2, "step": None, "unbounded-tail": 4}
+
+
 def parse_link(text):
     """Parse a link description: a catalog name or name:params.
 
     Accepted forms: ``identity``, ``cube``, ``affine:slope,offset``,
-    ``step:v1,v2,...``, ``unbounded-tail:eps,a,scale,n``.
+    ``step:v1,v2,...``, ``unbounded-tail:eps,a,scale,n``.  A wrong
+    parameter count, a non-finite parameter or a fractional n is refused
+    with a message quoting ``text``.
     """
     text = text.strip()
     name, _, arg = text.partition(":")
-    if name == "identity":
-        return identity_link()
-    if name == "cube":
-        return cube_link()
-    if name == "affine":
-        slope, offset = _float_list(arg)
-        return affine_link(slope, offset)
-    if name == "step":
-        return step_link(_float_list(arg))
-    if name == "unbounded-tail":
-        eps, a, scale, n = _float_list(arg)
-        return unbounded_tail_link(eps, a, scale, int(n))
-    raise ValueError("unknown link: %r" % (text,))
+    if name not in _LINK_PARAMS:
+        raise ValueError("unknown link: %r" % (text,))
+    try:
+        params = _float_list(arg)
+        count = _LINK_PARAMS[name]
+        if count is not None and len(params) != count:
+            raise ValueError("%s takes %d parameters, got %d" % (name, count, len(params)))
+        if name == "affine":
+            return affine_link(*params)
+        if name == "step":
+            return step_link(params)
+        if name == "unbounded-tail":
+            if not params[3].is_integer():
+                raise ValueError("the sample size n must be an integer")
+            return unbounded_tail_link(*params[:3], int(params[3]))
+        return identity_link() if name == "identity" else cube_link()
+    except ValueError as exc:
+        raise ValueError("link %r: %s" % (text, exc)) from None
 
 
 def write_records(path, records, fields):
@@ -95,31 +106,23 @@ def write_records(path, records, fields):
         raise RuntimeError("failed writing %s: %s" % (path, exc))
 
 
-_PALETTE = (
-    "#1f6f8b",
-    "#c44536",
-    "#3a7d44",
-    "#7d3ac1",
-    "#b8860b",
-    "#2e2e8f",
-    "#8f2e5f",
-    "#444444",
-)
-
+_COLOR = "#1f6f8b"
 _SVG_W, _SVG_H = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 24, 20, 52
 
 
 def render_plot(table, path):
-    """Standalone SVG line chart of mean vs log10(n), one series per C.
+    """Standalone SVG line chart of mean vs log10(n) for the rows of one C.
 
     Whiskers mark plus/minus one standard error.  Output bytes depend only
     on the table contents.
     """
-    rows = [(int(r.n), float(r.C), float(r.mean), float(r.stderr)) for r in table]
-    rows.sort(key=lambda t: (t[1], t[0]))
+    rows = sorted(((int(r.n), float(r.C), float(r.mean), float(r.stderr)) for r in table), key=lambda t: t[0])
     if not rows:
         raise ValueError("cannot plot an empty table")
+    cs = sorted({c for _, c, _, _ in rows})
+    if len(cs) > 1:
+        raise ValueError("cannot plot rows of several C values in one chart: %s" % cs)
     xs = [math.log10(n) for n, _, _, _ in rows]
     los = [m - s for _, _, m, s in rows]
     his = [m + s for _, _, m, s in rows]
@@ -183,25 +186,17 @@ def render_plot(table, path):
         'transform="rotate(-90 16 %.2f)">value of expectation approximated by averaging</text>'
         % ((_MARGIN_T + ax_b) / 2.0, (_MARGIN_T + ax_b) / 2.0)
     )
-    series = sorted({c for _, c, _, _ in rows})
-    for idx, C in enumerate(series):
-        color = _PALETTE[idx % len(_PALETTE)]
-        pts = [(px(math.log10(n)), py(m), py(m - s), py(m + s)) for n, c, m, s in rows if c == C]
-        for x, _, w_lo, w_hi in pts:
-            out.append(
-                '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s"/>' % (x, w_lo, x, w_hi, color)
-            )
-            for w in (w_lo, w_hi):
-                out.append(
-                    '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s"/>'
-                    % (x - 3, w, x + 3, w, color)
-                )
-        path_pts = " ".join("%.2f,%.2f" % (x, y) for x, y, _, _ in pts)
-        out.append('<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>' % (path_pts, color))
-        out.append(
-            '<text x="%d" y="%d" font-size="12" fill="%s">C=%g</text>'
-            % (_SVG_W - _MARGIN_R - 70, _MARGIN_T + 16 + 16 * idx, color, C)
-        )
+    pts = [(px(math.log10(n)), py(m), py(m - s), py(m + s)) for n, _, m, s in rows]
+    for x, _, w_lo, w_hi in pts:
+        out.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s"/>' % (x, w_lo, x, w_hi, _COLOR))
+        for w in (w_lo, w_hi):
+            out.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s"/>' % (x - 3, w, x + 3, w, _COLOR))
+    path_pts = " ".join("%.2f,%.2f" % (x, y) for x, y, _, _ in pts)
+    out.append('<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>' % (path_pts, _COLOR))
+    out.append(
+        '<text x="%d" y="%d" font-size="12" fill="%s">C=%g</text>'
+        % (_SVG_W - _MARGIN_R - 70, _MARGIN_T + 16, _COLOR, cs[0])
+    )
     out.append("</svg>")
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -246,7 +241,6 @@ _OPTIONS = {
         "data": _Option(str, None, "dataset CSV (columns mode,index,x,y)"),
         "sigma": _Option(float, 0.0, "noise level of the data"),
     },
-    "selftest": {},
 }
 
 
@@ -260,12 +254,12 @@ def _build_parser():
         ("conjecture", "occupancy-product Monte-Carlo sweep"),
         ("rates", "risk rate sweep over an n-grid"),
         ("estimate", "fit one dataset from CSV"),
-        ("selftest", "run library invariant checks"),
     ):
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument("--config", help="INI config file; section per subcommand, flags win")
         for flag, opt in {**_COMMON, **_OPTIONS[cmd]}.items():
             p.add_argument("--" + flag, type=opt.type, choices=opt.choices, help=opt.help)
+    sub.add_parser("selftest", help="run library invariant checks (takes no options)")
     return parser
 
 
@@ -278,6 +272,8 @@ def _resolve(args, ini, section):
     case-insensitive.  Options come back keyed by their argparse dest; the
     --out directory comes back as a Path, which each command creates just
     before its first write, so a refused run leaves no directory behind.
+    Its nearest existing ancestor must be a directory we may write to, so
+    an unusable --out is refused before the run rather than after it.
     """
     table = {**_COMMON, **_OPTIONS[section]}
     if ini is not None and ini.has_section(section):
@@ -295,6 +291,11 @@ def _resolve(args, ini, section):
             val = opt.type(ini.get(section, flag))
         opts[dest] = opt.default if val is None else val
     opts["out"] = Path(opts["out"])
+    base = opts["out"].absolute()
+    while not base.exists():
+        base = base.parent
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise ValueError("--out %s: %s is not a writable directory" % (opts["out"], base))
     return opts
 
 
@@ -396,12 +397,11 @@ def run(argv):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        ini = _load_ini(args.config)
-        if args.cmd == "selftest":  # reads no option and writes nothing
+        if args.cmd == "selftest":  # takes no option and writes nothing
             from .selftest import run_selftest
 
             return 0 if run_selftest() == 0 else 1
-        return _DISPATCH[args.cmd](_resolve(args, ini, args.cmd))
+        return _DISPATCH[args.cmd](_resolve(args, _load_ini(args.config), args.cmd))
     except Exception as exc:  # noqa: BLE001 - boundary: report, signal failure
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -19,8 +19,6 @@ __all__ = [
     "w2_empirical",
     "w1_tabulated",
     "quantile",
-    "pushforward",
-    "empirical_moment",
 ]
 
 
@@ -248,21 +246,3 @@ def quantile(d, u):
     # outside the tabulated cdf range, clamp to the grid ends
     out = np.where(j == 0, xs[0], np.where(j == cdf.size, xs[-1], interp))
     return out if np.ndim(u) else float(out)
-
-
-def pushforward(m, xs):
-    """Empirical measure of {m(x_i)}: the image of ``xs`` under a monotone map.
-
-    ``m`` may be a :class:`MonotoneStepFn`, a link spec, or any callable that
-    accepts an array of points in [0, 1].
-    """
-    vals = np.asarray(m(xs.atoms), dtype=float)
-    return EmpiricalMeasure(np.sort(vals, kind="stable"))
-
-
-def empirical_moment(a, p):
-    """``(1/n) sum |a_i|^p`` for p > 0."""
-    p = float(p)
-    if p <= 0.0:
-        raise ValueError("moment order must be positive")
-    return float(np.mean(np.abs(a.atoms) ** p))

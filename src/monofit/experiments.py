@@ -102,8 +102,6 @@ class ConjectureRow:
     stderr: float
 
 
-_PROBLEMS = ("shuffled", "unlinked", "deconv")
-_RISK_KINDS = ("empirical_L1", "population_L1", "W1_measure")
 _COMPATIBLE = {
     "shuffled": ("empirical_L1", "population_L1"),
     "unlinked": ("empirical_L1", "population_L1"),
@@ -123,12 +121,7 @@ class RiskRecord:
     value: float
 
     def __post_init__(self):
-        if self.problem not in _PROBLEMS:
-            raise ValueError("unknown problem: %r" % (self.problem,))
-        if self.risk_kind not in _RISK_KINDS:
-            raise ValueError("unknown risk kind: %r" % (self.risk_kind,))
-        if self.risk_kind not in _COMPATIBLE[self.problem]:
-            raise ValueError("risk kind %r incompatible with problem %r" % (self.risk_kind, self.problem))
+        # rate_sweep, the only maker, checks problem and kind before any fit
         if not self.value >= 0:
             raise ValueError("risk value must be nonnegative")
 
@@ -396,7 +389,7 @@ def rate_sweep(problem, n_grid, sigma_rule, reps, seed, link=None, risk_kinds=No
     be a :class:`SigmaRule` or a string for :func:`parse_sigma_rule`;
     presets are range-checked at every grid size.
     """
-    if problem not in _PROBLEMS:
+    if problem not in _COMPATIBLE:
         raise ValueError("unknown problem: %r" % (problem,))
     if isinstance(sigma_rule, str):
         sigma_rule = parse_sigma_rule(sigma_rule)

@@ -18,7 +18,8 @@ statistics and differ only in where the fitted values come from:
 Fitted values are then projected onto the moment ball
 (1/n) sum |v_i|^{a+2} <= M / c_X (:func:`project_moment`, with
 ``MOMENT_ORDER`` = a + 2 and ``MOMENT_BOUND`` = M / c_X) and extended to a
-left-continuous step function on [0, 1] (:func:`extend_piecewise`).
+left-continuous step function on [0, 1] with knots at the covariate
+order statistics (:class:`monofit.dist1d.MonotoneStepFn`).
 """
 
 import math
@@ -38,7 +39,6 @@ __all__ = [
     "fit_shuffled",
     "fit_unlinked",
     "project_moment",
-    "extend_piecewise",
     "stepfn_to_csv",
     "stepfn_from_csv",
 ]
@@ -103,29 +103,10 @@ def project_moment(values, bound, p):
     return np.clip(values, -tau, tau, out=fits)  # two n-length arrays in all
 
 
-def extend_piecewise(x_ordered, values):
-    """Step function equal to ``values[i]`` on ``(x_(i-1), x_(i)]``.
-
-    Below the first order statistic the first value holds, beyond the last
-    one the last value holds.  Duplicate x-values are rejected: they happen
-    with probability zero under any continuous design and would make the
-    assignment ambiguous.
-    """
-    x = np.asarray(x_ordered, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if x.shape != v.shape:
-        raise ValueError("x_ordered and values must have equal length")
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("need at least one knot")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("duplicate or unsorted knots")
-    return MonotoneStepFn(x, v)
-
-
 def _project_and_extend(x_ordered, raw, eta):
     """FitResult of the raw fitted values projected onto the moment ball."""
     vals = project_moment(raw, MOMENT_BOUND, MOMENT_ORDER)
-    return FitResult(extend_piecewise(x_ordered, vals), eta, not np.array_equal(vals, raw))
+    return FitResult(MonotoneStepFn(x_ordered, vals), eta, not np.array_equal(vals, raw))
 
 
 def fit_shuffled(x_ordered, y, sigma):

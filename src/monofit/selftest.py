@@ -172,19 +172,16 @@ CHECKS = [
 ]
 
 
-def run_selftest(stream=None):
-    """Run every check; return the number of failures (0 means all good)."""
-    import sys
-
-    stream = sys.stdout if stream is None else stream
+def run_selftest():
+    """Run every check, reporting on stdout; return the number of failures (0 means all good)."""
     failures = 0
     for name, fn in CHECKS:
         try:
             fn()
         except Exception as exc:  # noqa: BLE001 - report and continue
             failures += 1
-            stream.write("FAIL  %-32s %s\n" % (name, exc))
+            print("FAIL  %-32s %s" % (name, exc))
         else:
-            stream.write("ok    %s\n" % name)
-    stream.write("%d/%d checks passed\n" % (len(CHECKS) - failures, len(CHECKS)))
+            print("ok    %s" % name)
+    print("%d/%d checks passed" % (len(CHECKS) - failures, len(CHECKS)))
     return failures

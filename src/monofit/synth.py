@@ -145,6 +145,9 @@ class LinkSpec:
     def __post_init__(self):
         if self.kind not in _LINK_KINDS:
             raise ValueError("unknown link kind: %r" % (self.kind,))
+        params = (self.slope, self.offset, self.eps, self.a, self.tail_scale, *self.levels)
+        if not all(math.isfinite(float(v)) for v in params):
+            raise ValueError("%s link parameters must be finite" % self.kind)
         if self.kind == "affine" and self.slope < 0:
             raise ValueError("affine link needs slope >= 0")
         if self.kind == "step":
@@ -329,22 +332,12 @@ def sample_dataset(mode, n, link, noise, sigma, seed):
     if n < 1:
         raise ValueError("need n >= 1")
     sigma = check_sigma(sigma)
+    x = None if mode == "deconv" else np.sort(rng_stream(seed, "x").random(n), kind="stable")
+    x_latent = x if mode == "shuffled" else rng_stream(seed, "latent").random(n)
+    y = eval_link(link, x_latent) + sigma * sample_noise(noise, n, rng_stream(seed, "noise"))
     if mode == "shuffled":
-        x = np.sort(rng_stream(seed, "x").random(n), kind="stable")
-        delta = sample_noise(noise, n, rng_stream(seed, "noise"))
-        y_linked = eval_link(link, x) + sigma * delta
-        y = y_linked[rng_stream(seed, "perm").permutation(n)]
-        return Dataset("shuffled", x, y, sigma)
-    if mode == "unlinked":
-        x = np.sort(rng_stream(seed, "x").random(n), kind="stable")
-        x_latent = rng_stream(seed, "latent").random(n)
-        delta = sample_noise(noise, n, rng_stream(seed, "noise"))
-        y = eval_link(link, x_latent) + sigma * delta
-        return Dataset("unlinked", x, y, sigma)
-    x_latent = rng_stream(seed, "latent").random(n)
-    delta = sample_noise(noise, n, rng_stream(seed, "noise"))
-    y = eval_link(link, x_latent) + sigma * delta
-    return Dataset("deconv", None, y, sigma)
+        y = y[rng_stream(seed, "perm").permutation(n)]
+    return Dataset(mode, x, y, sigma)
 
 
 def dataset_to_csv(ds, path):

@@ -47,9 +47,8 @@ def test_cli_import_and_deconvolution_load_no_scipy(tmp_path):
             ["rates", "--problem", "shuffled", "--n-grid", "100,200", "--reps", "1"],
             ["rates", "--problem", "deconv", "--sigma-rule", "constant:0.1", "--n-grid", "100,200", "--reps", "1"],
             ["estimate", "--data", out + "/data.csv", "--sigma", "0.1"],
-            ["selftest"],
         ]
-        codes = [cli.run([*argv, "--out", out]) for argv in argvs]
+        codes = [cli.run([*argv, "--out", out]) for argv in argvs] + [cli.run(["selftest"])]
         link = synth.link_catalog(200)["unbounded_tail"]
         records = experiments.rate_sweep(
             "shuffled", (100, 200), "below-root", 1, 5, link=link, risk_kinds=("population_L1",)

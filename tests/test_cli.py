@@ -55,6 +55,27 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "argv, computations",
+        [
+            (["conjecture"], ["conjecture_sweep"]),
+            (["rates"], ["rate_sweep"]),
+            (["estimate", "--data", "d.csv"], ["dataset_from_csv", "estimate_cdf", "fit_shuffled", "fit_unlinked"]),
+        ],
+    )
+    @pytest.mark.parametrize("under", [("afile",), ("afile", "sub"), ("afile", "sub", "deeper")])
+    def test_unusable_out_refused_before_the_run(self, argv, computations, under, tmp_path, monkeypatch, capsys):
+        calls = []
+        for name in computations:
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+        (tmp_path / "afile").write_text("not a directory\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert run([*argv, "--out", str(tmp_path.joinpath(*under))]) == 1
+        err = capsys.readouterr().err
+        assert "--out" in err and "afile is not a writable directory" in err
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_non_monotone_tail_link_refused(self, tmp_path, capsys):
         # a cut past e^{-(1+eps)} would make the tail link decrease
         argv = ["rates", "--link", "unbounded-tail:0.5,1,0.5,2", "--n-grid", "100", "--reps", "1"]
@@ -240,9 +261,11 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "checks passed" in out
 
-    def test_accepts_common_flags(self, capsys):
-        assert run(["selftest", "--seed", "5"]) == 0
-        capsys.readouterr()
+    @pytest.mark.parametrize("flag", ["--seed", "--out", "--config"])
+    def test_takes_no_options(self, flag, tmp_path, capsys):
+        assert run(["selftest", flag, str(tmp_path / "5")]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestWriteRecords:
@@ -291,16 +314,22 @@ class TestRenderPlot:
 
     def test_deterministic_bytes(self, tmp_path):
         rows = [
-            ConjectureRow(n=100, C=2.0, mean=0.9, stderr=0.01),
             ConjectureRow(n=1000, C=2.0, mean=0.95, stderr=0.005),
-            ConjectureRow(n=100, C=5.0, mean=0.8, stderr=0.02),
-            ConjectureRow(n=1000, C=5.0, mean=0.85, stderr=0.01),
+            ConjectureRow(n=100, C=2.0, mean=0.9, stderr=0.01),
+            ConjectureRow(n=316, C=2.0, mean=0.92, stderr=0.02),
         ]
         a = tmp_path / "a.svg"
         b = tmp_path / "b.svg"
         render_plot(rows, a)
-        render_plot(rows, b)
+        render_plot(sorted(rows, key=lambda r: r.n), b)
         assert a.read_bytes() == b.read_bytes()
+        assert "C=2</text>" in a.read_text()
+
+    def test_rejects_mixed_c(self, tmp_path):
+        rows = [ConjectureRow(n=100, C=2.0, mean=0.9, stderr=0.01), ConjectureRow(n=100, C=5.0, mean=0.8, stderr=0.0)]
+        with pytest.raises(ValueError, match="several C"):
+            render_plot(rows, tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestHelpers:
@@ -314,6 +343,33 @@ class TestHelpers:
         assert ub.n_tail == 100
         with pytest.raises(ValueError):
             parse_link("spline")
+
+    @pytest.mark.parametrize(
+        "text, why",
+        [
+            ("identity:7", "takes 0 parameters, got 1"),
+            ("cube:1,2", "takes 0 parameters, got 2"),
+            ("affine:1", "takes 2 parameters, got 1"),
+            ("affine:1,2,3", "takes 2 parameters, got 3"),
+            ("unbounded-tail:0.5,1,0.5", "takes 4 parameters, got 3"),
+            ("unbounded-tail:0.5,1,0.5,1000.5", "must be an integer"),
+            ("unbounded-tail:0.5,1,0.5,inf", "must be an integer"),
+            ("step:1,nan", "must be finite"),
+            ("affine:nan,0", "must be finite"),
+            ("affine:inf,0", "must be finite"),
+            ("affine:x,0", "could not convert"),
+            ("step:", "at least one level"),
+        ],
+    )
+    def test_parse_link_refusals_quote_the_text(self, text, why):
+        with pytest.raises(ValueError) as info:
+            parse_link(text)
+        assert repr(text) in str(info.value) and why in str(info.value)
+
+    def test_rates_refuses_non_finite_link_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "rate_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+        assert run(["rates", "--link", "step:1,nan", "--out", str(tmp_path)]) == 1
+        assert "'step:1,nan'" in capsys.readouterr().err
 
     def test_default_workers_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("MONOFIT_WORKERS", raising=False)

@@ -69,6 +69,35 @@ def smoothed_empirical_oracle(ys, h, grid):
     return TabulatedDistribution(grid.lo, grid.hi, isotonize_cdf(cumulative_trapezoid(dens, dx=grid.step, initial=0.0)))
 
 
+def long_double_cdf(ys, sigma, h, grid, freq_points):
+    """``deconvolve_cdf``'s trapezoid estimator evaluated directly in long double.
+
+    ECF by cos and sin of t y, kernel, noise division and the trapezoid sum
+    over frequencies at every grid point, then the running trapezoid and
+    isotonization: no recurrence and no chirp-z transform.  The phase at
+    x = lo + (64 a + b) dx is the product of the phases at lo + 64 a dx and
+    at b dx, which keeps the grid-by-frequency sum to (M/64 + 64) T cos and
+    sin values and two matrix products.
+    """
+    ld = np.longdouble
+    assert grid.points % 64 == 0
+    y = ys.atoms.astype(ld)
+    ts = np.linspace(-1 / ld(h), 1 / ld(h), freq_points, dtype=ld)
+    u = ld(h) * ts
+    w = (1 - u * u) ** 3 / np.exp(-((ld(sigma) * ts) ** 2) / 2) * (ts[1] - ts[0])
+    w[[0, -1]] /= 2
+    g_re = w * np.array([np.cos(t * y).mean() for t in ts])
+    g_im = w * np.array([np.sin(t * y).mean() for t in ts])
+    dx = (ld(grid.hi) - ld(grid.lo)) / (grid.points - 1)
+    coarse = np.outer(ld(grid.lo) + 64 * dx * np.arange(grid.points // 64), ts)
+    fine = np.outer(ts, dx * np.arange(64))
+    cc, sc, cf, sf = np.cos(coarse), np.sin(coarse), np.cos(fine), np.sin(fine)
+    # Re of g e^{-itx} = g_re cos(tx) + g_im sin(tx), with x split as above
+    dens = ((cc * g_re + sc * g_im) @ cf + (cc * g_im - sc * g_re) @ sf).ravel() / (2 * ld(math.pi))
+    raw = np.concatenate(([ld(0)], np.cumsum(dx * (dens[1:] + dens[:-1]) / 2)))
+    return np.clip(np.maximum.accumulate(raw), 0, 1)
+
+
 class TestBandwidthRule:
     def test_default_constants_valid(self):
         # the rule's theory needs its constant C inside (0, 1/2)
@@ -404,6 +433,28 @@ class TestDeconvolveCdf:
             deconvolve_cdf(ys, sigma, 0.3, grid)
             dens = seen["S"].real / (2.0 * math.pi)
             assert np.array_equal(seen["raw"], cumulative_trapezoid(dens, dx=grid.step, initial=0.0))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="long double is plain double here")
+    @pytest.mark.parametrize(
+        "n, sigma, freq_points, points, link",
+        [
+            (30, 0.0, 64, 2**10, "identity"),
+            (200, 0.0, 256, 2**11, "step"),
+            (100, 0.1, 256, 2**11, "cube"),
+            (50, 0.5, 1024, 2**10, "affine"),
+            (500, 1.0, DEFAULT_FREQ_POINTS, 2**12, "identity"),
+        ],
+    )
+    def test_matches_long_double_oracle(self, n, sigma, freq_points, points, link):
+        # the whole table against the same estimator in long double; the
+        # gap is almost all the chirp w ** (k**2 / 2) of _fourier_at and
+        # grows with its length max(points, freq_points)
+        ds = sample_dataset("deconv", n, link_catalog(n)[link], NoiseSpec(), sigma, seed=7)
+        ys = EmpiricalMeasure.from_sample(ds.y)
+        h = select_bandwidth(n, sigma)
+        grid = auto_grid(ys, sigma, points=points)
+        est = deconvolve_cdf(ys, sigma, h, grid, freq_points=freq_points)
+        assert np.max(np.abs(est.cdf - long_double_cdf(ys, sigma, h, grid, freq_points))) <= 1e-9
 
     @pytest.mark.parametrize("freq_points", [1, 0, -5])
     def test_rejects_fewer_than_two_freq_points(self, freq_points):

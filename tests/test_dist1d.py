@@ -19,9 +19,7 @@ from monofit.dist1d import (
     EmpiricalMeasure,
     MonotoneStepFn,
     TabulatedDistribution,
-    empirical_moment,
     generalized_inverse,
-    pushforward,
     quantile,
     w1_cdf_area,
     w1_empirical,
@@ -330,34 +328,6 @@ class TestQuantile:
         us = np.linspace(0.01, 0.99, 200)
         qs = quantile(d, us)
         assert np.all(np.diff(qs) >= 0)
-
-
-class TestPushforward:
-    def test_identity_and_constant(self):
-        xs = EmpiricalMeasure([0.1, 0.4, 0.9])
-        ident = MonotoneStepFn(np.linspace(1e-6, 1, 5000), np.linspace(1e-6, 1, 5000))
-        out = pushforward(lambda x: x, xs)
-        assert np.allclose(out.atoms, xs.atoms)
-        out2 = pushforward(lambda x: np.full_like(x, 2.0), xs)
-        assert out2.atoms.tolist() == [2.0, 2.0, 2.0]
-        out3 = pushforward(ident, xs)
-        assert np.allclose(out3.atoms, xs.atoms, atol=1e-3)
-
-    def test_doubling_map(self):
-        xs = EmpiricalMeasure([0.1, 0.4])
-        out = pushforward(lambda x: 2 * x, xs)
-        assert out.atoms.tolist() == [0.2, 0.8]
-
-
-class TestEmpiricalMoment:
-    def test_examples(self):
-        assert empirical_moment(EmpiricalMeasure([-1.0, 1.0]), 2) == 1.0
-        assert empirical_moment(EmpiricalMeasure([0.0]), 3.7) == 0.0
-        assert empirical_moment(EmpiricalMeasure([2.0]), 3) == 8.0
-
-    def test_rejects_nonpositive_order(self):
-        with pytest.raises(ValueError):
-            empirical_moment(EmpiricalMeasure([1.0]), 0.0)
 
 
 class TestConvolutionContraction:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from monofit.dist1d import MonotoneStepFn
 from monofit.experiments import (
     DEFAULT_C_LIST,
     ConjectureConfig,
@@ -29,7 +30,6 @@ from monofit.experiments import (
     risk_population,
 )
 from monofit.experiments import _occupancy_counts
-from monofit.regress import extend_piecewise
 from monofit.synth import (
     identity_link,
     link_catalog,
@@ -92,7 +92,7 @@ def step_fits(draw):
     """A monotone step function with 1 to 8 knots in (0, 1] and values in [-4, 4]."""
     knots = sorted(draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=8, unique=True)))
     values = sorted(draw(st.lists(st.floats(-4.0, 4.0), min_size=len(knots), max_size=len(knots))))
-    return extend_piecewise(np.array(knots), np.array(values))
+    return MonotoneStepFn(np.array(knots), np.array(values))
 
 
 def product_direct(counts, n, C, c):
@@ -274,42 +274,42 @@ class TestRisks:
         rng = rng_stream(46, "emp")
         x = np.sort(rng.random(40))
         m0 = link_catalog(40)["cube"]
-        mhat = extend_piecewise(x, np.sort(rng.normal(0.3, 0.2, 40)))
+        mhat = MonotoneStepFn(x, np.sort(rng.normal(0.3, 0.2, 40)))
         direct = sum(abs(float(mhat(xi)) - float(m0(xi))) for xi in x) / 40
         assert risk_empirical(mhat, m0, x) == pytest.approx(direct, rel=1e-14)
 
     def test_empirical_trivial_cases(self):
         x = np.sort(rng_stream(47, "triv").random(30))
         m0 = identity_link()
-        exact = extend_piecewise(x, x.copy())
+        exact = MonotoneStepFn(x, x.copy())
         assert risk_empirical(exact, m0, x) == 0.0
-        shifted = extend_piecewise(x, x + 0.3)
+        shifted = MonotoneStepFn(x, x + 0.3)
         assert risk_empirical(shifted, m0, x) == pytest.approx(0.3, rel=1e-12)
 
     def test_population_zero_vs_identity(self):
-        mzero = extend_piecewise(np.array([1.0]), np.array([0.0]))
+        mzero = MonotoneStepFn(np.array([1.0]), np.array([0.0]))
         assert risk_population(mzero, identity_link()) == pytest.approx(0.5, rel=1e-9)
 
     def test_population_constant_shift(self):
         st = step_link((-1.0, 0.5, 2.0))
-        mhat = extend_piecewise(np.array([1 / 3, 2 / 3, 1.0]), np.array([-0.75, 0.75, 2.25]))
+        mhat = MonotoneStepFn(np.array([1 / 3, 2 / 3, 1.0]), np.array([-0.75, 0.75, 2.25]))
         assert risk_population(mhat, st) == pytest.approx(0.25, rel=1e-9)
 
     def test_population_exact_match_is_zero(self):
         st = step_link((-1.0, 0.5, 2.0))
-        mhat = extend_piecewise(np.array([1 / 3, 2 / 3, 1.0]), np.array([-1.0, 0.5, 2.0]))
+        mhat = MonotoneStepFn(np.array([1 / 3, 2 / 3, 1.0]), np.array([-1.0, 0.5, 2.0]))
         assert risk_population(mhat, st) == pytest.approx(0.0, abs=1e-12)
 
     def test_population_crossing_split(self):
         # mhat = 1/2 against identity: |1/2 - x| integrates to 1/4
-        mhalf = extend_piecewise(np.array([1.0]), np.array([0.5]))
+        mhalf = MonotoneStepFn(np.array([1.0]), np.array([0.5]))
         assert risk_population(mhalf, identity_link()) == pytest.approx(0.25, rel=1e-9)
 
     def test_population_singular_tail(self):
         from scipy.integrate import quad
 
         ub = unbounded_tail_link(0.5, 1.0, 0.5, 50)
-        mzero = extend_piecewise(np.array([1.0]), np.array([0.0]))
+        mzero = MonotoneStepFn(np.array([1.0]), np.array([0.0]))
         ref, _ = quad(lambda x: -ub(x), 1e-300, ub.cut, points=[ub.cut * 1e-6, ub.cut * 1e-3], limit=200)
         assert risk_population(mzero, ub) == pytest.approx(ref, rel=1e-6)
 
@@ -317,7 +317,7 @@ class TestRisks:
     def test_population_singular_tail_to_1e12(self, n):
         # the pieces next to the singular origin count in full
         ub = link_catalog(n)["unbounded_tail"]
-        mzero = extend_piecewise(np.array([1.0]), np.array([0.0]))
+        mzero = MonotoneStepFn(np.array([1.0]), np.array([0.0]))
         assert risk_population(mzero, ub) == pytest.approx(risk_quad(mzero, ub), rel=1e-12)
 
     @given(name=st.sampled_from(CATALOG_NAMES), n=st.integers(3, 10**6), mhat=step_fits(), dens=st.booleans())
@@ -331,19 +331,19 @@ class TestRisks:
         # a level so low that the tail link crosses it only at x = 0, where
         # the link is -inf: the empty panel there must not turn the sum to nan
         ub = link_catalog(100)["unbounded_tail"]
-        mhat = extend_piecewise(np.array([0.5, 1.0]), np.array([-1e200, 0.0]))
+        mhat = MonotoneStepFn(np.array([0.5, 1.0]), np.array([-1e200, 0.0]))
         val = risk_population(mhat, ub)
         assert math.isfinite(val)
         assert val == pytest.approx(0.5e200, rel=1e-12)
 
     def test_population_needs_a_link_spec(self):
-        mzero = extend_piecewise(np.array([1.0]), np.array([0.0]))
+        mzero = MonotoneStepFn(np.array([1.0]), np.array([0.0]))
         with pytest.raises(TypeError, match="LinkSpec"):
             risk_population(mzero, lambda x: x)
 
     def test_population_custom_density(self):
         # density 2x on [0,1], mhat = 0, m0 = identity: int 2x^2 = 2/3
-        mzero = extend_piecewise(np.array([1.0]), np.array([0.0]))
+        mzero = MonotoneStepFn(np.array([1.0]), np.array([0.0]))
         val = risk_population(mzero, identity_link(), mu_x=lambda x: 2.0 * x)
         assert val == pytest.approx(2.0 / 3.0, rel=1e-9)
 
@@ -414,10 +414,10 @@ class TestRateSweep:
             rate_sweep("tangled", [100], "below-root", reps=1, seed=1)
 
     def test_record_validation(self):
-        with pytest.raises(ValueError):
-            RiskRecord("shuffled", 10, 0.1, 0, "W1_measure", 0.5)
-        with pytest.raises(ValueError):
-            RiskRecord("deconv", 10, 0.1, 0, "W1_measure", -0.5)
+        # problem and kind are rate_sweep's to check (test_incompatible_risk_kind)
+        for bad in (-0.5, math.nan):
+            with pytest.raises(ValueError):
+                RiskRecord("deconv", 10, 0.1, 0, "W1_measure", bad)
 
 
 class TestFitLoglogSlope:

@@ -31,7 +31,6 @@ from monofit.regress import (
     MOMENT_BOUND,
     MOMENT_ORDER,
     FitResult,
-    extend_piecewise,
     fit_shuffled,
     fit_unlinked,
     project_moment,
@@ -205,8 +204,9 @@ class TestProjectMoment:
 
 
 class TestExtendPiecewise:
+    # the fits extend their values over [0, 1] as a MonotoneStepFn
     def test_cell_semantics(self):
-        m = extend_piecewise(np.array([0.2, 0.5, 0.9]), np.array([1.0, 2.0, 3.0]))
+        m = MonotoneStepFn(np.array([0.2, 0.5, 0.9]), np.array([1.0, 2.0, 3.0]))
         # value_i on (X_(i-1), X_(i)]
         assert m(0.3) == 2.0 and m(0.5) == 2.0
         assert m(0.51) == 3.0 and m(0.9) == 3.0
@@ -217,9 +217,9 @@ class TestExtendPiecewise:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            extend_piecewise(np.array([0.2, 0.2]), np.array([1.0, 2.0]))
+            MonotoneStepFn(np.array([0.2, 0.2]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            extend_piecewise(np.array([0.2, 0.5]), np.array([1.0]))
+            MonotoneStepFn(np.array([0.2, 0.5]), np.array([1.0]))
 
 
 class TestFitShuffled:

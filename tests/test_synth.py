@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from monofit.dist1d import EmpiricalMeasure, empirical_moment, pushforward
 from monofit.synth import (
     Dataset,
     LinkSpec,
@@ -127,9 +126,9 @@ class TestLinkSpec:
     def test_moment_bound_under_uniform_design(self):
         # every catalog member keeps (1/n) sum |m(x_i)|^{a+2} within M = 10
         n = 100_000
-        xs = EmpiricalMeasure.from_sample(rng_stream(12, "x").random(n))
+        xs = rng_stream(12, "x").random(n)
         for name, link in link_catalog(n).items():
-            moment = empirical_moment(pushforward(link, xs), 3.0)
+            moment = np.mean(np.abs(link(xs)) ** 3.0)
             assert moment <= 10.0, (name, moment)
 
 
