@@ -371,7 +371,7 @@ def _cmd_estimate(opts):
         est, h = estimate_cdf(ds.y, ds.sigma)
         opts["out"].mkdir(parents=True, exist_ok=True)
         out_path = opts["out"] / "cdf.csv"
-        write_records(out_path, zip(est.grid, est.cdf), fields=("x", "cdf"))
+        write_table(out_path, ("x", "cdf"), (est.grid, est.cdf))
         print("wrote %s (bandwidth %.6g)" % (out_path, h))
         return 0
     res = (fit_shuffled if ds.mode == "shuffled" else fit_unlinked)(ds.x_ordered, ds.y, ds.sigma)

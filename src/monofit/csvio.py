@@ -5,16 +5,24 @@ then a header row and data rows in :mod:`csv` writer defaults: comma
 separated, minimal quoting, rows ended by CRLF.  Floats carry 17
 significant digits, enough to round-trip any double, so a table is a pure
 function of the values written.  Booleans are written as 1 and 0.
+
+Tables move a column at a time.  A table whose columns are all float arrays
+is formatted a chunk of rows at a time, one ``%`` per row; a float never
+needs quoting, so these are the bytes :class:`csv.writer` would write, and
+any other table is written by it.  :func:`read_columns` parses the data rows
+with :func:`numpy.loadtxt` into one array per column.
 """
 
 import csv
-from contextlib import contextmanager
+import warnings
 
 import numpy as np
 
-__all__ = ["write_table", "read_table"]
+__all__ = ["write_table", "read_columns"]
 
 FLOAT_FMT = "%.17g"
+# Rows formatted per write: bounds the text held in memory at once.
+CHUNK_ROWS = 8192
 
 
 def _cell(value):
@@ -28,42 +36,106 @@ def _cell(value):
 
 def _column(values):
     """The cells of one column; a float array skips the per-cell type dispatch."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+    if _is_float_array(values):
         return map(FLOAT_FMT.__mod__, values)
     return map(_cell, values)
 
 
+def _is_float_array(values):
+    return isinstance(values, np.ndarray) and values.dtype.kind == "f"
+
+
+def _write_floats(fh, columns):
+    """Write float arrays as data rows, CHUNK_ROWS rows per write."""
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError("columns must have equal lengths, got %s" % [len(c) for c in columns])
+    row = ",".join([FLOAT_FMT] * len(columns)) + "\r\n"
+    for start in range(0, n, CHUNK_ROWS):
+        chunk = (c[start : start + CHUNK_ROWS].tolist() for c in columns)
+        fh.write("".join(map(row.__mod__, zip(*chunk))))
+
+
 def write_table(path, header, columns, preamble=None):
-    """Write equal-length ``columns`` under ``header`` to ``path``, one row at a time.
+    """Write equal-length ``columns`` under ``header`` to ``path``.
 
     ``preamble`` maps keys to values written as ``# key=value`` lines ahead
     of the header.  Every value is formatted as the module docstring states.
+    When every column is a float array the rows are formatted ``CHUNK_ROWS``
+    at a time; any other table goes through :class:`csv.writer` cell by cell.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key, value in (preamble or {}).items():
             fh.write("# %s=%s\n" % (key, _cell(value)))
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(zip(*map(_column, columns), strict=True))
+        if columns and all(map(_is_float_array, columns)):
+            _write_floats(fh, columns)
+        else:
+            writer.writerows(zip(*map(_column, columns), strict=True))
 
 
-@contextmanager
-def read_table(path, header):
-    """Open a table written by :func:`write_table`.
+def _first_bad_line(path, first, options):
+    """``line N: reason: 'text'`` for the first data line from ``first`` on
+    that ``np.loadtxt(**options)`` refuses on its own, or None.
 
-    Yields ``(preamble, rows)``: the preamble as a dict of stripped strings
-    and an iterator over the data rows as lists of strings, blank lines
-    skipped.  Raises ValueError when the header differs from ``header``.
+    Used only once a whole read has failed, to say where.
     """
-    header = list(header)
+    width = len(options["dtype"])
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            text = line.rstrip("\r\n")
+            if lineno < first or not text:
+                continue
+            try:
+                np.loadtxt([line], **options)
+            except ValueError as exc:
+                cells = len(next(csv.reader([text])))
+                reason = exc.__cause__ or exc
+                if cells != width:
+                    reason = "expected %d cells, found %d" % (width, cells)
+                return "line %d: %s: %r" % (lineno, reason, text)
+    return None
+
+
+def read_columns(path, dtypes, converters=None):
+    """Read a table written by :func:`write_table` as one array per column.
+
+    ``dtypes`` maps each header name, in header order, to its column's numpy
+    dtype; ``converters`` maps a column name to a function from cell text
+    to value, as :func:`numpy.loadtxt` takes them.  Returns ``(preamble,
+    columns)``: the preamble as a dict of stripped strings and a dict of
+    contiguous 1-d arrays by name.  Blank lines are skipped; every other
+    data line must hold one parsable cell per column.  Raises ValueError
+    naming ``path`` when the header differs from the names, or naming the
+    first line that does not parse.
+    """
+    header = list(dtypes)
     preamble = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        line = fh.readline()
+        line, lineno = fh.readline(), 1
         while line.startswith("#"):
             key, _, value = line[1:].partition("=")
             preamble[key.strip()] = value.strip()
-            line = fh.readline()
+            line, lineno = fh.readline(), lineno + 1
         found = next(csv.reader([line]), None)
         if found is None or [h.strip() for h in found] != header:
             raise ValueError("%s: expected header %s" % (path, ",".join(header)))
-        yield preamble, (row for row in csv.reader(fh) if row)
+        options = {
+            "dtype": list(dtypes.items()),
+            "delimiter": ",",
+            "quotechar": '"',
+            "comments": None,
+            "ndmin": 1,
+            "converters": {header.index(name): fn for name, fn in (converters or {}).items()},
+        }
+        try:
+            with warnings.catch_warnings():
+                # no data rows reads as empty columns; the caller judges them
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, **options)
+        except ValueError as exc:
+            where = _first_bad_line(path, lineno + 1, options)
+            raise ValueError("%s: %s" % (path, where or exc)) from None
+    # copies, so no column keeps the whole table alive
+    return preamble, {name: np.ascontiguousarray(table[name]) for name in header}

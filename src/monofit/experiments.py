@@ -84,6 +84,8 @@ class ConjectureConfig:
         C_list = tuple(float(C) for C in self.C_list)
         if not C_list or not all(math.isfinite(C) and C > 0 for C in C_list):
             raise ValueError("C_list must be nonempty with finite, positive entries")
+        if len(set(C_list)) != len(C_list):
+            raise ValueError("C_list must not repeat a value, got %r" % (C_list,))
         object.__setattr__(self, "C_list", C_list)
 
     @property

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import read_table, write_table
+from .csvio import read_columns, write_table
 from .deconv import estimate_cdf
 from .dist1d import MonotoneStepFn, quantile
 from .synth import check_sigma
@@ -166,12 +166,7 @@ def stepfn_from_csv(path):
     Returns (MonotoneStepFn, metadata dict with keys n, sigma, eta,
     projected).
     """
-    knots = []
-    values = []
-    with read_table(path, ("knot", "value")) as (meta, rows):
-        for knot, value in rows:
-            knots.append(float(knot))
-            values.append(float(value))
+    meta, cols = read_columns(path, {"knot": float, "value": float})
     for key in ("n", "sigma", "eta", "projected"):
         if key not in meta:
             raise ValueError("%s: missing metadata line %r" % (path, key))
@@ -181,4 +176,4 @@ def stepfn_from_csv(path):
         "eta": float(meta["eta"]),
         "projected": bool(int(meta["projected"])),
     }
-    return MonotoneStepFn(np.asarray(knots), np.asarray(values)), out
+    return MonotoneStepFn(cols["knot"], cols["value"]), out

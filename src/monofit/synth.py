@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import read_table, write_table
+from .csvio import read_columns, write_table
 
 __all__ = [
     "NoiseSpec",
@@ -295,6 +295,8 @@ class Dataset:
         y = np.asarray(self.y, dtype=float)
         if y.ndim != 1 or y.size < 1:
             raise ValueError("y must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y must be finite")
         object.__setattr__(self, "y", y)
         if self.mode == "deconv":
             if self.x_ordered is not None:
@@ -346,25 +348,35 @@ def dataset_to_csv(ds, path):
     write_table(path, ("mode", "index", "x", "y"), (itertools.repeat(ds.mode, ds.n), range(ds.n), xs, ds.y))
 
 
+def _x_cell(text):
+    """An x cell's value; deconv datasets leave the cell blank, read as NaN."""
+    return float(text) if text else math.nan
+
+
+# One character wider than the longest mode, so a longer mode cell reads
+# back as no known mode instead of being cut to one.
+_CSV_COLUMNS = {"mode": "U%d" % (max(map(len, _MODES)) + 1), "index": "U1", "x": float, "y": float}
+
+
 def dataset_from_csv(path, sigma=0.0):
     """Read a dataset written by :func:`dataset_to_csv`.
 
-    The file does not store sigma, so the caller supplies it.
+    The file does not store sigma, so the caller supplies it.  Refused with
+    a ValueError naming ``path``: a file whose rows do not all carry the
+    same mode, a blank or NaN x outside deconv mode, and any value that
+    :class:`Dataset` refuses (x unsorted or outside [0, 1], a non-finite
+    y).  The index column is not read back.
     """
-    modes = set()
-    xs = []
-    ys = []
-    with read_table(path, ("mode", "index", "x", "y")) as (_, rows):
-        for mode, _idx, x_cell, y_cell in rows:
-            modes.add(mode)
-            if x_cell != "":
-                xs.append(float(x_cell))
-            ys.append(float(y_cell))
-    if len(modes) != 1:
-        raise ValueError("%s: expected a single mode, found %s" % (path, sorted(modes)))
-    mode = modes.pop()
-    if mode == "deconv":
-        return Dataset("deconv", None, np.asarray(ys), float(sigma))
-    if len(xs) != len(ys):
-        raise ValueError("%s: x column incomplete for mode %s" % (path, mode))
-    return Dataset(mode, np.asarray(xs), np.asarray(ys), float(sigma))
+    _, cols = read_columns(path, _CSV_COLUMNS, converters={"x": _x_cell})
+    modes = cols["mode"]
+    if modes.size == 0 or np.any(modes != modes[0]):
+        raise ValueError("%s: expected a single mode, found %s" % (path, np.unique(modes).tolist()))
+    mode = str(modes[0])
+    x = None if mode == "deconv" else cols["x"]
+    if x is not None and np.any(np.isnan(x)):
+        raise ValueError("%s: x column incomplete for mode %s: blank or NaN cells" % (path, mode))
+    sigma = check_sigma(sigma)
+    try:
+        return Dataset(mode, x, cols["y"], sigma)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None

@@ -237,6 +237,8 @@ class TestConjectureConfig:
             ConjectureConfig(C_list=())
         with pytest.raises(ValueError):
             ConjectureConfig(C_list=(1.0, -2.0))
+        with pytest.raises(ValueError, match="must not repeat"):
+            ConjectureConfig(C_list=(1.0, 2.0, 1))
 
 
 class TestConjectureSweep:

@@ -450,3 +450,10 @@ class TestStepfnCsv:
         path.write_text("# n=1\n# sigma=0\n# eta=0\n# projected=0\nk,v\n0.5,1\n")
         with pytest.raises(ValueError, match="expected header"):
             stepfn_from_csv(path)
+
+    def test_bad_row_names_the_file_and_the_line(self, tmp_path):
+        path = tmp_path / "bad3.csv"
+        path.write_text("# n=2\n# sigma=0\n# eta=0\n# projected=0\nknot,value\n0.5,1\n1.0\n")
+        with pytest.raises(ValueError) as refused:
+            stepfn_from_csv(path)
+        assert str(refused.value) == "%s: line 7: expected 2 cells, found 1: '1.0'" % path

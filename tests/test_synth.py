@@ -293,6 +293,38 @@ class TestDatasetCsv:
         with pytest.raises(ValueError):
             dataset_from_csv(path)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("unlinked,0,0.25,1\r\nunlinked,1,0.5\r\n", "line 3: expected 4 cells, found 3: 'unlinked,1,0.5'"),
+            ("unlinked,0,0.25,1,7\r\n", "line 2: expected 4 cells, found 5: 'unlinked,0,0.25,1,7'"),
+            ("unlinked,0,0.25,abc\r\n", "line 2: could not convert string to float: 'abc': 'unlinked,0,0.25,abc'"),
+            ("unlinked,0,0.25,1\r\nunlinked,1,,2\r\n", "x column incomplete for mode unlinked: blank or NaN cells"),
+            ("shuffled,0,0.25,1\r\nshuffled,1,nan,2\r\n", "x column incomplete for mode shuffled: blank or NaN cells"),
+            ("shuffled,0,0.25,1\r\ndeconv,1,,2\r\n", "expected a single mode, found ['deconv', 'shuffled']"),
+            ("", "expected a single mode, found []"),
+            ("shuffledx,0,0.25,1\r\n", "unknown mode: 'shuffledx'"),
+            ("unlinkedxyz,0,0.25,1\r\n", "unknown mode: 'unlinkedx'"),
+            ("unlinked,0,0.25,1\r\nunlinked,1,inf,2\r\n", "covariates must lie in [0, 1]"),
+            ("shuffled,0,0.25,nan\r\n", "y must be finite"),
+            ("deconv,0,,-inf\r\n", "y must be finite"),
+        ],
+        ids=["ragged", "extra-field", "text", "blank-x", "nan-x", "two-modes", "header-only", "long-mode",
+             "longer-mode", "inf-x", "nan-y", "inf-y"],
+    )
+    def test_bad_rows_refused_naming_the_file(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("mode,index,x,y\r\n" + rows, newline="")
+        with pytest.raises(ValueError) as refused:
+            dataset_from_csv(path)
+        assert str(refused.value) == "%s: %s" % (path, message)
+
+    def test_lf_ends_and_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "lf.csv"
+        path.write_text("mode,index,x,y\nunlinked,0,0.25,1.5\n\nunlinked,1,0.5,-2\n\n", newline="")
+        back = dataset_from_csv(path, sigma=0.1)
+        assert (back.mode, back.x_ordered.tolist(), back.y.tolist()) == ("unlinked", [0.25, 0.5], [1.5, -2.0])
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             Dataset("deconv", np.array([0.5]), np.array([1.0]), 0.1)
