@@ -330,12 +330,15 @@ def _cmd_conjecture(opts):
         workers = _default_workers()
     # unset options take ConjectureConfig's defaults
     cfg = ConjectureConfig(**{k: v for k, v in opts.items() if v is not None})
+    plots = ["conjecture_C%g.svg" % C for C in cfg.C_list]
+    if len(set(plots)) != len(plots):
+        raise ValueError("C values must differ in %%g form, which names their plots, got %r" % (cfg.C_list,))
     rows = conjecture_sweep(cfg, workers=workers)
     out.mkdir(parents=True, exist_ok=True)
     table_path = out / "conjecture.csv"
     write_records(table_path, rows, fields=("n", "C", "mean", "stderr"))
-    for C in cfg.C_list:
-        render_plot([r for r in rows if r.C == C], out / ("conjecture_C%g.svg" % C))
+    for C, plot in zip(cfg.C_list, plots):
+        render_plot([r for r in rows if r.C == C], out / plot)
     print("wrote %s (%d rows) and %d plots" % (table_path, len(rows), len(cfg.C_list)))
     return 0
 

@@ -28,6 +28,7 @@ from .deconv import estimate_cdf
 from .dist1d import TabulatedDistribution, w1_tabulated
 from .regress import fit_shuffled, fit_unlinked
 from .synth import LinkSpec, NoiseSpec, derive_seed, identity_link, link_cdf, rng_stream, sample_dataset
+from .synth import _link_values
 
 __all__ = [
     "DEFAULT_SEED",
@@ -234,7 +235,9 @@ def risk_population(mhat, m0, mu_x=None):
     of ``mhat`` and the jumps of ``m0``.  On a piece (a, b] where mhat = v,
     m0 - v changes sign at clip(link_cdf(m0, v), a, b), as link_cdf is
     Leb{m0 <= v}; each side gets 64-point Gauss-Legendre, evaluated one
-    node at a time across all panels.
+    node at a time across all panels into two reused panel-length buffers.
+    The panel sums are added by numpy's pairwise sum, not by a BLAS dot
+    product, so the result does not depend on the BLAS thread count.
     """
     if not isinstance(m0, LinkSpec):
         raise TypeError("m0 must be a LinkSpec")
@@ -242,8 +245,10 @@ def risk_population(mhat, m0, mu_x=None):
     if m0.kind == "step":
         edges.append(np.arange(1, len(m0.levels)) / len(m0.levels))
     elif m0.kind == "unbounded_tail":
-        edges.append(m0.cut * 0.5 ** np.arange(0, 51))  # refine toward the singular origin
-    edges = np.unique(np.concatenate(edges))
+        edges.append(m0.cut * 0.5 ** np.arange(50, -1, -1))  # refine toward the singular origin
+    # the runs are sorted, so a stable sort (timsort) only merges them; a
+    # repeated edge makes zero-width panels, which are dropped below
+    edges = np.sort(np.concatenate(edges), kind="stable")
     a, b = edges[:-1], edges[1:]
     v = mhat(b)  # constant on (a, b]
     cross = np.clip(link_cdf(m0, v), a, b)
@@ -256,13 +261,20 @@ def risk_population(mhat, m0, mu_x=None):
     keep = (half > 0.0) & (half * _GL_NODES[0] + mid > 0.0)
     half, mid, v = half[keep], mid[keep], np.concatenate((v, v))[keep]
     acc = np.zeros_like(half)
+    xs = np.empty_like(half)
+    vals = np.empty_like(half)
     for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        xs = half * node + mid
-        vals = np.abs(v - m0(xs))
+        np.multiply(half, node, out=xs)
+        xs += mid  # in (0, 1]: the panels tile [0, 1] and the first node is kept above 0
+        _link_values(m0, xs, vals)
+        np.subtract(v, vals, out=vals)
+        np.abs(vals, out=vals)
         if mu_x is not None:
             vals *= np.asarray(mu_x(xs), dtype=float)
-        acc += weight * vals
-    return float(np.dot(half, acc))
+        vals *= weight
+        acc += vals
+    acc *= half
+    return float(acc.sum())
 
 
 _PRESETS = ("below-root", "root-log-small", "root-log-large", "intermediate", "fixed")

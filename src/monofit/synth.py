@@ -213,25 +213,38 @@ def eval_link(spec, x):
     x_arr = np.asarray(x, dtype=float)
     if np.any((x_arr < 0.0) | (x_arr > 1.0)):
         raise ValueError("link domain is [0, 1]")
+    out = _link_values(spec, x_arr, np.empty_like(x_arr))
+    return out if np.ndim(x) else float(out)
+
+
+def _link_values(spec, x, out):
+    """Write the link at ``x`` into ``out`` (same shape) and return ``out``.
+
+    No domain check: every entry of the float array ``x`` must lie in
+    [0, 1].  :func:`eval_link` checks that first; the quadrature of
+    ``experiments.risk_population`` builds its nodes inside the domain and
+    reuses one ``out`` for all of them.  Each kind runs the same operations
+    in the same order either way, so both callers get the same bits.
+    """
     if spec.kind == "identity":
-        out = x_arr.copy()
+        np.copyto(out, x)
     elif spec.kind == "affine":
-        out = spec.slope * x_arr + spec.offset
+        np.multiply(x, spec.slope, out=out)
+        out += spec.offset
     elif spec.kind == "cube":
-        out = x_arr**3
+        np.power(x, 3, out=out)
     elif spec.kind == "step":
         k = len(spec.levels)
         cells = np.arange(1, k + 1) / k
-        idx = np.minimum(np.searchsorted(cells, x_arr, side="left"), k - 1)
-        out = np.asarray(spec.levels, dtype=float)[idx]
+        idx = np.minimum(np.searchsorted(cells, x, side="left"), k - 1)
+        np.take(np.asarray(spec.levels, dtype=float), idx, out=out)
     else:
-        cut = spec.cut
-        out = np.zeros_like(x_arr)
-        inside = (x_arr > 0.0) & (x_arr <= cut)
-        xi = x_arr[inside]
+        out.fill(0.0)
+        inside = (x > 0.0) & (x <= spec.cut)
+        xi = x[inside]
         out[inside] = -((xi * (-np.log(xi)) ** (1.0 + spec.eps)) ** (-1.0 / (spec.a + 2.0)))
-        out[x_arr == 0.0] = -np.inf
-    return out if np.ndim(x) else float(out)
+        out[x == 0.0] = -np.inf
+    return out
 
 
 def link_cdf(spec, z):
@@ -334,7 +347,7 @@ def sample_dataset(mode, n, link, noise, sigma, seed):
     if n < 1:
         raise ValueError("need n >= 1")
     sigma = check_sigma(sigma)
-    x = None if mode == "deconv" else np.sort(rng_stream(seed, "x").random(n), kind="stable")
+    x = None if mode == "deconv" else np.sort(rng_stream(seed, "x").random(n))
     x_latent = x if mode == "shuffled" else rng_stream(seed, "latent").random(n)
     y = eval_link(link, x_latent) + sigma * sample_noise(noise, n, rng_stream(seed, "noise"))
     if mode == "shuffled":

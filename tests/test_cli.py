@@ -45,6 +45,7 @@ class TestExitCodes:
             (["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--reps", "1"], "two"),
             (["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--c", "nan"], "1"),
             (["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--C-list", "1,1"], "1"),
+            (["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--C-list", "1,1.0000001"], "1"),
             (["rates", "--sigma-rule", "junk", "--n-grid", "100", "--reps", "1"], "1"),
             (["estimate"], "1"),
         ],

@@ -8,6 +8,10 @@ catalog link.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +33,12 @@ from monofit.experiments import (
     risk_empirical,
     risk_population,
 )
-from monofit.experiments import _occupancy_counts
+import monofit
+from monofit.experiments import _GL_NODES, _GL_WEIGHTS, _occupancy_counts
 from monofit.synth import (
+    eval_link,
     identity_link,
+    link_cdf,
     link_catalog,
     rng_stream,
     step_link,
@@ -85,6 +92,38 @@ def risk_quad(mhat, m0, mu_x=None):
         else:
             total += panel(a, b)
     return total
+
+
+def risk_population_loop(mhat, m0, mu_x=None):
+    """The quadrature of risk_population as one eval_link call per node.
+
+    Edges by np.unique, then the library's panels, node order and per-node
+    arithmetic with a fresh array for every intermediate, and the same
+    pairwise sum at the end.
+    """
+    edges = [np.array([0.0, 1.0]), mhat.knots]
+    if m0.kind == "step":
+        edges.append(np.arange(1, len(m0.levels)) / len(m0.levels))
+    elif m0.kind == "unbounded_tail":
+        edges.append(m0.cut * 0.5 ** np.arange(0, 51))
+    edges = np.unique(np.concatenate(edges))
+    a, b = edges[:-1], edges[1:]
+    v = mhat(b)
+    cross = np.clip(link_cdf(m0, v), a, b)
+    lo = np.concatenate((a, cross))
+    hi = np.concatenate((cross, b))
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    keep = (half > 0.0) & (half * _GL_NODES[0] + mid > 0.0)
+    half, mid, v = half[keep], mid[keep], np.concatenate((v, v))[keep]
+    acc = np.zeros_like(half)
+    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        xs = half * node + mid
+        vals = np.abs(v - eval_link(m0, xs))
+        if mu_x is not None:
+            vals *= np.asarray(mu_x(xs), dtype=float)
+        acc += weight * vals
+    return float((acc * half).sum())
 
 
 @st.composite
@@ -328,6 +367,55 @@ class TestRisks:
         m0 = link_catalog(n)[name]
         mu_x = (lambda x: 0.5 + x) if dens else None
         assert risk_population(mhat, m0, mu_x) == pytest.approx(risk_quad(mhat, m0, mu_x), rel=1e-12)
+
+    @given(
+        name=st.sampled_from(CATALOG_NAMES),
+        n=st.integers(3, 10**6),
+        k=st.integers(1, 20_000),
+        seed=st.integers(0, 2**32 - 1),
+        shared=st.booleans(),
+        zero=st.sampled_from([None, 0.0, -0.0]),
+        dens=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(name="step", n=3, k=1, seed=0, shared=True, zero=-0.0, dens=False)
+    @example(name="unbounded_tail", n=10**6, k=20_000, seed=1, shared=True, zero=0.0, dens=True)
+    def test_population_is_the_eval_link_loop_bit_for_bit(self, name, n, k, seed, shared, zero, dens):
+        # random knots, optionally also on the links' own edges (shared with
+        # [0, 1], the step jumps and the tail refinement) and at a signed zero
+        m0 = link_catalog(n)[name]
+        rng = rng_stream(seed, "knots")
+        knots = rng.random(k)
+        if shared:
+            knots = np.concatenate((knots, [0.25, 0.5, 0.75, 1.0], 0.5 / n * 0.5 ** np.arange(0, 51, 7)))
+        knots = np.unique(knots[knots > 0.0])
+        if zero is not None:
+            knots = np.concatenate(([zero], knots))
+        values = np.sort(rng.uniform(-8.0, 4.0, knots.size))
+        mhat = MonotoneStepFn(knots, values)
+        mu_x = (lambda x: 0.5 + x) if dens else None
+        got = risk_population(mhat, m0, mu_x)
+        assert got.hex() == risk_population_loop(mhat, m0, mu_x).hex()
+
+    def test_population_risk_does_not_depend_on_blas_threads(self):
+        # a threaded BLAS dot product splits the panel sum by thread; at
+        # n = 1e4 this seed once moved the risk by 2 ulps at one thread
+        code = (
+            "from monofit.experiments import rate_sweep\n"
+            "recs = rate_sweep('shuffled', (10000,), 'below-root', 2, 1729, risk_kinds=('population_L1',))\n"
+            "print(' '.join(float(r.value).hex() for r in recs))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(monofit.__file__).resolve().parents[1])
+        outs = []
+        for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env={**env, **extra}, timeout=300
+            )
+            assert out.returncode == 0, out.stderr
+            outs.append(out.stdout.split())
+        assert len(outs[0]) == 2
+        assert outs[0] == outs[1]
 
     def test_population_zero_width_panel_at_origin_adds_nothing(self):
         # a level so low that the tail link crosses it only at x = 0, where

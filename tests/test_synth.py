@@ -88,6 +88,15 @@ class TestLinkSpec:
         with pytest.raises(ValueError):
             eval_link(identity_link(), 1.2)
 
+    @pytest.mark.parametrize("name", sorted(link_catalog(3)))
+    @pytest.mark.parametrize("x", [-1e-300, -0.5, np.nextafter(1.0, 2.0), 1.2, np.inf])
+    def test_domain_error_scalar_and_array(self, name, x):
+        link = link_catalog(1000)[name]
+        with pytest.raises(ValueError, match="domain"):
+            eval_link(link, x)
+        with pytest.raises(ValueError, match="domain"):
+            eval_link(link, np.array([0.0, 0.5, x, 1.0]))
+
     def test_step_left_continuous(self):
         link = step_link((0.0, 1.0))
         assert eval_link(link, 0.5) == 0.0
@@ -218,6 +227,22 @@ class TestSampleDataset:
         delta = rng_stream(seed, "noise").standard_normal(n)
         assert np.array_equal(ds.x_ordered, x)
         assert np.array_equal(ds.y, eval_link(link, x_latent) + sigma * delta)
+
+    @pytest.mark.parametrize("mode", ["shuffled", "unlinked"])
+    @pytest.mark.parametrize("n", [1, 1000, 10_000])
+    @pytest.mark.parametrize("seed", [0, 17, 2**40 + 3])
+    def test_matches_a_stable_sort_rebuild(self, mode, n, seed):
+        # the covariates lie in [0, 1) with no -0.0 or NaN, so any sort of
+        # them gives the stable sort's array
+        link, sigma = cube_link(), 0.2
+        ds = sample_dataset(mode, n, link, NoiseSpec(), sigma, seed)
+        x = np.sort(rng_stream(seed, "x").random(n), kind="stable")
+        latent = x if mode == "shuffled" else rng_stream(seed, "latent").random(n)
+        y = eval_link(link, latent) + sigma * rng_stream(seed, "noise").standard_normal(n)
+        if mode == "shuffled":
+            y = y[rng_stream(seed, "perm").permutation(n)]
+        assert ds.x_ordered.tobytes() == x.tobytes()
+        assert ds.y.tobytes() == y.tobytes()
 
     def test_deconv_has_no_covariates(self):
         ds = sample_dataset("deconv", 32, identity_link(), NoiseSpec(), 0.5, seed=1)
