@@ -3,7 +3,7 @@
 The package groups seven pieces:
 
 - :mod:`monofit.dist1d` -- empirical measures, tabulated CDFs, monotone step
-  functions, generalized inverses, and Wasserstein distances W1/W2.
+  functions, and Wasserstein distances W1/W2.
 - :mod:`monofit.synth` -- synthetic data generation: a catalog of monotone
   links, a supersmooth noise model, and the three observation schemes
   (shuffled, unlinked, deconv).
@@ -22,7 +22,6 @@ from .dist1d import (
     EmpiricalMeasure,
     MonotoneStepFn,
     TabulatedDistribution,
-    generalized_inverse,
     quantile,
     w1_cdf_area,
     w1_empirical,
@@ -36,7 +35,6 @@ __all__ = [
     "EmpiricalMeasure",
     "MonotoneStepFn",
     "TabulatedDistribution",
-    "generalized_inverse",
     "quantile",
     "w1_cdf_area",
     "w1_empirical",

@@ -1,13 +1,12 @@
 """Command-line entry point: experiment orchestration, CSV output, SVG plots.
 
-Four subcommands:
+Three subcommands:
 
 - ``conjecture``  run the occupancy-product sweep and emit a summary table
   plus one SVG line chart per C value;
 - ``rates``       run a generate-fit-measure rate sweep and emit the risk
   records (plus a fitted log-log slope on stdout);
-- ``estimate``    fit a single dataset read from CSV;
-- ``selftest``    run the library's invariant checks.
+- ``estimate``    fit a single dataset read from CSV.
 
 Every value may come from a flag, from an INI-style config file (section
 named after the subcommand; flags win), or from its default.  One option
@@ -17,7 +16,6 @@ Exit codes: 0 success, 2 usage error, 1 runtime failure.
 """
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -94,14 +92,12 @@ def parse_link(text):
 
 
 def write_records(path, records, fields):
-    """Write homogeneous records as CSV: header first, floats at 17 digits.
+    """Write dataclass records as CSV: header first, floats at 17 digits.
 
-    Records are dataclass instances or sequences already in column order;
-    ``fields`` names the columns in order.
+    ``fields`` names the attributes to write, in column order.
     """
-    rows = [[getattr(rec, f) for f in fields] if dataclasses.is_dataclass(rec) else rec for rec in records]
     try:
-        write_table(path, fields, [[r[i] for r in rows] for i in range(len(fields))])
+        write_table(path, fields, [[getattr(rec, f) for rec in records] for f in fields])
     except OSError as exc:
         raise RuntimeError("failed writing %s: %s" % (path, exc))
 
@@ -259,7 +255,6 @@ def _build_parser():
         p.add_argument("--config", help="INI config file; section per subcommand, flags win")
         for flag, opt in {**_COMMON, **_OPTIONS[cmd]}.items():
             p.add_argument("--" + flag, type=opt.type, choices=opt.choices, help=opt.help)
-    sub.add_parser("selftest", help="run library invariant checks (takes no options)")
     return parser
 
 
@@ -400,10 +395,6 @@ def run(argv):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.cmd == "selftest":  # takes no option and writes nothing
-            from .selftest import run_selftest
-
-            return 0 if run_selftest() == 0 else 1
         return _DISPATCH[args.cmd](_resolve(args, _load_ini(args.config), args.cmd))
     except Exception as exc:  # noqa: BLE001 - boundary: report, signal failure
         print("error: %s" % exc, file=sys.stderr)

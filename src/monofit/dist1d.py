@@ -1,4 +1,4 @@
-"""One-dimensional distributions, generalized inverses, and Wasserstein distances.
+"""One-dimensional distributions, monotone step functions, and Wasserstein distances.
 
 Everything here is exact or grid-exact arithmetic on sorted samples and
 tabulated CDFs; no randomness, no fitting.  These are the primitives the
@@ -13,7 +13,6 @@ __all__ = [
     "EmpiricalMeasure",
     "TabulatedDistribution",
     "MonotoneStepFn",
-    "generalized_inverse",
     "w1_empirical",
     "w1_cdf_area",
     "w2_empirical",
@@ -142,7 +141,7 @@ class MonotoneStepFn:
 
     def __call__(self, x):
         x_arr = np.asarray(x, dtype=float)
-        if np.any((x_arr < 0.0) | (x_arr > 1.0)):
+        if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
             raise ValueError("step function domain is [0, 1]")
         # side="left": first knot >= x, which indexes the half-open cell
         # (knots[i-1], knots[i]] containing x; this is what makes the
@@ -150,26 +149,6 @@ class MonotoneStepFn:
         idx = np.searchsorted(self.knots, x_arr, side="left")
         out = self.values[np.minimum(idx, self.knots.size - 1)]
         return out if np.ndim(x) else float(out)
-
-
-def generalized_inverse(m, x):
-    """sup{t in [0, 1] : m(t) <= x}, with the sup of an empty set taken as 0.
-
-    Total on all reals; satisfies m(t) <= x iff t <= generalized_inverse(m, x)
-    for every t in (0, 1].
-
-    Parameters
-    ----------
-    m : MonotoneStepFn
-    x : float or array_like
-    """
-    x_arr = np.asarray(x, dtype=float)
-    j = np.searchsorted(m.values, x_arr, side="right")
-    # j counts values <= x; the level set is then [0, knots[j-1]], all of
-    # [0, 1] when every value qualifies, and empty when none does.
-    inner = m.knots[np.minimum(np.maximum(j - 1, 0), m.knots.size - 1)]
-    out = np.where(j == 0, 0.0, np.where(j == m.values.size, 1.0, inner))
-    return out if np.ndim(x) else float(out)
 
 
 def w1_empirical(a, b):

@@ -32,7 +32,6 @@ __all__ = [
     "rng_stream",
     "derive_seed",
     "noise_charfn",
-    "sample_noise",
     "eval_link",
     "link_cdf",
     "identity_link",
@@ -104,11 +103,6 @@ def noise_charfn(t):
     t_arr = np.asarray(t, dtype=float)
     out = np.exp(-0.5 * t_arr * t_arr)
     return out if np.ndim(t) else float(out)
-
-
-def sample_noise(spec, n, rng):
-    """Draw n centered unit-variance noise values."""
-    return rng.standard_normal(n)
 
 
 _LINK_KINDS = ("identity", "affine", "cube", "step", "unbounded_tail")
@@ -211,7 +205,7 @@ def link_catalog(n):
 def eval_link(spec, x):
     """Evaluate a catalog link at x in [0, 1]; nondecreasing in x."""
     x_arr = np.asarray(x, dtype=float)
-    if np.any((x_arr < 0.0) | (x_arr > 1.0)):
+    if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
         raise ValueError("link domain is [0, 1]")
     out = _link_values(spec, x_arr, np.empty_like(x_arr))
     return out if np.ndim(x) else float(out)
@@ -340,6 +334,9 @@ def sample_dataset(mode, n, link, noise, sigma, seed):
     - unlinked: "x" for the observed covariates, "latent" for the hidden
       covariates behind y, "noise" for delta (disjoint draws);
     - deconv: "latent" and "noise" only.
+
+    ``noise`` is a :class:`NoiseSpec`, whose one family is the standard
+    Gaussian that the "noise" stream draws.
     """
     if mode not in _MODES:
         raise ValueError("unknown mode: %r" % (mode,))
@@ -349,7 +346,7 @@ def sample_dataset(mode, n, link, noise, sigma, seed):
     sigma = check_sigma(sigma)
     x = None if mode == "deconv" else np.sort(rng_stream(seed, "x").random(n))
     x_latent = x if mode == "shuffled" else rng_stream(seed, "latent").random(n)
-    y = eval_link(link, x_latent) + sigma * sample_noise(noise, n, rng_stream(seed, "noise"))
+    y = eval_link(link, x_latent) + sigma * rng_stream(seed, "noise").standard_normal(n)
     if mode == "shuffled":
         y = y[rng_stream(seed, "perm").permutation(n)]
     return Dataset(mode, x, y, sigma)

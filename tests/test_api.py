@@ -48,7 +48,7 @@ def test_cli_import_and_deconvolution_load_no_scipy(tmp_path):
             ["rates", "--problem", "deconv", "--sigma-rule", "constant:0.1", "--n-grid", "100,200", "--reps", "1"],
             ["estimate", "--data", out + "/data.csv", "--sigma", "0.1"],
         ]
-        codes = [cli.run([*argv, "--out", out]) for argv in argvs] + [cli.run(["selftest"])]
+        codes = [cli.run([*argv, "--out", out]) for argv in argvs]
         link = synth.link_catalog(200)["unbounded_tail"]
         records = experiments.rate_sweep(
             "shuffled", (100, 200), "below-root", 1, 5, link=link, risk_kinds=("population_L1",)
@@ -62,7 +62,7 @@ def test_cli_import_and_deconvolution_load_no_scipy(tmp_path):
         [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 def _bindings():

@@ -1,9 +1,8 @@
 """Tests for monofit.dist1d.
 
 Oracles used here are deliberately independent of the implementation:
-brute-force enumeration over all assignment couplings for W1/W2, a dense
-grid for the sup defining the generalized inverse, and closed-form CDF
-areas for tabulated distances.
+brute-force enumeration over all assignment couplings for W1/W2 and
+closed-form CDF areas for tabulated distances.
 """
 
 import itertools
@@ -19,7 +18,6 @@ from monofit.dist1d import (
     EmpiricalMeasure,
     MonotoneStepFn,
     TabulatedDistribution,
-    generalized_inverse,
     quantile,
     w1_cdf_area,
     w1_empirical,
@@ -36,13 +34,6 @@ def coupling_oracle(a, b, power):
         cost = sum(abs(a[i] - b[perm[i]]) ** power for i in range(n)) / n
         best = min(best, cost)
     return best
-
-
-def sup_oracle(m, x, grid):
-    """Evaluate sup{t : m(t) <= x} on a dense grid."""
-    vals = m(grid)
-    mask = vals <= x
-    return float(grid[mask].max()) if mask.any() else 0.0
 
 
 samples = st.lists(
@@ -101,53 +92,8 @@ class TestMonotoneStepFn:
         m = MonotoneStepFn([0.5], [0.0])
         with pytest.raises(ValueError):
             m(1.5)
-
-
-class TestGeneralizedInverse:
-    def test_identity_like_step(self):
-        knots = np.linspace(1e-4, 1.0, 10000)
-        m = MonotoneStepFn(knots, knots)
-        assert abs(generalized_inverse(m, 0.5) - 0.5) <= 2e-4
-
-    def test_empty_set_gives_zero(self):
-        m = MonotoneStepFn([0.5, 1.0], [1.0, 2.0])
-        assert generalized_inverse(m, 0.5) == 0.0
-
-    def test_half_step(self):
-        m = MonotoneStepFn([0.5, 1.0], [0.0, 1.0])
-        assert generalized_inverse(m, 0.0) == 0.5
-
-    def test_all_values_below_gives_one(self):
-        m = MonotoneStepFn([0.3, 0.7], [-1.0, 0.0])
-        assert generalized_inverse(m, 5.0) == 1.0
-
-    def test_against_dense_grid_oracle(self):
-        rng = np.random.default_rng(7)
-        grid = np.linspace(0.0, 1.0, 40001)
-        for _ in range(30):
-            k = rng.integers(1, 8)
-            knots = np.sort(rng.random(k))
-            knots = np.unique(np.maximum(knots, 1e-6))
-            values = np.sort(rng.normal(size=knots.size))
-            m = MonotoneStepFn(knots, values)
-            for x in rng.normal(size=6):
-                got = generalized_inverse(m, x)
-                want = sup_oracle(m, x, grid)
-                assert abs(got - want) <= 1.0 / 40000 + 1e-12
-
-    def test_level_set_equivalence(self):
-        # m(t) <= x iff t <= m^{-1}(x), for t != 0
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            k = int(rng.integers(1, 6))
-            knots = np.unique(np.maximum(np.sort(rng.random(k)), 1e-6))
-            values = np.sort(rng.normal(size=knots.size))
-            m = MonotoneStepFn(knots, values)
-            ts = rng.uniform(1e-9, 1.0, size=8)
-            for x in np.concatenate([rng.normal(size=4), values]):
-                inv = generalized_inverse(m, x)
-                for t in ts:
-                    assert (m(t) <= x) == (t <= inv)
+        with pytest.raises(ValueError, match="domain"):
+            m(np.nan)
 
 
 class TestW1Empirical:

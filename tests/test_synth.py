@@ -23,7 +23,6 @@ from monofit.synth import (
     noise_charfn,
     rng_stream,
     sample_dataset,
-    sample_noise,
     step_link,
     unbounded_tail_link,
 )
@@ -47,7 +46,7 @@ class TestNoiseSpec:
     def test_sample_moments(self):
         # centered, unit variance, within 5 standard errors
         n = 200_000
-        draws = sample_noise(NoiseSpec(), n, rng_stream(4, "noise"))
+        draws = sample_dataset("deconv", n, affine_link(0.0, 0.0), NoiseSpec(), 1.0, seed=4).y
         se_mean = 1.0 / math.sqrt(n)
         assert abs(draws.mean()) < 5 * se_mean
         se_var = math.sqrt(2.0 / n)
@@ -89,7 +88,7 @@ class TestLinkSpec:
             eval_link(identity_link(), 1.2)
 
     @pytest.mark.parametrize("name", sorted(link_catalog(3)))
-    @pytest.mark.parametrize("x", [-1e-300, -0.5, np.nextafter(1.0, 2.0), 1.2, np.inf])
+    @pytest.mark.parametrize("x", [-1e-300, -0.5, np.nextafter(1.0, 2.0), 1.2, np.inf, np.nan])
     def test_domain_error_scalar_and_array(self, name, x):
         link = link_catalog(1000)[name]
         with pytest.raises(ValueError, match="domain"):
