@@ -46,8 +46,6 @@ from .synth import (
 
 __all__ = ["main", "run", "write_records", "render_plot", "parse_link"]
 
-WORKERS_ENV = "MONOFIT_WORKERS"
-
 
 def _float_list(text):
     return tuple(float(v) for v in text.split(",") if v.strip() != "")
@@ -224,7 +222,7 @@ _OPTIONS = {
         "reps": _Option(int, None, "occupancy draws per sample size"),
         "c": _Option(float, None, "constant c of the occupancy product"),
         "C-list": _Option(_float_list, None, "comma-separated C values, one plot each"),
-        "workers": _Option(int, None, "process count (default: $%s or 1)" % WORKERS_ENV),
+        "workers": _Option(int, 1, "process count (default 1)"),
     },
     "rates": {
         "problem": _Option(str, "shuffled", "estimation problem", ("shuffled", "unlinked", "deconv")),
@@ -304,25 +302,9 @@ def _load_ini(path):
     return ini
 
 
-def _default_workers():
-    """Worker count from $MONOFIT_WORKERS: unset or empty means 1."""
-    raw = os.environ.get(WORKERS_ENV)
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError("$%s must be a positive integer, got %r" % (WORKERS_ENV, raw))
-    return workers
-
-
 def _cmd_conjecture(opts):
     out = opts.pop("out")
     workers = opts.pop("workers")
-    if workers is None:
-        workers = _default_workers()
     # unset options take ConjectureConfig's defaults
     cfg = ConjectureConfig(**{k: v for k, v in opts.items() if v is not None})
     plots = ["conjecture_C%g.svg" % C for C in cfg.C_list]

@@ -60,7 +60,7 @@ class EmpiricalMeasure:
     def quantile(self, u):
         """Atom at level u: ``atoms[i-1]`` for u in ((i-1)/n, i/n], 1-based i."""
         u_arr = np.asarray(u, dtype=float)
-        if np.any((u_arr <= 0.0) | (u_arr > 1.0)):
+        if not np.all((u_arr > 0.0) & (u_arr <= 1.0)):
             raise ValueError("quantile level must lie in (0, 1]")
         idx = np.ceil(u_arr * self.n).astype(int) - 1
         out = self.atoms[np.clip(idx, 0, self.n - 1)]
@@ -130,6 +130,8 @@ class MonotoneStepFn:
         values = np.asarray(self.values, dtype=float)
         if knots.ndim != 1 or knots.size < 1 or knots.shape != values.shape:
             raise ValueError("knots and values must be 1-d of equal nonzero length")
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+            raise ValueError("knots and values must be finite")
         if np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing")
         if knots[0] < 0.0 or knots[-1] > 1.0:
@@ -212,7 +214,7 @@ def quantile(d, u):
     u : float or array_like in (0, 1)
     """
     u_arr = np.asarray(u, dtype=float)
-    if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
+    if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
         raise ValueError("quantile level must lie strictly inside (0, 1)")
     xs = d.grid
     cdf = d.cdf

@@ -227,11 +227,10 @@ def risk_empirical(mhat, m0, xs):
     return float(np.mean(np.abs(mhat(xs) - m0(xs))))
 
 
-def risk_population(mhat, m0, mu_x=None):
-    """integral of |mhat - m0| against the design law on [0, 1].
+def risk_population(mhat, m0):
+    """integral of |mhat - m0| over the Uniform[0, 1] design.
 
-    ``m0`` is a :class:`LinkSpec`; ``mu_x`` is the design density as a
-    callable (None means Uniform[0,1]).  The integral is split at the knots
+    ``m0`` is a :class:`LinkSpec`.  The integral is split at the knots
     of ``mhat`` and the jumps of ``m0``.  On a piece (a, b] where mhat = v,
     m0 - v changes sign at clip(link_cdf(m0, v), a, b), as link_cdf is
     Leb{m0 <= v}; each side gets 64-point Gauss-Legendre, evaluated one
@@ -269,44 +268,46 @@ def risk_population(mhat, m0, mu_x=None):
         _link_values(m0, xs, vals)
         np.subtract(v, vals, out=vals)
         np.abs(vals, out=vals)
-        if mu_x is not None:
-            vals *= np.asarray(mu_x(xs), dtype=float)
         vals *= weight
         acc += vals
     acc *= half
     return float(acc.sum())
 
 
-_PRESETS = ("below-root", "root-log-small", "root-log-large", "intermediate", "fixed")
+def _regime_edges(n):
+    """Cut points of the five noise regimes at n; regime k is (edges[k], edges[k + 1]]."""
+    log_n = math.log(n)
+    root = n**-0.5
+    return (0.0, root, root * log_n**REGIME_ETA, root * log_n**(1.0 / REGIME_BETA), n**(-0.5 + REGIME_ETA), 1.0)
+
+
+# sigma_n(n, log n, n^{-1/2}) of each preset, in regime order: the geometric
+# mean of its range's ends, or a fixed representative in the outer two
+_PRESETS = {
+    "below-root": lambda n, log_n, root: 0.1 * n**-0.6,
+    "root-log-small": lambda n, log_n, root: root * log_n**(REGIME_ETA / 2.0),
+    "root-log-large": lambda n, log_n, root: root * log_n**((REGIME_ETA + 1.0 / REGIME_BETA) / 2.0),
+    "intermediate": lambda n, log_n, root: math.sqrt(root * log_n**(1.0 / REGIME_BETA) * n**(-0.5 + REGIME_ETA)),
+    "fixed": lambda n, log_n, root: 0.5,
+}
 
 
 @dataclass(frozen=True)
 class SigmaRule:
     """Noise scale as a function of n: a constant, a power, or a regime preset.
 
-    Presets pin sigma_n inside one of the five ranges that partition the
-    noise scales (with eta = 0.2, beta = 2):
-
-    - ``below-root``      0.1 n^{-0.6}             in (0, n^{-1/2}]
-    - ``root-log-small``  n^{-1/2} (log n)^{0.1}   in (n^{-1/2}, n^{-1/2} (log n)^{0.2}]
-    - ``root-log-large``  n^{-1/2} (log n)^{0.35}  in (n^{-1/2} (log n)^{0.2}, n^{-1/2} (log n)^{0.5}]
-    - ``intermediate``    n^{-0.4} (log n)^{0.25}  in (n^{-1/2} (log n)^{0.5}, n^{-0.3}]
-    - ``fixed``           0.5                      in (n^{-0.3}, 1]
-
-    each placed at the geometric mean of its range endpoints (rows 2-4) or
-    at a fixed representative (rows 1 and 5).
+    ``constant:s`` gives s and ``power:k`` gives n^{-k}, for finite s, k > 0.
+    A preset's formula in ``_PRESETS`` puts sigma_n in its own range of
+    ``_regime_edges``, which :meth:`check` verifies at n.
     """
 
     kind: str
     param: float = 0.0
 
     def __post_init__(self):
-        if self.kind == "constant":
-            if self.param <= 0:
-                raise ValueError("constant sigma must be positive")
-        elif self.kind == "power":
-            if self.param <= 0:
-                raise ValueError("power exponent must be positive")
+        if self.kind in ("constant", "power"):
+            if not (math.isfinite(self.param) and self.param > 0):
+                raise ValueError("%s rule needs a finite positive parameter, got %r" % (self.kind, self.param))
         elif self.kind not in _PRESETS:
             raise ValueError("unknown sigma rule: %r" % (self.kind,))
 
@@ -316,34 +317,14 @@ class SigmaRule:
             return self.param
         if self.kind == "power":
             return float(n) ** -self.param
-        log_n = math.log(n)
-        root = n**-0.5
-        if self.kind == "below-root":
-            return 0.1 * n**-0.6
-        if self.kind == "root-log-small":
-            return root * log_n**(REGIME_ETA / 2.0)
-        if self.kind == "root-log-large":
-            return root * log_n**((REGIME_ETA + 1.0 / REGIME_BETA) / 2.0)
-        if self.kind == "intermediate":
-            return math.sqrt(root * log_n**(1.0 / REGIME_BETA) * n**(-0.5 + REGIME_ETA))
-        return 0.5
+        return _PRESETS[self.kind](n, math.log(n), n**-0.5)
 
     def range_at(self, n):
         """(lo, hi] bounds of the preset's regime; None for parametric rules."""
         if self.kind in ("constant", "power"):
             return None
-        n = int(n)
-        log_n = math.log(n)
-        root = n**-0.5
-        if self.kind == "below-root":
-            return (0.0, root)
-        if self.kind == "root-log-small":
-            return (root, root * log_n**REGIME_ETA)
-        if self.kind == "root-log-large":
-            return (root * log_n**REGIME_ETA, root * log_n**(1.0 / REGIME_BETA))
-        if self.kind == "intermediate":
-            return (root * log_n**(1.0 / REGIME_BETA), n**(-0.5 + REGIME_ETA))
-        return (n**(-0.5 + REGIME_ETA), 1.0)
+        k = list(_PRESETS).index(self.kind)
+        return _regime_edges(int(n))[k : k + 2]
 
     def check(self, n):
         """Raise if the preset's sigma falls outside its own regime at n."""

@@ -164,7 +164,8 @@ def stepfn_from_csv(path):
     """Read a step function written by :func:`stepfn_to_csv`.
 
     Returns (MonotoneStepFn, metadata dict with keys n, sigma, eta,
-    projected).
+    projected).  Knots or values that :class:`MonotoneStepFn` refuses
+    (a NaN among them) are refused with a ValueError naming ``path``.
     """
     meta, cols = read_columns(path, {"knot": float, "value": float})
     for key in ("n", "sigma", "eta", "projected"):
@@ -176,4 +177,7 @@ def stepfn_from_csv(path):
         "eta": float(meta["eta"]),
         "projected": bool(int(meta["projected"])),
     }
-    return MonotoneStepFn(cols["knot"], cols["value"]), out
+    try:
+        return MonotoneStepFn(cols["knot"], cols["value"]), out
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None

@@ -73,21 +73,7 @@ def derive_seed(seed, *tags):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Supersmooth noise family: charfn decaying like exp(-|t|^beta / gamma2).
-
-    Only the Gaussian member is implemented; it pins beta = 2 and gamma2 = 2
-    since exp(-t^2/2) = exp(-|t|^2 / 2).
-    """
-
-    family: str = "gaussian"
-    beta: float = 2.0
-    gamma2: float = 2.0
-
-    def __post_init__(self):
-        if self.family != "gaussian":
-            raise ValueError("unsupported noise family: %r" % (self.family,))
-        if self.beta != 2.0 or self.gamma2 != 2.0:
-            raise ValueError("gaussian noise fixes beta = 2 and gamma2 = 2")
+    """The standard Gaussian noise; it has no fields, so no other family can be asked for."""
 
 
 def check_sigma(sigma):
@@ -335,8 +321,8 @@ def sample_dataset(mode, n, link, noise, sigma, seed):
       covariates behind y, "noise" for delta (disjoint draws);
     - deconv: "latent" and "noise" only.
 
-    ``noise`` is a :class:`NoiseSpec`, whose one family is the standard
-    Gaussian that the "noise" stream draws.
+    ``noise`` is a :class:`NoiseSpec`, which is not read: the "noise"
+    stream always draws the standard Gaussian.
     """
     if mode not in _MODES:
         raise ValueError("unknown mode: %r" % (mode,))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from monofit import cli
-from monofit.cli import _default_workers, parse_link, render_plot, run, write_records
+from monofit.cli import parse_link, render_plot, run, write_records
 from monofit.experiments import ConjectureConfig, ConjectureRow
 from monofit.deconv import estimate_cdf
 from monofit.regress import fit_shuffled, fit_unlinked, stepfn_from_csv
@@ -42,18 +42,18 @@ class TestExitCodes:
         assert "error:" in err
 
     @pytest.mark.parametrize(
-        "argv, workers",
+        "argv",
         [
-            (["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--reps", "1"], "two"),
-            (["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--c", "nan"], "1"),
-            (["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--C-list", "1,1"], "1"),
-            (["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--C-list", "1,1.0000001"], "1"),
-            (["rates", "--sigma-rule", "junk", "--n-grid", "100", "--reps", "1"], "1"),
-            (["estimate"], "1"),
+            ["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--c", "nan"],
+            ["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--C-list", "1,1"],
+            ["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--C-list", "1,1.0000001"],
+            ["rates", "--sigma-rule", "junk", "--n-grid", "100", "--reps", "1"],
+            ["estimate"],
+            # n**-inf = 0 would run a noiseless sweep and fail only at the slope fit
+            ["rates", "--sigma-rule", "power:inf", "--n-grid", "100,1000", "--reps", "1"],
         ],
     )
-    def test_refused_run_creates_no_out_directory(self, argv, workers, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MONOFIT_WORKERS", workers)
+    def test_refused_run_creates_no_out_directory(self, argv, tmp_path, capsys):
         out = tmp_path / "x" / "y"
         assert run([*argv, "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
@@ -108,7 +108,8 @@ class TestOptionTable:
             return [ConjectureRow(n=100, C=C, mean=0.5, stderr=0.0) for C in cfg.C_list]
 
         monkeypatch.setattr(cli, "conjecture_sweep", fake_sweep)
-        monkeypatch.delenv("MONOFIT_WORKERS", raising=False)
+        # the option table alone sets the worker count; no environment variable is read
+        monkeypatch.setenv("MONOFIT_WORKERS", "3")
         monkeypatch.chdir(tmp_path)
         assert run(["conjecture"]) == 0
         capsys.readouterr()
@@ -367,19 +368,3 @@ class TestHelpers:
         monkeypatch.setattr(cli, "rate_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
         assert run(["rates", "--link", "step:1,nan", "--out", str(tmp_path)]) == 1
         assert "'step:1,nan'" in capsys.readouterr().err
-
-    def test_default_workers_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("MONOFIT_WORKERS", raising=False)
-        assert _default_workers() == 1
-        monkeypatch.setenv("MONOFIT_WORKERS", "")
-        assert _default_workers() == 1
-        monkeypatch.setenv("MONOFIT_WORKERS", "3")
-        assert _default_workers() == 3
-        argv = ["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--reps", "1"]
-        for bad in ("two", " ", "0", "-2", "1.5"):
-            monkeypatch.setenv("MONOFIT_WORKERS", bad)
-            with pytest.raises(ValueError, match="MONOFIT_WORKERS"):
-                _default_workers()
-            assert run([*argv, "--out", str(tmp_path)]) == 1
-            assert "MONOFIT_WORKERS" in capsys.readouterr().err
-            assert not list(tmp_path.iterdir())

@@ -64,8 +64,9 @@ class TestEmpiricalMeasure:
         assert m.quantile(0.25) == 10.0
         assert m.quantile(0.2500001) == 20.0
         assert m.quantile(1.0) == 40.0
-        with pytest.raises(ValueError):
-            m.quantile(0.0)
+        for u in (0.0, np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError):
+                m.quantile(u)
 
 
 class TestMonotoneStepFn:
@@ -76,6 +77,9 @@ class TestMonotoneStepFn:
             MonotoneStepFn([0.2, 0.8], [1.0, 0.0])
         with pytest.raises(ValueError):
             MonotoneStepFn([0.2, 1.5], [0.0, 1.0])
+        for knots, values in (([np.nan], [0.0]), ([0.5], [np.nan]), ([0.5, 1.0], [-np.inf, 0.0])):
+            with pytest.raises(ValueError, match="finite"):
+                MonotoneStepFn(knots, values)
 
     def test_left_continuous_evaluation(self):
         m = MonotoneStepFn([0.5, 1.0], [0.0, 1.0])
@@ -265,7 +269,7 @@ class TestQuantile:
 
     def test_rejects_out_of_range(self):
         d = TabulatedDistribution.from_callable(lambda x: np.clip(x, 0, 1), -0.5, 1.5, 64)
-        for u in (0.0, 1.0, -0.2, 1.3):
+        for u in (0.0, 1.0, -0.2, 1.3, np.nan, [0.5, np.nan]):
             with pytest.raises(ValueError):
                 quantile(d, u)
 

@@ -48,7 +48,7 @@ from monofit.synth import (
 CATALOG_NAMES = sorted(link_catalog(3))
 
 
-def risk_quad(mhat, m0, mu_x=None):
+def risk_quad(mhat, m0):
     """Population L1 risk by scipy quad, independent of the library's solver.
 
     Pieces end at the knots of mhat and the jumps of m0; brentq locates the
@@ -60,8 +60,7 @@ def risk_quad(mhat, m0, mu_x=None):
     from scipy.optimize import brentq
 
     def f(x):
-        val = abs(float(mhat(x)) - float(m0(x)))
-        return val * float(mu_x(x)) if mu_x is not None else val
+        return abs(float(mhat(x)) - float(m0(x)))
 
     def panel(lo, hi):
         if not hi > lo:
@@ -94,7 +93,7 @@ def risk_quad(mhat, m0, mu_x=None):
     return total
 
 
-def risk_population_loop(mhat, m0, mu_x=None):
+def risk_population_loop(mhat, m0):
     """The quadrature of risk_population as one eval_link call per node.
 
     Edges by np.unique, then the library's panels, node order and per-node
@@ -120,10 +119,41 @@ def risk_population_loop(mhat, m0, mu_x=None):
     for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
         xs = half * node + mid
         vals = np.abs(v - eval_link(m0, xs))
-        if mu_x is not None:
-            vals *= np.asarray(mu_x(xs), dtype=float)
         acc += weight * vals
     return float((acc * half).sum())
+
+
+PRESET_NAMES = ("below-root", "root-log-small", "root-log-large", "intermediate", "fixed")
+
+
+def sigma_chain(kind, n):
+    """A preset's sigma_n, as one if-chain over the presets (eta = 0.2, beta = 2)."""
+    log_n = math.log(n)
+    root = n**-0.5
+    if kind == "below-root":
+        return 0.1 * n**-0.6
+    if kind == "root-log-small":
+        return root * log_n**(0.2 / 2.0)
+    if kind == "root-log-large":
+        return root * log_n**((0.2 + 1.0 / 2.0) / 2.0)
+    if kind == "intermediate":
+        return math.sqrt(root * log_n**(1.0 / 2.0) * n**(-0.5 + 0.2))
+    return 0.5
+
+
+def range_chain(kind, n):
+    """The (lo, hi] bounds of a preset's regime, as a second if-chain."""
+    log_n = math.log(n)
+    root = n**-0.5
+    if kind == "below-root":
+        return (0.0, root)
+    if kind == "root-log-small":
+        return (root, root * log_n**0.2)
+    if kind == "root-log-large":
+        return (root * log_n**0.2, root * log_n**(1.0 / 2.0))
+    if kind == "intermediate":
+        return (root * log_n**(1.0 / 2.0), n**(-0.5 + 0.2))
+    return (n**(-0.5 + 0.2), 1.0)
 
 
 @st.composite
@@ -361,12 +391,11 @@ class TestRisks:
         mzero = MonotoneStepFn(np.array([1.0]), np.array([0.0]))
         assert risk_population(mzero, ub) == pytest.approx(risk_quad(mzero, ub), rel=1e-12)
 
-    @given(name=st.sampled_from(CATALOG_NAMES), n=st.integers(3, 10**6), mhat=step_fits(), dens=st.booleans())
+    @given(name=st.sampled_from(CATALOG_NAMES), n=st.integers(3, 10**6), mhat=step_fits())
     @settings(max_examples=60, deadline=None)
-    def test_population_matches_quad_oracle(self, name, n, mhat, dens):
+    def test_population_matches_quad_oracle(self, name, n, mhat):
         m0 = link_catalog(n)[name]
-        mu_x = (lambda x: 0.5 + x) if dens else None
-        assert risk_population(mhat, m0, mu_x) == pytest.approx(risk_quad(mhat, m0, mu_x), rel=1e-12)
+        assert risk_population(mhat, m0) == pytest.approx(risk_quad(mhat, m0), rel=1e-12)
 
     @given(
         name=st.sampled_from(CATALOG_NAMES),
@@ -375,12 +404,11 @@ class TestRisks:
         seed=st.integers(0, 2**32 - 1),
         shared=st.booleans(),
         zero=st.sampled_from([None, 0.0, -0.0]),
-        dens=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    @example(name="step", n=3, k=1, seed=0, shared=True, zero=-0.0, dens=False)
-    @example(name="unbounded_tail", n=10**6, k=20_000, seed=1, shared=True, zero=0.0, dens=True)
-    def test_population_is_the_eval_link_loop_bit_for_bit(self, name, n, k, seed, shared, zero, dens):
+    @example(name="step", n=3, k=1, seed=0, shared=True, zero=-0.0)
+    @example(name="unbounded_tail", n=10**6, k=20_000, seed=1, shared=True, zero=0.0)
+    def test_population_is_the_eval_link_loop_bit_for_bit(self, name, n, k, seed, shared, zero):
         # random knots, optionally also on the links' own edges (shared with
         # [0, 1], the step jumps and the tail refinement) and at a signed zero
         m0 = link_catalog(n)[name]
@@ -393,9 +421,7 @@ class TestRisks:
             knots = np.concatenate(([zero], knots))
         values = np.sort(rng.uniform(-8.0, 4.0, knots.size))
         mhat = MonotoneStepFn(knots, values)
-        mu_x = (lambda x: 0.5 + x) if dens else None
-        got = risk_population(mhat, m0, mu_x)
-        assert got.hex() == risk_population_loop(mhat, m0, mu_x).hex()
+        assert risk_population(mhat, m0).hex() == risk_population_loop(mhat, m0).hex()
 
     def test_population_risk_does_not_depend_on_blas_threads(self):
         # a threaded BLAS dot product splits the panel sum by thread; at
@@ -431,12 +457,6 @@ class TestRisks:
         with pytest.raises(TypeError, match="LinkSpec"):
             risk_population(mzero, lambda x: x)
 
-    def test_population_custom_density(self):
-        # density 2x on [0,1], mhat = 0, m0 = identity: int 2x^2 = 2/3
-        mzero = MonotoneStepFn(np.array([1.0]), np.array([0.0]))
-        val = risk_population(mzero, identity_link(), mu_x=lambda x: 2.0 * x)
-        assert val == pytest.approx(2.0 / 3.0, rel=1e-9)
-
 
 class TestSigmaRule:
     def test_parse_forms(self):
@@ -453,15 +473,33 @@ class TestSigmaRule:
             parse_sigma_rule("constant:-1")
         with pytest.raises(ValueError):
             parse_sigma_rule("bogus:3")
+        # "<= 0" alone passes both: NaN compares false, and n**-inf = 0
+        for text in ("constant:nan", "constant:inf", "power:nan", "power:inf"):
+            with pytest.raises(ValueError, match="finite positive"):
+                parse_sigma_rule(text)
 
     def test_presets_stay_in_regime(self):
         grid = ConjectureConfig().n_grid
-        for name in ("below-root", "root-log-small", "root-log-large", "intermediate", "fixed"):
+        for name in PRESET_NAMES:
             rule = parse_sigma_rule(name)
             for n in grid:
                 rule.check(int(n))
                 lo, hi = rule.range_at(int(n))
                 assert lo < rule.sigma(int(n)) <= hi
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_match_the_if_chains_bit_for_bit(self, name):
+        rule = SigmaRule(name)
+        for n in [*range(2, 3001), *(10**k for k in range(4, 10))]:
+            assert rule.sigma(n).hex() == sigma_chain(name, n).hex()
+            assert [v.hex() for v in rule.range_at(n)] == [v.hex() for v in range_chain(name, n)]
+            lo, hi = range_chain(name, n)
+            try:
+                rule.check(n)
+            except ValueError:
+                assert not lo < sigma_chain(name, n) <= hi
+            else:
+                assert lo < sigma_chain(name, n) <= hi
 
     def test_preset_out_of_regime_raises(self):
         # the fixed preset needs n^{-0.3} < 0.5, i.e. n >= 11

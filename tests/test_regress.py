@@ -456,3 +456,10 @@ class TestStepfnCsv:
         with pytest.raises(ValueError) as refused:
             stepfn_from_csv(path)
         assert str(refused.value) == "%s: line 7: expected 2 cells, found 1: '1.0'" % path
+
+    def test_nan_row_refused_with_the_file_name(self, tmp_path):
+        path = tmp_path / "fit.csv"
+        path.write_text("# n=1\n# sigma=0\n# eta=0\n# projected=0\nknot,value\nnan,0\n")
+        with pytest.raises(ValueError) as refused:
+            stepfn_from_csv(path)
+        assert str(refused.value) == "%s: knots and values must be finite" % path

@@ -29,13 +29,14 @@ from monofit.synth import (
 
 
 class TestNoiseSpec:
-    def test_gaussian_locks_decay_parameters(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(beta=1.5)
-        with pytest.raises(ValueError):
-            NoiseSpec(gamma2=1.0)
-        with pytest.raises(ValueError):
-            NoiseSpec(family="cauchy")
+    def test_takes_no_arguments(self):
+        # Gaussian is the one family, so a request for any other is refused
+        NoiseSpec()
+        for kwargs in ({"family": "cauchy"}, {"family": "gaussian"}, {"beta": 1.5}, {"gamma2": 1.0}):
+            with pytest.raises(TypeError):
+                NoiseSpec(**kwargs)
+        with pytest.raises(TypeError):
+            NoiseSpec("gaussian")
 
     def test_charfn_values(self):
         assert noise_charfn(0.0) == 1.0
