@@ -35,14 +35,8 @@ from .experiments import (
     rate_sweep,
 )
 from .regress import fit_shuffled, fit_unlinked, stepfn_to_csv
-from .synth import (
-    affine_link,
-    cube_link,
-    dataset_from_csv,
-    identity_link,
-    step_link,
-    unbounded_tail_link,
-)
+from .synth import LinkSpec, dataset_from_csv
+from .synth import _LINK_PARAMS
 
 __all__ = ["main", "run", "write_records", "render_plot", "parse_link"]
 
@@ -55,36 +49,21 @@ def _int_list(text):
     return tuple(int(v) for v in text.split(",") if v.strip() != "")
 
 
-# parameter count of each link form; None takes any nonzero count
-_LINK_PARAMS = {"identity": 0, "cube": 0, "affine": 2, "step": None, "unbounded-tail": 4}
-
-
 def parse_link(text):
     """Parse a link description: a catalog name or name:params.
 
     Accepted forms: ``identity``, ``cube``, ``affine:slope,offset``,
-    ``step:v1,v2,...``, ``unbounded-tail:eps,a,scale,n``.  A wrong
-    parameter count, a non-finite parameter or a fractional n is refused
-    with a message quoting ``text``.
+    ``step:v1,v2,...``, ``unbounded-tail:eps,a,scale,n``.  Whatever
+    :class:`LinkSpec` refuses (a wrong parameter count, a fractional n, a
+    non-finite parameter) is refused with a message quoting ``text``.
     """
     text = text.strip()
     name, _, arg = text.partition(":")
-    if name not in _LINK_PARAMS:
+    kind = name.replace("-", "_")
+    if "_" in name or kind not in _LINK_PARAMS:
         raise ValueError("unknown link: %r" % (text,))
     try:
-        params = _float_list(arg)
-        count = _LINK_PARAMS[name]
-        if count is not None and len(params) != count:
-            raise ValueError("%s takes %d parameters, got %d" % (name, count, len(params)))
-        if name == "affine":
-            return affine_link(*params)
-        if name == "step":
-            return step_link(params)
-        if name == "unbounded-tail":
-            if not params[3].is_integer():
-                raise ValueError("the sample size n must be an integer")
-            return unbounded_tail_link(*params[:3], int(params[3]))
-        return identity_link() if name == "identity" else cube_link()
+        return LinkSpec(kind, _float_list(arg))
     except ValueError as exc:
         raise ValueError("link %r: %s" % (text, exc)) from None
 

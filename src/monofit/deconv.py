@@ -50,6 +50,8 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError("grid ends must be finite")
         if not self.lo < self.hi:
             raise ValueError("grid needs lo < hi")
         p = int(self.points)

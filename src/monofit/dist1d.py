@@ -85,10 +85,14 @@ class TabulatedDistribution:
         lo = float(self.grid_lo)
         hi = float(self.grid_hi)
         cdf = np.asarray(self.cdf, dtype=float)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("grid_lo and grid_hi must be finite")
         if not lo < hi:
             raise ValueError("degenerate grid: grid_lo must be < grid_hi")
         if cdf.ndim != 1 or cdf.size < 2:
             raise ValueError("cdf must hold at least two grid values")
+        if np.any(np.isnan(cdf)):
+            raise ValueError("cdf must not hold NaN")
         if np.any(np.diff(cdf) < 0):
             raise ValueError("cdf must be nondecreasing")
         if cdf[0] < 0.0 or cdf[-1] > 1.0:

@@ -242,7 +242,7 @@ def risk_population(mhat, m0):
         raise TypeError("m0 must be a LinkSpec")
     edges = [np.array([0.0, 1.0]), mhat.knots]
     if m0.kind == "step":
-        edges.append(np.arange(1, len(m0.levels)) / len(m0.levels))
+        edges.append(np.arange(1, len(m0.params)) / len(m0.params))
     elif m0.kind == "unbounded_tail":
         edges.append(m0.cut * 0.5 ** np.arange(50, -1, -1))  # refine toward the singular origin
     # the runs are sorted, so a stable sort (timsort) only merges them; a
@@ -413,11 +413,13 @@ def fit_loglog_slope(points):
     """Least-squares slope of log(value) against log(n).
 
     Returns (slope, intercept, r_squared).  Needs at least two distinct n;
-    values must be positive for the logs to exist.
+    n and the values must be finite and positive for the logs to exist.
     """
     pts = [(float(n), float(v)) for n, v in points]
-    if any(v <= 0 for _, v in pts):
-        raise ValueError("values must be positive")
+    if not all(math.isfinite(n) and n > 0 for n, _ in pts):
+        raise ValueError("n must be finite and positive")
+    if not all(math.isfinite(v) and v > 0 for _, v in pts):
+        raise ValueError("values must be finite and positive")
     ns = np.array([n for n, _ in pts])
     if np.unique(ns).size < 2:
         raise ValueError("need at least two distinct n")

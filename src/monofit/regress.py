@@ -75,13 +75,15 @@ def project_moment(values, bound, p):
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 1:
         raise ValueError("values must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
     if np.any(np.diff(values) < 0):
         raise ValueError("values must be nondecreasing")
     p = float(p)
-    if p <= 0:
-        raise ValueError("moment order must be positive")
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError("moment order must be finite and positive")
     bound = float(bound)
-    if bound < 0:
+    if not bound >= 0:
         raise ValueError("moment bound must be nonnegative")
     powers = np.abs(values) ** p
     if float(np.mean(powers)) <= bound:

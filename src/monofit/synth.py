@@ -39,7 +39,6 @@ __all__ = [
     "cube_link",
     "step_link",
     "unbounded_tail_link",
-    "link_catalog",
     "sample_dataset",
     "dataset_to_csv",
     "dataset_from_csv",
@@ -91,22 +90,32 @@ def noise_charfn(t):
     return out if np.ndim(t) else float(out)
 
 
-_LINK_KINDS = ("identity", "affine", "cube", "step", "unbounded_tail")
+# each link kind's parameter names, in the order ``LinkSpec.params`` holds
+# them; step (None) takes one or more levels
+_LINK_PARAMS = {
+    "identity": (),
+    "affine": ("slope", "offset"),
+    "cube": (),
+    "step": None,
+    "unbounded_tail": ("eps", "a", "tail_scale", "n"),
+}
 
 
 @dataclass(frozen=True)
 class LinkSpec:
     """A nondecreasing, left-continuous link on [0, 1] from a small catalog.
 
-    kind / parameters:
+    ``params`` holds the kind's parameters in the order ``_LINK_PARAMS``
+    names them; any other count is refused.
 
     - ``identity``        m(x) = x
     - ``affine``          m(x) = slope * x + offset, slope >= 0
     - ``cube``            m(x) = x ** 3
     - ``step``            levels[i] on ((i-1)/k, i/k]; levels[0] on [0, 1/k]
     - ``unbounded_tail``  -(x * log^{1+eps}(1/x))^{-1/(a+2)} on (0, cut],
-                          0 on (cut, 1], with cut = tail_scale / n_tail
-                          below e^{-(1+eps)}, past which it would decrease.
+                          0 on (cut, 1], with cut = tail_scale / n for an
+                          integer sample size n, below e^{-(1+eps)}, past
+                          which it would decrease.
                           Unbounded below near the origin (the origin itself
                           maps to -inf, a probability-zero input under any
                           continuous design), yet its (a+2)-moment under
@@ -114,44 +123,44 @@ class LinkSpec:
     """
 
     kind: str
-    slope: float = 1.0
-    offset: float = 0.0
-    levels: tuple = ()
-    eps: float = 0.5
-    a: float = 1.0
-    tail_scale: float = 0.5
-    n_tail: int = 0
+    params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _LINK_KINDS:
+        if self.kind not in _LINK_PARAMS:
             raise ValueError("unknown link kind: %r" % (self.kind,))
-        params = (self.slope, self.offset, self.eps, self.a, self.tail_scale, *self.levels)
-        if not all(math.isfinite(float(v)) for v in params):
-            raise ValueError("%s link parameters must be finite" % self.kind)
-        if self.kind == "affine" and self.slope < 0:
-            raise ValueError("affine link needs slope >= 0")
-        if self.kind == "step":
-            levels = tuple(float(v) for v in self.levels)
-            if not levels:
+        params = tuple(float(v) for v in self.params)
+        names = _LINK_PARAMS[self.kind]
+        if names is None:
+            if not params:
                 raise ValueError("step link needs at least one level")
-            if any(b < a for a, b in zip(levels, levels[1:])):
-                raise ValueError("step levels must be nondecreasing")
-            object.__setattr__(self, "levels", levels)
+        elif len(params) != len(names):
+            raise ValueError("%s takes %d parameters, got %d" % (self.kind, len(names), len(params)))
+        if self.kind == "unbounded_tail" and not params[3].is_integer():
+            raise ValueError("the sample size n must be an integer")
+        if not all(map(math.isfinite, params)):
+            raise ValueError("%s link parameters must be finite" % self.kind)
+        if self.kind == "affine" and params[0] < 0:
+            raise ValueError("affine link needs slope >= 0")
+        if self.kind == "step" and any(b < a for a, b in zip(params, params[1:])):
+            raise ValueError("step levels must be nondecreasing")
         if self.kind == "unbounded_tail":
-            if self.eps <= 0 or self.a <= 0 or self.tail_scale <= 0:
+            eps, a, tail_scale, n = params
+            if eps <= 0 or a <= 0 or tail_scale <= 0:
                 raise ValueError("unbounded_tail needs eps, a, tail_scale > 0")
-            if self.n_tail < 1:
-                raise ValueError("unbounded_tail needs the sample size n_tail >= 1")
-            if not self.tail_scale / self.n_tail < math.exp(-(1.0 + self.eps)):
-                raise ValueError("tail cutoff tail_scale / n_tail must stay below exp(-(1 + eps))")
+            if n < 1:
+                raise ValueError("unbounded_tail needs the sample size n >= 1")
+            if not tail_scale / n < math.exp(-(1.0 + eps)):
+                raise ValueError("tail cutoff tail_scale / n must stay below exp(-(1 + eps))")
+        object.__setattr__(self, "params", params)
 
     def __call__(self, x):
         return eval_link(self, x)
 
     @property
     def cut(self):
-        """Tail cutoff of the unbounded_tail link."""
-        return self.tail_scale / self.n_tail
+        """Tail cutoff tail_scale / n of the unbounded_tail link."""
+        _, _, tail_scale, n = self.params
+        return tail_scale / n
 
 
 def identity_link():
@@ -159,7 +168,7 @@ def identity_link():
 
 
 def affine_link(slope, offset):
-    return LinkSpec("affine", slope=float(slope), offset=float(offset))
+    return LinkSpec("affine", (slope, offset))
 
 
 def cube_link():
@@ -167,25 +176,11 @@ def cube_link():
 
 
 def step_link(levels):
-    return LinkSpec("step", levels=tuple(levels))
+    return LinkSpec("step", tuple(levels))
 
 
 def unbounded_tail_link(eps, a, tail_scale, n):
-    return LinkSpec("unbounded_tail", eps=float(eps), a=float(a), tail_scale=float(tail_scale), n_tail=int(n))
-
-
-def link_catalog(n):
-    """The default links exercised by tests and sweeps, keyed by name.
-
-    ``n`` fixes the cutoff 0.5 / n of the unbounded-tail member, so n >= 3.
-    """
-    return {
-        "identity": identity_link(),
-        "affine": affine_link(2.0, -0.5),
-        "cube": cube_link(),
-        "step": step_link((-1.0, -0.25, 0.25, 1.0)),
-        "unbounded_tail": unbounded_tail_link(0.5, 1.0, 0.5, n),
-    }
+    return LinkSpec("unbounded_tail", (eps, a, tail_scale, n))
 
 
 def eval_link(spec, x):
@@ -209,20 +204,22 @@ def _link_values(spec, x, out):
     if spec.kind == "identity":
         np.copyto(out, x)
     elif spec.kind == "affine":
-        np.multiply(x, spec.slope, out=out)
-        out += spec.offset
+        slope, offset = spec.params
+        np.multiply(x, slope, out=out)
+        out += offset
     elif spec.kind == "cube":
         np.power(x, 3, out=out)
     elif spec.kind == "step":
-        k = len(spec.levels)
+        k = len(spec.params)
         cells = np.arange(1, k + 1) / k
         idx = np.minimum(np.searchsorted(cells, x, side="left"), k - 1)
-        np.take(np.asarray(spec.levels, dtype=float), idx, out=out)
+        np.take(np.asarray(spec.params, dtype=float), idx, out=out)
     else:
+        eps, a, _, _ = spec.params
         out.fill(0.0)
         inside = (x > 0.0) & (x <= spec.cut)
         xi = x[inside]
-        out[inside] = -((xi * (-np.log(xi)) ** (1.0 + spec.eps)) ** (-1.0 / (spec.a + 2.0)))
+        out[inside] = -((xi * (-np.log(xi)) ** (1.0 + eps)) ** (-1.0 / (a + 2.0)))
         out[x == 0.0] = -np.inf
     return out
 
@@ -233,14 +230,15 @@ def link_cdf(spec, z):
     if spec.kind == "identity":
         out = np.clip(z_arr, 0.0, 1.0)
     elif spec.kind == "affine":
-        if spec.slope == 0.0:
-            out = (z_arr >= spec.offset).astype(float)
+        slope, offset = spec.params
+        if slope == 0.0:
+            out = (z_arr >= offset).astype(float)
         else:
-            out = np.clip((z_arr - spec.offset) / spec.slope, 0.0, 1.0)
+            out = np.clip((z_arr - offset) / slope, 0.0, 1.0)
     elif spec.kind == "cube":
         out = np.clip(np.cbrt(z_arr), 0.0, 1.0)
     elif spec.kind == "step":
-        levels = np.asarray(spec.levels, dtype=float)
+        levels = np.asarray(spec.params, dtype=float)
         out = np.searchsorted(levels, z_arr, side="right") / levels.size
     else:
         out = _unbounded_tail_cdf(spec, z_arr)
@@ -252,13 +250,14 @@ def _unbounded_tail_cdf(spec, z_arr):
     # t + (1 + eps) log(-t) <= -(a + 2) log(-z) in t = log x, and the left
     # side rises for t < log(cut): bisect for the largest such t.  exp(t)
     # underflows to 0 below t = -745, so [-800, log cut] holds every root.
+    eps, a, _, _ = spec.params
     tail = z_arr < eval_link(spec, spec.cut)
-    target = -(spec.a + 2.0) * np.log(-z_arr[tail])
+    target = -(a + 2.0) * np.log(-z_arr[tail])
     lo = np.full(target.shape, -800.0)
     hi = np.full(target.shape, math.log(spec.cut))
     for _ in range(64):  # 800 / 2^64 is below one ulp of |t| > 1
         mid = 0.5 * (lo + hi)
-        below = mid + (1.0 + spec.eps) * np.log(-mid) <= target
+        below = mid + (1.0 + eps) * np.log(-mid) <= target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     out = np.where(z_arr >= 0.0, 1.0, spec.cut)

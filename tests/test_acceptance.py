@@ -35,10 +35,11 @@ from monofit.synth import (
     affine_link,
     derive_seed,
     eval_link,
-    link_catalog,
     rng_stream,
     sample_dataset,
 )
+
+from links import link_catalog
 
 SEED = 1729
 

@@ -49,7 +49,7 @@ def test_cli_import_and_deconvolution_load_no_scipy(tmp_path):
             ["estimate", "--data", out + "/data.csv", "--sigma", "0.1"],
         ]
         codes = [cli.run([*argv, "--out", out]) for argv in argvs]
-        link = synth.link_catalog(200)["unbounded_tail"]
+        link = synth.unbounded_tail_link(0.5, 1.0, 0.5, 200)
         records = experiments.rate_sweep(
             "shuffled", (100, 200), "below-root", 1, 5, link=link, risk_kinds=("population_L1",)
         )

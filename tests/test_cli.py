@@ -12,7 +12,7 @@ from monofit.cli import parse_link, render_plot, run, write_records
 from monofit.experiments import ConjectureConfig, ConjectureRow
 from monofit.deconv import estimate_cdf
 from monofit.regress import fit_shuffled, fit_unlinked, stepfn_from_csv
-from monofit.synth import Dataset, NoiseSpec, dataset_to_csv, identity_link, rng_stream, sample_dataset
+from monofit.synth import Dataset, LinkSpec, NoiseSpec, dataset_to_csv, identity_link, rng_stream, sample_dataset
 
 
 def read_csv(path):
@@ -334,13 +334,29 @@ class TestHelpers:
     def test_parse_link_forms(self):
         assert parse_link("identity").kind == "identity"
         aff = parse_link("affine:4,-2")
-        assert aff.slope == 4.0 and aff.offset == -2.0
+        assert aff.params == (4.0, -2.0)
         stp = parse_link("step:-1,0,1")
-        assert stp.levels == (-1.0, 0.0, 1.0)
+        assert stp.params == (-1.0, 0.0, 1.0)
         ub = parse_link("unbounded-tail:0.5,1,0.5,100")
-        assert ub.n_tail == 100
+        assert ub.params[3] == 100
         with pytest.raises(ValueError):
             parse_link("spline")
+
+    @pytest.mark.parametrize(
+        "text, kind, params",
+        [
+            ("identity", "identity", ()),
+            ("cube", "cube", ()),
+            ("affine:4,-2", "affine", (4, -2)),
+            ("step:-1,0,1", "step", (-1, 0, 1)),
+            ("unbounded-tail:0.5,1,0.5,100", "unbounded_tail", (0.5, 1, 0.5, 100)),
+        ],
+    )
+    def test_parse_link_is_the_link_spec(self, text, kind, params):
+        assert parse_link(text) == LinkSpec(kind, params)
+        if "_" in kind:  # the CLI spells it with a hyphen only
+            with pytest.raises(ValueError, match="unknown link"):
+                parse_link(text.replace("-", "_", 1))
 
     @pytest.mark.parametrize(
         "text, why",

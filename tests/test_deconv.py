@@ -32,7 +32,9 @@ from monofit.deconv import (
 import monofit.deconv as deconv_mod
 from monofit.deconv import _ecf, _fourier_at, _next_fast_len
 from monofit.dist1d import EmpiricalMeasure, TabulatedDistribution, quantile, w1_tabulated
-from monofit.synth import NoiseSpec, link_catalog, rng_stream, sample_dataset
+from monofit.synth import NoiseSpec, rng_stream, sample_dataset
+
+from links import link_catalog
 
 ECF_LEAF = deconv_mod.ECF_BLOCK_CELLS // 4  # largest leaf of _ecf's summation tree
 
@@ -179,6 +181,12 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 12)  # not a power of two
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)])
+    def test_non_finite_ends_refused(self, lo, hi):
+        # lo < hi holds, but the grid would be [nan, inf, ...]
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(lo, hi, 4)
 
     def test_auto_grid_pad(self):
         ys = EmpiricalMeasure(np.array([-1.0, 0.0, 3.0]))

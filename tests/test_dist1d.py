@@ -221,6 +221,19 @@ class TestTabulatedDistribution:
         with pytest.raises(ValueError):
             TabulatedDistribution(0.0, 1.0, [0.0, 0.6, 0.5, 1.0])
 
+    @pytest.mark.parametrize(
+        "lo, hi, cdf",
+        [
+            (0.0, 1.0, [0.0, math.nan, 1.0]),  # NaN passes the order and range checks
+            (0.0, 1.0, [math.nan, 0.5, 1.0]),
+            (0.0, math.inf, [0.0, 1.0]),
+            (-math.inf, 0.0, [0.0, 1.0]),
+        ],
+    )
+    def test_non_finite_refused(self, lo, hi, cdf):
+        with pytest.raises(ValueError, match="NaN|finite"):
+            TabulatedDistribution(lo, hi, cdf)
+
 
 class TestW1Tabulated:
     def test_identical(self):

@@ -39,11 +39,12 @@ from monofit.synth import (
     eval_link,
     identity_link,
     link_cdf,
-    link_catalog,
     rng_stream,
     step_link,
     unbounded_tail_link,
 )
+
+from links import link_catalog
 
 CATALOG_NAMES = sorted(link_catalog(3))
 
@@ -74,7 +75,7 @@ def risk_quad(mhat, m0):
 
     edges = {0.0, 1.0, *map(float, mhat.knots)}
     if m0.kind == "step":
-        edges.update(np.arange(1, len(m0.levels)) / len(m0.levels))
+        edges.update(np.arange(1, len(m0.params)) / len(m0.params))
     elif m0.kind == "unbounded_tail":
         edges.add(m0.cut)
     edges = sorted(edges)
@@ -102,7 +103,7 @@ def risk_population_loop(mhat, m0):
     """
     edges = [np.array([0.0, 1.0]), mhat.knots]
     if m0.kind == "step":
-        edges.append(np.arange(1, len(m0.levels)) / len(m0.levels))
+        edges.append(np.arange(1, len(m0.params)) / len(m0.params))
     elif m0.kind == "unbounded_tail":
         edges.append(m0.cut * 0.5 ** np.arange(0, 51))
     edges = np.unique(np.concatenate(edges))
@@ -570,3 +571,15 @@ class TestFitLoglogSlope:
             fit_loglog_slope([(10, 0.0), (100, 1.0)])
         with pytest.raises(ValueError):
             fit_loglog_slope([(10, 1.0), (10, 2.0)])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_refused(self, value):
+        # a NaN value is not <= 0, so it used to fit to (nan, nan, nan)
+        with pytest.raises(ValueError, match="values must be finite and positive"):
+            fit_loglog_slope([(10, 1.0), (100, value)])
+
+    @pytest.mark.parametrize("n", [0, -10, math.inf, math.nan])
+    def test_bad_n_refused(self, n):
+        # these used to reach the least-squares solve and fail there
+        with pytest.raises(ValueError, match="n must be finite and positive"):
+            fit_loglog_slope([(10, 1.0), (n, 2.0)])

@@ -42,10 +42,11 @@ from monofit.synth import (
     affine_link,
     derive_seed,
     eval_link,
-    link_catalog,
     rng_stream,
     sample_dataset,
 )
+
+from links import link_catalog
 
 NOISE = NoiseSpec()
 
@@ -155,6 +156,21 @@ class TestProjectMoment:
             project_moment(np.array([1.0]), 1.0, 0.0)
         with pytest.raises(ValueError):
             project_moment(np.array([1.0]), -1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "values, bound, p",
+        [
+            ([0.0, math.nan, 1.0], 10.0, 3.0),  # NaN passes the order check
+            ([0.0, math.inf], 10.0, 3.0),
+            ([-math.inf, 0.0], 10.0, 3.0),
+            ([0.0, 1.0], math.nan, 3.0),  # would return all NaN
+            ([0.0, 1.0], 10.0, math.nan),
+            ([0.0, 1.0], 10.0, math.inf),
+        ],
+    )
+    def test_non_finite_refused(self, values, bound, p):
+        with pytest.raises(ValueError, match="finite|nonnegative"):
+            project_moment(np.array(values), bound, p)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),

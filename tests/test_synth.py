@@ -18,7 +18,6 @@ from monofit.synth import (
     derive_seed,
     eval_link,
     identity_link,
-    link_catalog,
     link_cdf,
     noise_charfn,
     rng_stream,
@@ -26,6 +25,8 @@ from monofit.synth import (
     step_link,
     unbounded_tail_link,
 )
+
+from links import link_catalog
 
 
 class TestNoiseSpec:
@@ -64,8 +65,25 @@ class TestLinkSpec:
             step_link(())
         with pytest.raises(ValueError):
             step_link((1.0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            step_link((0.0, 1.0, 2.0, math.nan))  # NaN passes the order check
         with pytest.raises(ValueError):
             unbounded_tail_link(0.5, 1.0, 2.0, 1)
+
+    def test_takes_only_its_kinds_parameters(self):
+        # a kind has no slot for a parameter it does not read
+        for kwargs in ({"slope": 2.0}, {"offset": 1.0}, {"levels": (0.0,)}, {"n_tail": 100}):
+            with pytest.raises(TypeError):
+                LinkSpec("identity", **kwargs)
+        with pytest.raises(ValueError, match="identity takes 0 parameters, got 1"):
+            LinkSpec("identity", (2.0,))
+        with pytest.raises(ValueError, match="affine takes 2 parameters, got 1"):
+            LinkSpec("affine", (1.0,))
+        with pytest.raises(ValueError, match="unbounded_tail takes 4 parameters, got 5"):
+            LinkSpec("unbounded_tail", (0.5, 1.0, 0.5, 100, 1.0))
+        with pytest.raises(ValueError, match="must be an integer"):
+            unbounded_tail_link(0.5, 1, 0.5, 100.7)
+        assert unbounded_tail_link(0.5, 1, 0.5, 100.0) == unbounded_tail_link(0.5, 1.0, 0.5, 100)
 
     def test_rejects_tail_cut_where_link_turns_down(self):
         # x log^{1+eps}(1/x) peaks at e^{-(1+eps)}: with eps = 0.5 a cut of
@@ -76,8 +94,8 @@ class TestLinkSpec:
         with pytest.raises(ValueError, match="exp"):
             unbounded_tail_link(0.5, 1.0, 0.5, 2)
         with pytest.raises(ValueError, match="exp"):
-            LinkSpec("unbounded_tail", eps=0.1, n_tail=1, tail_scale=math.exp(-1.1))
-        below = LinkSpec("unbounded_tail", eps=0.1, n_tail=1, tail_scale=math.exp(-1.1) * (1.0 - 1e-12))
+            LinkSpec("unbounded_tail", (0.1, 1.0, math.exp(-1.1), 1))
+        below = LinkSpec("unbounded_tail", (0.1, 1.0, math.exp(-1.1) * (1.0 - 1e-12), 1))
         grid = np.linspace(0.0, below.cut, 10_001)[1:]
         assert np.all(np.diff(eval_link(below, grid)) >= 0)
 
