@@ -19,7 +19,6 @@ import argparse
 import math
 import os
 import sys
-from configparser import ConfigParser
 from pathlib import Path
 from typing import NamedTuple
 
@@ -276,6 +275,8 @@ def _load_ini(path):
         return None
     if not os.path.exists(path):
         raise RuntimeError("config file not found: %s" % path)
+    from configparser import ConfigParser  # loaded only with --config
+
     ini = ConfigParser()
     ini.read(path, encoding="utf-8")
     return ini

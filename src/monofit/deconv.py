@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist1d import EmpiricalMeasure, TabulatedDistribution
-from .synth import check_sigma, noise_charfn
+from .synth import check_integer, check_sigma, noise_charfn
 
 __all__ = [
     "GridSpec",
@@ -54,7 +54,7 @@ class GridSpec:
             raise ValueError("grid ends must be finite")
         if not self.lo < self.hi:
             raise ValueError("grid needs lo < hi")
-        p = int(self.points)
+        p = check_integer(self.points, "points")
         if p < 2 or p & (p - 1) != 0:
             raise ValueError("points must be a power of two >= 2")
         object.__setattr__(self, "points", p)
@@ -79,7 +79,7 @@ def select_bandwidth(n, sigma):
     belongs to the first branch.  If the inner logarithm comes out
     nonpositive (tiny n), the rule falls back to n^{-1/2} and warns.
     """
-    n = int(n)
+    n = check_integer(n, "n")
     if n < 2:
         raise ValueError("need n >= 2")
     sigma = check_sigma(sigma)
@@ -242,7 +242,8 @@ def deconvolve_cdf(ys, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
     """
     if not 0.0 < h <= 1.0:
         raise ValueError("bandwidth must lie in (0, 1]")
-    if int(freq_points) < 2:
+    freq_points = check_integer(freq_points, "freq_points")
+    if freq_points < 2:
         raise ValueError("freq_points must be at least 2, got %r" % (freq_points,))
     sigma = check_sigma(sigma)
     pad = 6.0 * (1.0 + sigma)
@@ -253,13 +254,13 @@ def deconvolve_cdf(ys, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
         )
     if grid.step > h / 4.0:
         raise ValueError("grid too coarse: step %g exceeds h/4 = %g" % (grid.step, h / 4.0))
-    period = math.pi * (int(freq_points) - 1) * h
+    period = math.pi * (freq_points - 1) * h
     reach = max(grid.hi - ys.atoms[0], ys.atoms[-1] - grid.lo)
     if reach >= period:
         raise ValueError(
             "grid too wide: it reaches %g from the sample, the density's period is %g" % (reach, period)
         )
-    ts = np.linspace(-1.0 / h, 1.0 / h, int(freq_points))
+    ts = np.linspace(-1.0 / h, 1.0 / h, freq_points)
     u = h * ts
     kstar = (1.0 - u * u) ** 3  # vanishes at the truncation edges
     phi = _ecf(ys.atoms, ts)

@@ -18,8 +18,8 @@ from the stream keyed by (seed, purpose, n, r), so parallel and serial
 sweeps return identical tables.
 """
 
+import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,7 @@ from .deconv import estimate_cdf
 from .dist1d import TabulatedDistribution, w1_tabulated
 from .regress import fit_shuffled, fit_unlinked
 from .synth import LinkSpec, NoiseSpec, derive_seed, identity_link, link_cdf, rng_stream, sample_dataset
-from .synth import _link_values
+from .synth import _link_values, check_integer
 
 __all__ = [
     "DEFAULT_SEED",
@@ -53,7 +53,15 @@ REGIME_BETA = 2.0
 
 DEFAULT_C_LIST = (1.0, 2.0, 5.0, 10.0, 100.0, 200.0, 500.0, 1000.0)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+@functools.cache
+def _gauss_legendre():
+    """(nodes, weights) of the 64-point Gauss-Legendre rule on [-1, 1].
+
+    Built on the first population risk, so a process that never takes one
+    never loads ``numpy.polynomial``.
+    """
+    return np.polynomial.legendre.leggauss(64)
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,8 @@ class ConjectureConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for name in ("n_min", "n_max", "grid_points", "reps"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError("need 1 <= n_min <= n_max")
         if self.grid_points < 1:
@@ -139,7 +149,7 @@ def conjecture_product(counts, n, C, c):
     an exact zero short-circuit per C so no log(0) is ever taken.  Empty
     cells contribute no factor.  Natural log throughout.
     """
-    n = int(n)
+    n = check_integer(n, "n")
     if n < 1:
         raise ValueError("need n >= 1")
     counts = np.asarray(counts).ravel()
@@ -204,6 +214,8 @@ def conjecture_sweep(cfg, workers=None):
                 tasks.append((cfg.seed, n, int(lo), int(hi), cfg.C_list, cfg.c))
         spans.append((n, first, len(tasks)))
     if workers and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only by a parallel sweep
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_chunk, tasks))
     else:
@@ -255,14 +267,15 @@ def risk_population(mhat, m0):
     hi = np.concatenate((cross, b))
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
+    nodes, weights = _gauss_legendre()
     # a zero-width panel adds nothing; at the origin its nodes would land
     # where the tail link is -inf, so it is dropped before evaluation
-    keep = (half > 0.0) & (half * _GL_NODES[0] + mid > 0.0)
+    keep = (half > 0.0) & (half * nodes[0] + mid > 0.0)
     half, mid, v = half[keep], mid[keep], np.concatenate((v, v))[keep]
     acc = np.zeros_like(half)
     xs = np.empty_like(half)
     vals = np.empty_like(half)
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+    for node, weight in zip(nodes, weights):
         np.multiply(half, node, out=xs)
         xs += mid  # in (0, 1]: the panels tile [0, 1] and the first node is kept above 0
         _link_values(m0, xs, vals)
@@ -312,7 +325,7 @@ class SigmaRule:
             raise ValueError("unknown sigma rule: %r" % (self.kind,))
 
     def sigma(self, n):
-        n = int(n)
+        n = check_integer(n, "n")
         if self.kind == "constant":
             return self.param
         if self.kind == "power":
@@ -324,7 +337,7 @@ class SigmaRule:
         if self.kind in ("constant", "power"):
             return None
         k = list(_PRESETS).index(self.kind)
-        return _regime_edges(int(n))[k : k + 2]
+        return _regime_edges(check_integer(n, "n"))[k : k + 2]
 
     def check(self, n):
         """Raise if the preset's sigma falls outside its own regime at n."""
@@ -393,12 +406,13 @@ def rate_sweep(problem, n_grid, sigma_rule, reps, seed, link=None, risk_kinds=No
     for kind in kinds:
         if kind not in _COMPATIBLE[problem]:
             raise ValueError("risk kind %r incompatible with problem %r" % (kind, problem))
+    n_grid = [check_integer(n, "n") for n in n_grid]
+    reps = check_integer(reps, "reps")
     records = []
     for n in n_grid:
-        n = int(n)
         sigma_rule.check(n)
         sig = sigma_rule.sigma(n)
-        for rep in range(int(reps)):
+        for rep in range(reps):
             child = derive_seed(seed, problem, n, rep)
             ds = sample_dataset(problem, n, link, NoiseSpec(), sig, seed=child)
             risks = _measure_risks(problem, ds, link, kinds)

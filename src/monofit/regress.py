@@ -30,7 +30,7 @@ import numpy as np
 from .csvio import read_columns, write_table
 from .deconv import estimate_cdf
 from .dist1d import MonotoneStepFn, quantile
-from .synth import check_sigma
+from .synth import check_integer, check_sigma
 
 __all__ = [
     "MOMENT_BOUND",
@@ -166,20 +166,26 @@ def stepfn_from_csv(path):
     """Read a step function written by :func:`stepfn_to_csv`.
 
     Returns (MonotoneStepFn, metadata dict with keys n, sigma, eta,
-    projected).  Knots or values that :class:`MonotoneStepFn` refuses
-    (a NaN among them) are refused with a ValueError naming ``path``.
+    projected).  Refused with a ValueError naming ``path``: an n that is
+    not a positive integer, a sigma or eta that is not finite and
+    nonnegative, a projected other than 0 or 1, and knots or values that
+    :class:`MonotoneStepFn` refuses (a NaN among them).
     """
     meta, cols = read_columns(path, {"knot": float, "value": float})
     for key in ("n", "sigma", "eta", "projected"):
         if key not in meta:
             raise ValueError("%s: missing metadata line %r" % (path, key))
-    out = {
-        "n": int(meta["n"]),
-        "sigma": float(meta["sigma"]),
-        "eta": float(meta["eta"]),
-        "projected": bool(int(meta["projected"])),
-    }
     try:
+        out = {"n": check_integer(float(meta["n"]), "n")}
+        if out["n"] < 1:
+            raise ValueError("n must be positive, got %d" % out["n"])
+        for key in ("sigma", "eta"):
+            out[key] = float(meta[key])
+            if not (math.isfinite(out[key]) and out[key] >= 0.0):
+                raise ValueError("%s must be finite and nonnegative, got %r" % (key, meta[key]))
+        if meta["projected"] not in ("0", "1"):
+            raise ValueError("projected must be 0 or 1, got %r" % (meta["projected"],))
+        out["projected"] = meta["projected"] == "1"
         return MonotoneStepFn(cols["knot"], cols["value"]), out
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None

@@ -29,6 +29,7 @@ __all__ = [
     "LinkSpec",
     "Dataset",
     "check_sigma",
+    "check_integer",
     "rng_stream",
     "derive_seed",
     "noise_charfn",
@@ -83,6 +84,17 @@ def check_sigma(sigma):
     return sigma
 
 
+def check_integer(value, name):
+    """``value`` as an int; ValueError naming ``name`` unless it is integral.
+
+    Integral floats such as 100.0 and numpy integers are taken; 100.7 or a
+    non-finite value is refused rather than cut down to an integer.
+    """
+    if not float(value).is_integer():
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return int(value)
+
+
 def noise_charfn(t):
     """Characteristic function exp(-t^2/2) of the Gaussian noise at t."""
     t_arr = np.asarray(t, dtype=float)
@@ -135,8 +147,8 @@ class LinkSpec:
                 raise ValueError("step link needs at least one level")
         elif len(params) != len(names):
             raise ValueError("%s takes %d parameters, got %d" % (self.kind, len(names), len(params)))
-        if self.kind == "unbounded_tail" and not params[3].is_integer():
-            raise ValueError("the sample size n must be an integer")
+        if self.kind == "unbounded_tail":
+            check_integer(params[3], "the sample size n")
         if not all(map(math.isfinite, params)):
             raise ValueError("%s link parameters must be finite" % self.kind)
         if self.kind == "affine" and params[0] < 0:
@@ -325,7 +337,7 @@ def sample_dataset(mode, n, link, noise, sigma, seed):
     """
     if mode not in _MODES:
         raise ValueError("unknown mode: %r" % (mode,))
-    n = int(n)
+    n = check_integer(n, "n")
     if n < 1:
         raise ValueError("need n >= 1")
     sigma = check_sigma(sigma)

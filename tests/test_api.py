@@ -65,6 +65,47 @@ def test_cli_import_and_deconvolution_load_no_scipy(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
+def test_commands_load_the_pool_and_ini_reader_only_when_they_use_them(tmp_path):
+    # estimate and a deconv rate sweep run with no process pool, INI reader
+    # or Gauss-Legendre rule loaded; a parallel sweep, --config and the
+    # population risk, run next in the same process, load and use them
+    code = textwrap.dedent(
+        """
+        import sys
+        from monofit import cli, experiments, synth
+
+        out = sys.argv[1]
+        heavy = ("concurrent.futures", "multiprocessing", "configparser", "numpy.polynomial")
+        ds = synth.sample_dataset("unlinked", 200, synth.identity_link(), synth.NoiseSpec(), 0.1, seed=3)
+        synth.dataset_to_csv(ds, out + "/data.csv")
+        codes = [
+            cli.run(["estimate", "--data", out + "/data.csv", "--sigma", "0.1", "--out", out]),
+            cli.run(["rates", "--problem", "deconv", "--sigma-rule", "constant:0.1", "--n-grid", "100,200",
+                     "--reps", "1", "--out", out]),
+        ]
+        print(codes, [m for m in heavy if m in sys.modules])
+        with open(out + "/run.ini", "w") as fh:
+            fh.write("[conjecture]\\nreps = 3\\n")
+        small = ["--n-min", "100", "--n-max", "300", "--grid-points", "2", "--C-list", "1", "--out", out]
+        codes = [
+            cli.run(["conjecture", "--reps", "3", "--workers", "2", *small]),
+            cli.run(["conjecture", "--config", out + "/run.ini", *small]),
+        ]
+        experiments.rate_sweep("shuffled", (100, 200), "below-root", 1, 5, risk_kinds=("population_L1",))
+        print(codes, [m for m in heavy if m in sys.modules])
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(monofit.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert [line for line in out.stdout.splitlines() if line.startswith("[")] == [
+        "[0, 0] []",
+        "[0, 0] ['concurrent.futures', 'multiprocessing', 'configparser', 'numpy.polynomial']",
+    ]
+
+
 def _bindings():
     """Every (module, name) -> object binding across the loaded monofit modules."""
     out = {}

@@ -140,6 +140,11 @@ class TestSelectBandwidth:
     def test_clamped_to_one(self):
         assert select_bandwidth(100, 2.0) == 1.0
 
+    def test_fractional_n_refused(self):
+        with pytest.raises(ValueError, match="n must be an integer, got 100.9"):
+            select_bandwidth(100.9, 0.0)
+        assert select_bandwidth(100.0, 0.0) == select_bandwidth(np.int64(100), 0.0) == 0.1
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             select_bandwidth(1, 0.1)
@@ -181,6 +186,11 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 12)  # not a power of two
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 1)
+
+    def test_fractional_points_refused(self):
+        with pytest.raises(ValueError, match="points must be an integer, got 16.9"):
+            GridSpec(0.0, 1.0, 16.9)
+        assert GridSpec(0.0, 1.0, 16.0).points == 16
 
     @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)])
     def test_non_finite_ends_refused(self, lo, hi):
@@ -469,6 +479,11 @@ class TestDeconvolveCdf:
         ys = EmpiricalMeasure(np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="freq_points must be at least 2"):
             deconvolve_cdf(ys, 0.0, 0.5, auto_grid(ys, 0.0), freq_points=freq_points)
+
+    def test_rejects_fractional_freq_points(self):
+        ys = EmpiricalMeasure(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="freq_points must be an integer, got 4096.5"):
+            deconvolve_cdf(ys, 0.0, 0.5, auto_grid(ys, 0.0), freq_points=4096.5)
 
     def test_rejects_bad_bandwidth_and_sigma(self):
         ys = EmpiricalMeasure(np.array([0.0, 1.0]))

@@ -34,7 +34,7 @@ from monofit.experiments import (
     risk_population,
 )
 import monofit
-from monofit.experiments import _GL_NODES, _GL_WEIGHTS, _occupancy_counts
+from monofit.experiments import _gauss_legendre, _occupancy_counts
 from monofit.synth import (
     eval_link,
     identity_link,
@@ -114,10 +114,11 @@ def risk_population_loop(mhat, m0):
     hi = np.concatenate((cross, b))
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    keep = (half > 0.0) & (half * _GL_NODES[0] + mid > 0.0)
+    nodes, weights = _gauss_legendre()
+    keep = (half > 0.0) & (half * nodes[0] + mid > 0.0)
     half, mid, v = half[keep], mid[keep], np.concatenate((v, v))[keep]
     acc = np.zeros_like(half)
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+    for node, weight in zip(nodes, weights):
         xs = half * node + mid
         vals = np.abs(v - eval_link(m0, xs))
         acc += weight * vals
@@ -186,6 +187,10 @@ def product_per_C(counts, n, C, c):
 
 
 class TestConjectureProduct:
+    def test_fractional_n_refused(self):
+        with pytest.raises(ValueError, match="n must be an integer, got 100.5"):
+            conjecture_product(np.ones(100, dtype=int), 100.5, 1.0, 20.0)
+
     def test_single_cell_zero(self):
         # n = 1: log 1 = 0, factor (1 - C)^2 with C = 1
         assert conjecture_product([1], 1, 1.0, 20.0) == 0.0
@@ -309,6 +314,21 @@ class TestConjectureConfig:
             ConjectureConfig(C_list=(1.0, -2.0))
         with pytest.raises(ValueError, match="must not repeat"):
             ConjectureConfig(C_list=(1.0, 2.0, 1))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_min", 100.5), ("n_max", 10000.5), ("n_max", math.inf), ("grid_points", 2.5), ("reps", 2.5)],
+    )
+    def test_fractional_sizes_refused(self, field, value):
+        # cut down to an integer, reps = 2.5 would draw 2 replications and
+        # divide the standard error by sqrt(2.5)
+        with pytest.raises(ValueError, match="%s must be an integer" % field):
+            ConjectureConfig(**{field: value})
+
+    def test_integral_sizes_taken_as_ints(self):
+        cfg = ConjectureConfig(n_min=100.0, n_max=np.int64(1000), grid_points=3.0, reps=np.int32(2))
+        assert (cfg.n_min, cfg.n_max, cfg.grid_points, cfg.reps) == (100, 1000, 3, 2)
+        assert all(type(v) is int for v in (cfg.n_min, cfg.n_max, cfg.grid_points, cfg.reps))
 
 
 class TestConjectureSweep:
@@ -510,6 +530,12 @@ class TestSigmaRule:
     def test_parametric_rules_skip_check(self):
         SigmaRule("constant", 0.7).check(5)  # no regime to violate
 
+    def test_fractional_n_refused(self):
+        rule = SigmaRule("below-root")
+        for method in (rule.sigma, rule.range_at, rule.check):
+            with pytest.raises(ValueError, match="n must be an integer, got 100.5"):
+                method(100.5)
+
 
 class TestRateSweep:
     def test_record_structure_and_determinism(self):
@@ -541,6 +567,12 @@ class TestRateSweep:
     def test_unknown_problem(self):
         with pytest.raises(ValueError):
             rate_sweep("tangled", [100], "below-root", reps=1, seed=1)
+
+    @pytest.mark.parametrize("n_grid, reps, name", [((100, 100.5), 2, "n"), ((100,), 2.7, "reps")])
+    def test_fractional_size_refused_before_any_fit(self, monkeypatch, n_grid, reps, name):
+        monkeypatch.setattr("monofit.experiments.sample_dataset", lambda *a, **k: pytest.fail("a fit ran"))
+        with pytest.raises(ValueError, match="%s must be an integer" % name):
+            rate_sweep("shuffled", n_grid, "below-root", reps=reps, seed=1)
 
     def test_record_validation(self):
         # problem and kind are rate_sweep's to check (test_incompatible_risk_kind)

@@ -473,6 +473,27 @@ class TestStepfnCsv:
             stepfn_from_csv(path)
         assert str(refused.value) == "%s: line 7: expected 2 cells, found 1: '1.0'" % path
 
+    @pytest.mark.parametrize(
+        "key, text, why",
+        [
+            ("n", "100.5", "n must be an integer, got 100.5"),
+            ("n", "0", "n must be positive, got 0"),
+            ("n", "ten", "could not convert"),
+            ("projected", "2", "projected must be 0 or 1, got '2'"),
+            ("projected", "yes", "projected must be 0 or 1, got 'yes'"),
+            ("sigma", "nan", "sigma must be finite and nonnegative, got 'nan'"),
+            ("sigma", "-0.25", "sigma must be finite and nonnegative, got '-0.25'"),
+            ("eta", "inf", "eta must be finite and nonnegative, got 'inf'"),
+        ],
+    )
+    def test_bad_preamble_value_refused_with_the_file_name(self, tmp_path, key, text, why):
+        meta = {"n": "3", "sigma": "0.25", "eta": "0.0625", "projected": "1", key: text}
+        path = tmp_path / "fit.csv"
+        path.write_text("".join("# %s=%s\n" % kv for kv in meta.items()) + "knot,value\n0.5,1\n")
+        with pytest.raises(ValueError) as refused:
+            stepfn_from_csv(path)
+        assert str(refused.value).startswith("%s: " % path) and why in str(refused.value)
+
     def test_nan_row_refused_with_the_file_name(self, tmp_path):
         path = tmp_path / "fit.csv"
         path.write_text("# n=1\n# sigma=0\n# eta=0\n# projected=0\nknot,value\nnan,0\n")

@@ -12,6 +12,7 @@ from monofit.synth import (
     LinkSpec,
     NoiseSpec,
     affine_link,
+    check_integer,
     cube_link,
     dataset_from_csv,
     dataset_to_csv,
@@ -210,7 +211,23 @@ class TestLinkCdf:
         assert np.array_equal(link_cdf(link, [-np.inf, -1e300, 0.0, 5.0]), [0.0, 0.0, 1.0, 1.0])
 
 
+class TestCheckInteger:
+    @pytest.mark.parametrize("value", [100, 100.0, np.int64(100), np.float64(100.0)])
+    def test_integral_values_taken(self, value):
+        assert check_integer(value, "n") == 100 and type(check_integer(value, "n")) is int
+
+    @pytest.mark.parametrize("value", [100.7, -0.5, math.nan, math.inf])
+    def test_other_values_refused(self, value):
+        with pytest.raises(ValueError, match="n must be an integer, got"):
+            check_integer(value, "n")
+
+
 class TestSampleDataset:
+    def test_fractional_n_refused(self):
+        with pytest.raises(ValueError, match="n must be an integer, got 100.7"):
+            sample_dataset("deconv", 100.7, identity_link(), NoiseSpec(), 0.1, seed=1)
+        assert sample_dataset("deconv", 100.0, identity_link(), NoiseSpec(), 0.1, seed=1).n == 100
+
     def test_noiseless_shuffled_recovery(self):
         # with sigma = 0 the sorted responses are exactly the link at the
         # ordered covariates
