@@ -27,6 +27,7 @@ import numpy as np
 from .csvio import write_table
 from .deconv import estimate_cdf
 from .experiments import (
+    _COMPATIBLE,
     DEFAULT_SEED,
     ConjectureConfig,
     conjecture_sweep,
@@ -34,8 +35,7 @@ from .experiments import (
     rate_sweep,
 )
 from .regress import fit_shuffled, fit_unlinked, stepfn_to_csv
-from .synth import LinkSpec, dataset_from_csv
-from .synth import _LINK_PARAMS
+from .synth import _LINK_PARAMS, LinkSpec, dataset_from_csv
 
 __all__ = ["main", "run", "write_records", "render_plot", "parse_link"]
 
@@ -203,7 +203,7 @@ _OPTIONS = {
         "workers": _Option(int, 1, "process count (default 1)"),
     },
     "rates": {
-        "problem": _Option(str, "shuffled", "estimation problem", ("shuffled", "unlinked", "deconv")),
+        "problem": _Option(str, "shuffled", "estimation problem", tuple(_COMPATIBLE)),
         "sigma-rule": _Option(str, "below-root", "noise level as a function of n"),
         "n-grid": _Option(_int_list, (100, 316, 1000, 3162, 10000), "comma-separated sample sizes"),
         "reps": _Option(int, 30, "replications per sample size"),

@@ -1,16 +1,17 @@
 """The CSV format of every table monofit writes or reads.
 
 A table is an optional preamble of ``# key=value`` lines, each ended by LF,
-then a header row and data rows in :mod:`csv` writer defaults: comma
-separated, minimal quoting, rows ended by CRLF.  Floats carry 17
+then a header row and data rows as :class:`csv.writer` writes them by
+default: comma separated, rows ended by CRLF, and a cell holding a comma, a
+double quote, CR or LF (or a lone empty cell) wrapped in double quotes, with
+inner ones doubled.  Preamble values are not quoted.  Floats carry 17
 significant digits, enough to round-trip any double, so a table is a pure
-function of the values written.  Booleans are written as 1 and 0.
+function of the values written.  Booleans, numpy's included, are 1 and 0.
 
-Tables move a column at a time.  A table whose columns are all float arrays
-is formatted a chunk of rows at a time, one ``%`` per row; a float never
-needs quoting, so these are the bytes :class:`csv.writer` would write, and
-any other table is written by it.  :func:`read_columns` parses the data rows
-with :func:`numpy.loadtxt` into one array per column.
+Every table is written ``CHUNK_ROWS`` rows at a time, one ``%`` per row: a
+float array column from its chunk's ``.tolist()``, any other column sliced
+and formatted cell by cell.  :func:`read_columns` parses the data rows with
+:func:`numpy.loadtxt` into one array per column.
 """
 
 import csv
@@ -25,54 +26,49 @@ FLOAT_FMT = "%.17g"
 CHUNK_ROWS = 8192
 
 
-def _cell(value):
-    """One CSV cell: bools as 1/0, floats at 17 significant digits, the rest by str."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
+def _cell(value, quoted=True):
+    """One cell as the module docstring states; a preamble value is not ``quoted``."""
     if isinstance(value, float):
         return FLOAT_FMT % value
-    return str(value)
-
-
-def _column(values):
-    """The cells of one column; a float array skips the per-cell type dispatch."""
-    if _is_float_array(values):
-        return map(FLOAT_FMT.__mod__, values)
-    return map(_cell, values)
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    text = str(value)
+    if quoted and ("," in text or '"' in text or "\r" in text or "\n" in text):
+        return '"%s"' % text.replace('"', '""')
+    return text
 
 
 def _is_float_array(values):
     return isinstance(values, np.ndarray) and values.dtype.kind == "f"
 
 
-def _write_floats(fh, columns):
-    """Write float arrays as data rows, CHUNK_ROWS rows per write."""
-    n = len(columns[0])
-    if any(len(c) != n for c in columns):
-        raise ValueError("columns must have equal lengths, got %s" % [len(c) for c in columns])
-    row = ",".join([FLOAT_FMT] * len(columns)) + "\r\n"
-    for start in range(0, n, CHUNK_ROWS):
-        chunk = (c[start : start + CHUNK_ROWS].tolist() for c in columns)
-        fh.write("".join(map(row.__mod__, zip(*chunk))))
+def _cells(part, lone):
+    """A chunk of one column: a float array's floats, else its cells; as
+    csv.writer does, an empty cell of a one-column (``lone``) table is quoted."""
+    if _is_float_array(part):
+        return part.tolist()
+    return [_cell(v) or '""' for v in part] if lone else map(_cell, part)
 
 
 def write_table(path, header, columns, preamble=None):
     """Write equal-length ``columns`` under ``header`` to ``path``.
 
-    ``preamble`` maps keys to values written as ``# key=value`` lines ahead
-    of the header.  Every value is formatted as the module docstring states.
-    When every column is a float array the rows are formatted ``CHUNK_ROWS``
-    at a time; any other table goes through :class:`csv.writer` cell by cell.
+    ``preamble`` maps keys to ``# key=value`` lines ahead of the header.
+    Cells are formatted and quoted as the module docstring states.  Columns,
+    numpy arrays or other sliceable sequences, go ``CHUNK_ROWS`` rows at a
+    time; a count or length mismatch is refused before the file is opened.
     """
+    n = len(columns[0]) if columns else 0
+    if len(header) != len(columns) or any(len(c) != n for c in columns):
+        raise ValueError("%d header names for columns of lengths %s" % (len(header), [len(c) for c in columns]))
+    row = ",".join([FLOAT_FMT if _is_float_array(c) else "%s" for c in columns]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key, value in (preamble or {}).items():
-            fh.write("# %s=%s\n" % (key, _cell(value)))
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if columns and all(map(_is_float_array, columns)):
-            _write_floats(fh, columns)
-        else:
-            writer.writerows(zip(*map(_column, columns), strict=True))
+            fh.write("# %s=%s\n" % (key, _cell(value, quoted=False)))
+        fh.write(",".join(_cells(header, len(header) == 1)) + "\r\n")
+        for start in range(0, n, CHUNK_ROWS):
+            chunk = [_cells(c[start : start + CHUNK_ROWS], len(columns) == 1) for c in columns]
+            fh.write("".join(map(row.__mod__, zip(*chunk))))
 
 
 def _first_bad_line(path, first, options):

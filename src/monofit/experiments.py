@@ -392,10 +392,10 @@ def _measure_risks(problem, ds, link, kinds):
 def rate_sweep(problem, n_grid, sigma_rule, reps, seed, link=None, risk_kinds=None):
     """Generate-fit-measure replications across an n-grid.
 
-    One :class:`RiskRecord` per (n, replication, risk kind); each
-    replication reruns exactly from its recorded seed.  ``sigma_rule`` may
-    be a :class:`SigmaRule` or a string for :func:`parse_sigma_rule`;
-    presets are range-checked at every grid size.
+    One :class:`RiskRecord` per (n, replication, risk kind), each rerunning
+    exactly from its recorded seed.  ``sigma_rule`` is a :class:`SigmaRule`
+    or a :func:`parse_sigma_rule` string.  An empty ``n_grid``, ``reps`` < 1
+    and a size < 1 or outside a preset's regime are refused before any fit.
     """
     if problem not in _COMPATIBLE:
         raise ValueError("unknown problem: %r" % (problem,))
@@ -408,9 +408,14 @@ def rate_sweep(problem, n_grid, sigma_rule, reps, seed, link=None, risk_kinds=No
             raise ValueError("risk kind %r incompatible with problem %r" % (kind, problem))
     n_grid = [check_integer(n, "n") for n in n_grid]
     reps = check_integer(reps, "reps")
-    records = []
+    if not n_grid or min(n_grid) < 1:
+        raise ValueError("n_grid must hold one or more sizes of at least 1, got %r" % (n_grid,))
+    if reps < 1:
+        raise ValueError("reps must be at least 1, got %d" % reps)
     for n in n_grid:
         sigma_rule.check(n)
+    records = []
+    for n in n_grid:
         sig = sigma_rule.sigma(n)
         for rep in range(reps):
             child = derive_seed(seed, problem, n, rep)

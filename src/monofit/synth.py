@@ -15,7 +15,6 @@ platform-stable generators from ``(seed, purpose tags)``.  Generation is a
 pure function of its arguments: the same seed gives bit-identical output.
 """
 
-import itertools
 import math
 import zlib
 from dataclasses import dataclass
@@ -351,8 +350,8 @@ def sample_dataset(mode, n, link, noise, sigma, seed):
 
 def dataset_to_csv(ds, path):
     """Write a dataset as CSV with columns mode, index, x, y."""
-    xs = itertools.repeat("", ds.n) if ds.mode == "deconv" else ds.x_ordered
-    write_table(path, ("mode", "index", "x", "y"), (itertools.repeat(ds.mode, ds.n), range(ds.n), xs, ds.y))
+    xs = [""] * ds.n if ds.mode == "deconv" else ds.x_ordered
+    write_table(path, ("mode", "index", "x", "y"), ([ds.mode] * ds.n, range(ds.n), xs, ds.y))
 
 
 def _x_cell(text):

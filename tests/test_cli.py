@@ -51,6 +51,10 @@ class TestExitCodes:
             ["estimate"],
             # n**-inf = 0 would run a noiseless sweep and fail only at the slope fit
             ["rates", "--sigma-rule", "power:inf", "--n-grid", "100,1000", "--reps", "1"],
+            # an empty sweep would write a header-only risks.csv
+            ["rates", "--n-grid", "100", "--reps", "0"],
+            ["rates", "--n-grid", ",", "--reps", "1"],
+            ["rates", "--n-grid", "0,100", "--reps", "1"],
         ],
     )
     def test_refused_run_creates_no_out_directory(self, argv, tmp_path, capsys):

@@ -574,6 +574,27 @@ class TestRateSweep:
         with pytest.raises(ValueError, match="%s must be an integer" % name):
             rate_sweep("shuffled", n_grid, "below-root", reps=reps, seed=1)
 
+    @pytest.mark.parametrize(
+        "n_grid, reps, message",
+        [
+            ((100,), 0, r"reps must be at least 1, got 0"),
+            ((100,), -2, r"reps must be at least 1, got -2"),
+            ((), 2, r"n_grid must hold one or more sizes of at least 1, got \[\]"),
+            ((100, 0), 2, r"n_grid must hold .*, got \[100, 0\]"),
+            ((-5,), 2, r"n_grid must hold .*, got \[-5\]"),
+        ],
+        ids=["reps-0", "reps-negative", "empty-grid", "n-0", "n-negative"],
+    )
+    def test_empty_sweep_refused_before_any_fit(self, monkeypatch, n_grid, reps, message):
+        monkeypatch.setattr("monofit.experiments.sample_dataset", lambda *a, **k: pytest.fail("a fit ran"))
+        with pytest.raises(ValueError, match=message):
+            rate_sweep("shuffled", n_grid, "below-root", reps=reps, seed=1)
+
+    def test_preset_out_of_regime_at_a_late_size_refused_before_any_fit(self, monkeypatch):
+        monkeypatch.setattr("monofit.experiments.sample_dataset", lambda *a, **k: pytest.fail("a fit ran"))
+        with pytest.raises(ValueError, match="out of regime at n=2"):
+            rate_sweep("shuffled", (1000, 2), "root-log-small", reps=3, seed=1)
+
     def test_record_validation(self):
         # problem and kind are rate_sweep's to check (test_incompatible_risk_kind)
         for bad in (-0.5, math.nan):
