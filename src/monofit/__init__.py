@@ -18,27 +18,6 @@ The package groups seven pieces:
 - :mod:`monofit.cli` -- the ``monofit`` command line front end.
 """
 
-from .dist1d import (
-    EmpiricalMeasure,
-    MonotoneStepFn,
-    TabulatedDistribution,
-    quantile,
-    w1_cdf_area,
-    w1_empirical,
-    w1_tabulated,
-    w2_empirical,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "EmpiricalMeasure",
-    "MonotoneStepFn",
-    "TabulatedDistribution",
-    "quantile",
-    "w1_cdf_area",
-    "w1_empirical",
-    "w1_tabulated",
-    "w2_empirical",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -35,7 +35,7 @@ from .experiments import (
     rate_sweep,
 )
 from .regress import fit_shuffled, fit_unlinked, stepfn_to_csv
-from .synth import _LINK_PARAMS, LinkSpec, dataset_from_csv
+from .synth import LinkSpec, dataset_from_csv
 
 __all__ = ["main", "run", "write_records", "render_plot", "parse_link"]
 
@@ -54,15 +54,15 @@ def parse_link(text):
     Accepted forms: ``identity``, ``cube``, ``affine:slope,offset``,
     ``step:v1,v2,...``, ``unbounded-tail:eps,a,scale,n``.  Whatever
     :class:`LinkSpec` refuses (a wrong parameter count, a fractional n, a
-    non-finite parameter) is refused with a message quoting ``text``.
+    non-finite parameter, an unknown kind) is refused with a message quoting
+    ``text``.
     """
     text = text.strip()
     name, _, arg = text.partition(":")
-    kind = name.replace("-", "_")
-    if "_" in name or kind not in _LINK_PARAMS:
-        raise ValueError("unknown link: %r" % (text,))
     try:
-        return LinkSpec(kind, _float_list(arg))
+        if "_" in name:  # a kind is spelled with hyphens only
+            raise ValueError("unknown link kind: %r" % (name,))
+        return LinkSpec(name.replace("-", "_"), _float_list(arg))
     except ValueError as exc:
         raise ValueError("link %r: %s" % (text, exc)) from None
 
@@ -222,11 +222,7 @@ def _build_parser():
         description="monotone-link estimation and Monte-Carlo experiment runner",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for cmd, help_text in (
-        ("conjecture", "occupancy-product Monte-Carlo sweep"),
-        ("rates", "risk rate sweep over an n-grid"),
-        ("estimate", "fit one dataset from CSV"),
-    ):
+    for cmd, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument("--config", help="INI config file; section per subcommand, flags win")
         for flag, opt in {**_COMMON, **_OPTIONS[cmd]}.items():
@@ -342,10 +338,11 @@ def _cmd_estimate(opts):
     return 0
 
 
-_DISPATCH = {
-    "conjecture": _cmd_conjecture,
-    "rates": _cmd_rates,
-    "estimate": _cmd_estimate,
+# each subcommand, in --help order: its help line and its handler
+_COMMANDS = {
+    "conjecture": ("occupancy-product Monte-Carlo sweep", _cmd_conjecture),
+    "rates": ("risk rate sweep over an n-grid", _cmd_rates),
+    "estimate": ("fit one dataset from CSV", _cmd_estimate),
 }
 
 
@@ -357,7 +354,7 @@ def run(argv):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.cmd](_resolve(args, _load_ini(args.config), args.cmd))
+        return _COMMANDS[args.cmd][1](_resolve(args, _load_ini(args.config), args.cmd))
     except Exception as exc:  # noqa: BLE001 - boundary: report, signal failure
         print("error: %s" % exc, file=sys.stderr)
         return 1

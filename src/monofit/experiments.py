@@ -192,28 +192,22 @@ def _sweep_chunk(args):
     return out
 
 
-def conjecture_sweep(cfg, workers=None):
+def conjecture_sweep(cfg, workers=1):
     """Mean and standard error of the occupancy product per (n, C).
 
     Replications are independent streams keyed by (seed, n, rep), so the
-    result is identical whether chunks run serially (``workers`` None or 1)
-    or on a process pool — the chunks are reassembled in replication order
-    before the means are taken.
+    result is identical whether chunks run serially (``workers`` 1) or on a
+    process pool of ``workers`` processes: each n's ``min(reps, 2 workers)``
+    chunks are reassembled in replication order before the means are taken.
     """
-    if workers is not None and workers < 1:
+    workers = check_integer(workers, "workers")
+    if workers < 1:
         raise ValueError("workers must be at least 1, got %r" % (workers,))
-    tasks = []
-    spans = []
-    for n in cfg.n_grid:
-        n = int(n)
-        chunks = max(1, min(cfg.reps, (workers or 1) * 2))
-        bounds = np.linspace(0, cfg.reps, chunks + 1).astype(int)
-        first = len(tasks)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                tasks.append((cfg.seed, n, int(lo), int(hi), cfg.C_list, cfg.c))
-        spans.append((n, first, len(tasks)))
-    if workers and workers > 1:
+    n_grid = cfg.n_grid.tolist()
+    chunks = min(cfg.reps, 2 * workers)
+    bounds = np.linspace(0, cfg.reps, chunks + 1).astype(int).tolist()
+    tasks = [(cfg.seed, n, lo, hi, cfg.C_list, cfg.c) for n in n_grid for lo, hi in zip(bounds, bounds[1:])]
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only by a parallel sweep
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -221,8 +215,8 @@ def conjecture_sweep(cfg, workers=None):
     else:
         results = [_sweep_chunk(t) for t in tasks]
     rows = []
-    for n, first, last in spans:
-        values = np.vstack(results[first:last])  # reps x |C_list|
+    for i, n in enumerate(n_grid):
+        values = np.vstack(results[i * chunks : (i + 1) * chunks])  # reps x |C_list|
         means = values.mean(axis=0)
         if cfg.reps > 1:
             stderrs = values.std(axis=0, ddof=1) / math.sqrt(cfg.reps)

@@ -30,6 +30,11 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
+def test_package_root_exports_only_the_version():
+    # every other name has one import path, its defining module
+    assert monofit.__all__ == ["__version__"]
+
+
 def test_cli_import_and_deconvolution_load_no_scipy(tmp_path):
     # the runtime needs numpy only: with every scipy import made to fail,
     # each subcommand and the population risk still run to completion

@@ -107,7 +107,7 @@ class TestOptionTable:
     def test_conjecture_defaults_are_the_config_class(self, tmp_path, monkeypatch, capsys):
         seen = []
 
-        def fake_sweep(cfg, workers=None):
+        def fake_sweep(cfg, workers):
             seen.append((cfg, workers))
             return [ConjectureRow(n=100, C=C, mean=0.5, stderr=0.0) for C in cfg.C_list]
 
@@ -377,6 +377,8 @@ class TestHelpers:
             ("affine:inf,0", "must be finite"),
             ("affine:x,0", "could not convert"),
             ("step:", "at least one level"),
+            ("nosuch:1", "unknown link kind: 'nosuch'"),
+            ("spline", "unknown link kind: 'spline'"),
         ],
     )
     def test_parse_link_refusals_quote_the_text(self, text, why):

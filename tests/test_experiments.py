@@ -349,6 +349,17 @@ class TestConjectureSweep:
         parallel = conjecture_sweep(self.CFG, workers=4)
         assert serial == parallel
 
+    @pytest.mark.parametrize("reps, workers", [(3, 2), (3, 4), (1, 2)])
+    def test_parallel_equals_serial_with_fewer_reps_than_chunks(self, reps, workers):
+        # min(reps, 2 workers) chunks: one replication to a chunk
+        cfg = ConjectureConfig(n_min=100, n_max=1000, grid_points=3, reps=reps, C_list=(1.0, 100.0), seed=5)
+        assert conjecture_sweep(cfg, workers=workers) == conjecture_sweep(cfg, workers=1)
+
+    @pytest.mark.parametrize("workers, why", [(2.5, "workers must be an integer"), (0, "workers must be at least 1")])
+    def test_refuses_a_bad_worker_count_by_name(self, workers, why):
+        with pytest.raises(ValueError, match=why):
+            conjecture_sweep(self.CFG, workers=workers)
+
     def test_mean_matches_direct_average(self):
         # per-C mean over shared draws == averaging the direct product
         cfg = ConjectureConfig(n_min=50, n_max=50, grid_points=1, reps=25, C_list=(2.0,), seed=6)
