@@ -4,9 +4,10 @@ A table is an optional preamble of ``# key=value`` lines, each ended by LF,
 then a header row and data rows as :class:`csv.writer` writes them by
 default: comma separated, rows ended by CRLF, and a cell holding a comma, a
 double quote, CR or LF (or a lone empty cell) wrapped in double quotes, with
-inner ones doubled.  Preamble values are not quoted.  Floats carry 17
-significant digits, enough to round-trip any double, so a table is a pure
-function of the values written.  Booleans, numpy's included, are 1 and 0.
+inner ones doubled.  Preamble values are not quoted.  Floats, numpy's of
+any width included, carry 17 significant digits, enough to round-trip any
+double, so a table is a pure function of the values written.  Booleans,
+numpy's included, are 1 and 0.
 
 Every table is written ``CHUNK_ROWS`` rows at a time, one ``%`` per row: a
 float array column from its chunk's ``.tolist()``, any other column sliced
@@ -28,7 +29,7 @@ CHUNK_ROWS = 8192
 
 def _cell(value, quoted=True):
     """One cell as the module docstring states; a preamble value is not ``quoted``."""
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         return FLOAT_FMT % value
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"

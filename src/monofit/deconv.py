@@ -209,7 +209,7 @@ def auto_grid(ys, sigma, points=2**14):
     The deconvolution estimator demands the observed range padded by at
     least 6 (1 + sigma) on each side; two extra units absorb kernel tails.
     """
-    pad = 6.0 * (1.0 + float(sigma)) + 2.0
+    pad = 6.0 * (1.0 + check_sigma(sigma)) + 2.0
     return GridSpec(float(ys.atoms[0]) - pad, float(ys.atoms[-1]) + pad, points)
 
 

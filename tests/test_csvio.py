@@ -14,6 +14,7 @@ from monofit.csvio import read_columns, write_table
 
 # every kind of double: subnormals, signed zeros, infinities, NaN, +-max
 DOUBLES = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True, width=64)
+SINGLES = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True, width=32)
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max,
          np.inf, -np.inf, np.nan, 0.1, 1.0 / 3.0]
 # text with every character minimal quoting reacts to, and the empty string
@@ -24,7 +25,7 @@ def _oracle_cell(value):
     """A cell as the module docstring states it, before quoting."""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         return "%.17g" % value
     return str(value)
 
@@ -86,6 +87,8 @@ def test_float_table_bytes_and_bits_match_the_cell_writer(tmp_path_factory, rows
 COLUMN_KINDS = {
     "float array": lambda n: st.lists(DOUBLES, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=float)),
     "floats": lambda n: st.lists(DOUBLES, min_size=n, max_size=n),
+    "float32 array": lambda n: st.lists(SINGLES, min_size=n, max_size=n).map(lambda v: np.array(v, np.float32)),
+    "numpy floats": lambda n: st.lists(SINGLES, min_size=n, max_size=n).map(lambda v: list(np.array(v, np.float32))),
     # seeds at and above 2**63 beside small ints, as risks.csv holds them
     "ints": lambda n: st.lists(st.integers(0, 2**64 - 1) | st.integers(-9, 9), min_size=n, max_size=n),
     "bools": lambda n: st.lists(st.booleans(), min_size=n, max_size=n).map(lambda v: np.array(v, dtype=bool)),
@@ -126,6 +129,13 @@ def test_numpy_bools_are_written_as_one_and_zero(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, ("flag", "other"), (np.array([True, False]), [np.False_, np.True_]), {"projected": np.True_})
     assert path.read_bytes() == b"# projected=1\nflag,other\r\n1,0\r\n0,1\r\n"
+
+
+def test_numpy_float_scalars_are_written_at_17_digits(tmp_path):
+    # a float32 cell reads the same from a list as from an array, and in the preamble
+    path = tmp_path / "t.csv"
+    write_table(path, ("list", "array"), ([np.float32(0.1)], np.array([0.1], np.float32)), {"s": np.float32(0.1)})
+    assert path.read_bytes() == b"# s=0.10000000149011612\nlist,array\r\n0.10000000149011612,0.10000000149011612\r\n"
 
 
 def test_columns_of_unequal_length_refused(tmp_path):

@@ -205,6 +205,13 @@ class TestGridSpec:
         assert g.lo == -1.0 - pad and g.hi == 3.0 + pad
         assert g.points == 2**14
 
+    @pytest.mark.parametrize("sigma", [-5.0, np.nan, np.inf])
+    def test_auto_grid_refuses_a_bad_sigma(self, sigma):
+        # sigma -5 would pad by -22 and leave the sample's ends off the grid
+        ys = EmpiricalMeasure(np.linspace(-100.0, 100.0, 50))
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            auto_grid(ys, sigma)
+
 
 class TestIsotonize:
     def test_hand_case(self):
