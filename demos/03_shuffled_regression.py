@@ -10,9 +10,9 @@ gracefully as sigma grows.
 
 from monofit.experiments import risk_empirical, risk_population
 from monofit.regress import fit_shuffled
-from monofit.synth import NoiseSpec, cube_link, sample_dataset
+from monofit.synth import LinkSpec, NoiseSpec, sample_dataset
 
-link = cube_link()          # m0(x) = x^3 on [0, 1]
+link = LinkSpec("cube")  # m0(x) = x^3 on [0, 1]
 noise = NoiseSpec()
 
 # Zero noise: exact recovery at every design point.

@@ -11,9 +11,9 @@ its quantiles onto the sorted covariates.
 from monofit.deconv import select_bandwidth
 from monofit.experiments import risk_empirical
 from monofit.regress import fit_shuffled, fit_unlinked
-from monofit.synth import NoiseSpec, affine_link, sample_dataset
+from monofit.synth import LinkSpec, NoiseSpec, sample_dataset
 
-link = affine_link(2.0, -0.5)       # m0(x) = 2x - 0.5
+link = LinkSpec("affine", (2.0, -0.5))  # m0(x) = 2x - 0.5
 noise = NoiseSpec()
 
 for sigma in (0.0, 0.1, 0.3):

@@ -53,13 +53,6 @@ class EmpiricalMeasure:
     def n(self):
         return self.atoms.size
 
-    def cdf(self, x):
-        """Fraction of atoms <= x (the right-continuous empirical CDF)."""
-        x_arr = np.asarray(x, dtype=float)
-        if np.isnan(x_arr).any():
-            raise ValueError("cdf argument must not be NaN")
-        return np.searchsorted(self.atoms, x_arr, side="right") / self.n
-
     def quantile(self, u):
         """Atom at level u: ``atoms[i-1]`` for u in ((i-1)/n, i/n], 1-based i."""
         u_arr = np.asarray(u, dtype=float)

@@ -27,7 +27,7 @@ import numpy as np
 from .deconv import estimate_cdf
 from .dist1d import TabulatedDistribution, w1_tabulated
 from .regress import fit_shuffled, fit_unlinked
-from .synth import LinkSpec, NoiseSpec, derive_seed, identity_link, link_cdf, rng_stream, sample_dataset
+from .synth import LinkSpec, NoiseSpec, derive_seed, link_cdf, rng_stream, sample_dataset
 from .synth import _link_values, check_integer
 
 __all__ = [
@@ -237,7 +237,7 @@ def risk_population(mhat, m0):
     """integral of |mhat - m0| over the Uniform[0, 1] design.
 
     ``m0`` is a :class:`LinkSpec`.  The integral is split at the knots
-    of ``mhat`` and the jumps of ``m0``.  On a piece (a, b] where mhat = v,
+    of ``mhat`` and at ``m0.edges``.  On a piece (a, b] where mhat = v,
     m0 - v changes sign at clip(link_cdf(m0, v), a, b), as link_cdf is
     Leb{m0 <= v}; each side gets 64-point Gauss-Legendre, evaluated one
     node at a time across all panels into two reused panel-length buffers.
@@ -246,14 +246,9 @@ def risk_population(mhat, m0):
     """
     if not isinstance(m0, LinkSpec):
         raise TypeError("m0 must be a LinkSpec")
-    edges = [np.array([0.0, 1.0]), mhat.knots]
-    if m0.kind == "step":
-        edges.append(np.arange(1, len(m0.params)) / len(m0.params))
-    elif m0.kind == "unbounded_tail":
-        edges.append(m0.cut * 0.5 ** np.arange(50, -1, -1))  # refine toward the singular origin
     # the runs are sorted, so a stable sort (timsort) only merges them; a
     # repeated edge makes zero-width panels, which are dropped below
-    edges = np.sort(np.concatenate(edges), kind="stable")
+    edges = np.sort(np.concatenate((np.array([0.0, 1.0]), mhat.knots, m0.edges)), kind="stable")
     a, b = edges[:-1], edges[1:]
     v = mhat(b)  # constant on (a, b]
     cross = np.clip(link_cdf(m0, v), a, b)
@@ -395,7 +390,7 @@ def rate_sweep(problem, n_grid, sigma_rule, reps, seed, link=None, risk_kinds=No
         raise ValueError("unknown problem: %r" % (problem,))
     if isinstance(sigma_rule, str):
         sigma_rule = parse_sigma_rule(sigma_rule)
-    link = identity_link() if link is None else link
+    link = LinkSpec("identity") if link is None else link
     kinds = tuple(risk_kinds) if risk_kinds else _COMPATIBLE[problem][:1]
     for kind in kinds:
         if kind not in _COMPATIBLE[problem]:

@@ -32,13 +32,8 @@ __all__ = [
     "rng_stream",
     "derive_seed",
     "noise_charfn",
-    "eval_link",
     "link_cdf",
-    "identity_link",
     "affine_link",
-    "cube_link",
-    "step_link",
-    "unbounded_tail_link",
     "sample_dataset",
     "dataset_to_csv",
     "dataset_from_csv",
@@ -86,10 +81,15 @@ def check_sigma(sigma):
 def check_integer(value, name):
     """``value`` as an int; ValueError naming ``name`` unless it is integral.
 
-    Integral floats such as 100.0 and numpy integers are taken; 100.7 or a
-    non-finite value is refused rather than cut down to an integer.
+    Integral floats such as 100.0 and numpy integers are taken; 100.7, a
+    non-finite value, text, a boolean or None is refused rather than read
+    as an integer.
     """
-    if not float(value).is_integer():
+    try:
+        integral = not isinstance(value, (str, bytes, bool, np.bool_)) and float(value).is_integer()
+    except TypeError:
+        integral = False
+    if not integral:
         raise ValueError("%s must be an integer, got %r" % (name, value))
     return int(value)
 
@@ -165,7 +165,12 @@ class LinkSpec:
         object.__setattr__(self, "params", params)
 
     def __call__(self, x):
-        return eval_link(self, x)
+        """The link at x in [0, 1]; nondecreasing in x."""
+        x_arr = np.asarray(x, dtype=float)
+        if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
+            raise ValueError("link domain is [0, 1]")
+        out = _link_values(self, x_arr, np.empty_like(x_arr))
+        return out if np.ndim(x) else float(out)
 
     @property
     def cut(self):
@@ -173,41 +178,31 @@ class LinkSpec:
         _, _, tail_scale, n = self.params
         return tail_scale / n
 
+    @property
+    def edges(self):
+        """Points of (0, 1) where an integral of the link must be split.
 
-def identity_link():
-    return LinkSpec("identity")
+        A step link's interior jumps; for the tail link, halvings of the
+        cutoff toward the singular origin; none for the other kinds.
+        """
+        if self.kind == "step":
+            k = len(self.params)
+            return np.arange(1, k) / k
+        if self.kind == "unbounded_tail":
+            return self.cut * 0.5 ** np.arange(50, -1, -1)
+        return np.empty(0)
 
 
 def affine_link(slope, offset):
+    """``LinkSpec("affine", (slope, offset))``; kept for the benchmark, which imports it."""
     return LinkSpec("affine", (slope, offset))
-
-
-def cube_link():
-    return LinkSpec("cube")
-
-
-def step_link(levels):
-    return LinkSpec("step", tuple(levels))
-
-
-def unbounded_tail_link(eps, a, tail_scale, n):
-    return LinkSpec("unbounded_tail", (eps, a, tail_scale, n))
-
-
-def eval_link(spec, x):
-    """Evaluate a catalog link at x in [0, 1]; nondecreasing in x."""
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
-        raise ValueError("link domain is [0, 1]")
-    out = _link_values(spec, x_arr, np.empty_like(x_arr))
-    return out if np.ndim(x) else float(out)
 
 
 def _link_values(spec, x, out):
     """Write the link at ``x`` into ``out`` (same shape) and return ``out``.
 
     No domain check: every entry of the float array ``x`` must lie in
-    [0, 1].  :func:`eval_link` checks that first; the quadrature of
+    [0, 1].  :meth:`LinkSpec.__call__` checks that first; the quadrature of
     ``experiments.risk_population`` builds its nodes inside the domain and
     reuses one ``out`` for all of them.  Each kind runs the same operations
     in the same order either way, so both callers get the same bits.
@@ -221,9 +216,7 @@ def _link_values(spec, x, out):
     elif spec.kind == "cube":
         np.power(x, 3, out=out)
     elif spec.kind == "step":
-        k = len(spec.params)
-        cells = np.arange(1, k + 1) / k
-        idx = np.minimum(np.searchsorted(cells, x, side="left"), k - 1)
+        idx = np.searchsorted(spec.edges, x, side="left")
         np.take(np.asarray(spec.params, dtype=float), idx, out=out)
     else:
         eps, a, _, _ = spec.params
@@ -262,7 +255,7 @@ def _unbounded_tail_cdf(spec, z_arr):
     # side rises for t < log(cut): bisect for the largest such t.  exp(t)
     # underflows to 0 below t = -745, so [-800, log cut] holds every root.
     eps, a, _, _ = spec.params
-    tail = z_arr < eval_link(spec, spec.cut)
+    tail = z_arr < spec(spec.cut)
     target = -(a + 2.0) * np.log(-z_arr[tail])
     lo = np.full(target.shape, -800.0)
     hi = np.full(target.shape, math.log(spec.cut))
@@ -342,7 +335,7 @@ def sample_dataset(mode, n, link, noise, sigma, seed):
     sigma = check_sigma(sigma)
     x = None if mode == "deconv" else np.sort(rng_stream(seed, "x").random(n))
     x_latent = x if mode == "shuffled" else rng_stream(seed, "latent").random(n)
-    y = eval_link(link, x_latent) + sigma * rng_stream(seed, "noise").standard_normal(n)
+    y = link(x_latent) + sigma * rng_stream(seed, "noise").standard_normal(n)
     if mode == "shuffled":
         y = y[rng_stream(seed, "perm").permutation(n)]
     return Dataset(mode, x, y, sigma)

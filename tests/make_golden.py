@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from monofit import cli
-from monofit.synth import NoiseSpec, affine_link, dataset_to_csv, sample_dataset
+from monofit.synth import LinkSpec, NoiseSpec, dataset_to_csv, sample_dataset
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = "manifest.json"
@@ -59,7 +59,7 @@ def write_outputs(out):
     out = Path(out)
     (out / "data").mkdir(parents=True, exist_ok=True)
     for mode in MODES:
-        ds = sample_dataset(mode, 500, affine_link(2.0, -0.5), NoiseSpec(), 0.1, seed=SEED)
+        ds = sample_dataset(mode, 500, LinkSpec("affine", (2.0, -0.5)), NoiseSpec(), 0.1, seed=SEED)
         dataset_to_csv(ds, out / "data" / ("%s.csv" % mode))
     for subdir, argv in RUNS:
         run(out, subdir, argv)

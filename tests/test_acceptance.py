@@ -30,14 +30,7 @@ from monofit.experiments import (
     risk_empirical,
 )
 from monofit.regress import fit_shuffled
-from monofit.synth import (
-    NoiseSpec,
-    affine_link,
-    derive_seed,
-    eval_link,
-    rng_stream,
-    sample_dataset,
-)
+from monofit.synth import LinkSpec, NoiseSpec, derive_seed, rng_stream, sample_dataset
 
 from links import link_catalog
 
@@ -127,7 +120,7 @@ def test_03_oracle_inequality_every_instance():
                 mhat = fit_shuffled(ds.x_ordered, ds.y, sigma).fit
                 # same stream the sampler used, so these are the realized noises
                 delta = rng_stream(seed, "noise").standard_normal(300)
-                lhs = float(np.mean((mhat(ds.x_ordered) - eval_link(cat[name], ds.x_ordered)) ** 2))
+                lhs = float(np.mean((mhat(ds.x_ordered) - cat[name](ds.x_ordered)) ** 2))
                 rhs = 4.0 * sigma**2 * float(np.mean(delta**2)) + 2.0 * sigma**2
                 margin = min(margin, rhs - lhs)
                 checked += 1
@@ -151,7 +144,7 @@ def test_04_vanishing_noise_root_n_rate():
     t0 = time.perf_counter()
     records = rate_sweep(
         "deconv", n_grid, SigmaRule("below-root"), 30, SEED,
-        link=affine_link(4.0, -2.0),
+        link=LinkSpec("affine", (4.0, -2.0)),
     )
     elapsed = time.perf_counter() - t0
     pts = []

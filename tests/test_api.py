@@ -1,14 +1,17 @@
 """Guards on the package's import surface.
 
 Every exported name resolves, every subcommand runs with scipy unimportable,
-and every function the benchmark tracer wraps still exists where the
-tracer looks for it, so a refactor cannot silently zero a per-layer metric.
+every function the benchmark tracer wraps still exists where the tracer
+looks for it, so a refactor cannot silently zero a per-layer metric, and
+every name the benchmark imports from monofit still resolves.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,7 +22,8 @@ import pytest
 import monofit
 
 MODULES = ["monofit"] + ["monofit." + m.name for m in pkgutil.iter_modules(monofit.__path__)]
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -45,7 +49,7 @@ def test_cli_import_and_deconvolution_load_no_scipy(tmp_path):
         from monofit import cli, experiments, synth
 
         out = sys.argv[1]
-        ds = synth.sample_dataset("unlinked", 200, synth.identity_link(), synth.NoiseSpec(), 0.1, seed=3)
+        ds = synth.sample_dataset("unlinked", 200, synth.LinkSpec("identity"), synth.NoiseSpec(), 0.1, seed=3)
         synth.dataset_to_csv(ds, out + "/data.csv")
         argvs = [
             ["conjecture", "--n-min", "100", "--n-max", "300", "--grid-points", "2", "--reps", "3", "--C-list", "1"],
@@ -54,7 +58,7 @@ def test_cli_import_and_deconvolution_load_no_scipy(tmp_path):
             ["estimate", "--data", out + "/data.csv", "--sigma", "0.1"],
         ]
         codes = [cli.run([*argv, "--out", out]) for argv in argvs]
-        link = synth.unbounded_tail_link(0.5, 1.0, 0.5, 200)
+        link = synth.LinkSpec("unbounded_tail", (0.5, 1.0, 0.5, 200))
         records = experiments.rate_sweep(
             "shuffled", (100, 200), "below-root", 1, 5, link=link, risk_kinds=("population_L1",)
         )
@@ -81,7 +85,7 @@ def test_commands_load_the_pool_and_ini_reader_only_when_they_use_them(tmp_path)
 
         out = sys.argv[1]
         heavy = ("concurrent.futures", "multiprocessing", "configparser", "numpy.polynomial")
-        ds = synth.sample_dataset("unlinked", 200, synth.identity_link(), synth.NoiseSpec(), 0.1, seed=3)
+        ds = synth.sample_dataset("unlinked", 200, synth.LinkSpec("identity"), synth.NoiseSpec(), 0.1, seed=3)
         synth.dataset_to_csv(ds, out + "/data.csv")
         codes = [
             cli.run(["estimate", "--data", out + "/data.csv", "--sigma", "0.1", "--out", out]),
@@ -144,3 +148,38 @@ def test_tracer_targets_resolve_and_restore():
     after = _bindings()
     changed = [key for key in before if after.get(key) is not before[key]]
     assert changed == []
+
+
+def _monofit_imports(tree):
+    """(module, name) for each import from monofit in ``tree``; name is None for ``import monofit.x``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "monofit":
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "monofit":
+                    yield alias.name, None
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # the import lines of the code a workload hands to a fresh interpreter
+            for line in node.value.splitlines():
+                if re.match(r"(from|import) monofit\b", line):
+                    yield from _monofit_imports(ast.parse(line))
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark runs the library from its own files, so a deleted name
+    # it imports would otherwise fail only inside a benchmark run
+    found, missing = set(), []
+    for path in sorted(BENCH.glob("*.py")):
+        for module, name in _monofit_imports(ast.parse(path.read_text())):
+            found.add((module, name))
+            mod = importlib.import_module(module)
+            if name is not None and not hasattr(mod, name):
+                try:
+                    importlib.import_module(module + "." + name)
+                except ImportError:
+                    missing.append("%s: %s.%s" % (path.name, module, name))
+    # imports inside functions and in subprocess code are both walked
+    assert {("monofit.synth", "NoiseSpec"), ("monofit.experiments", "rate_sweep")} <= found
+    assert missing == []

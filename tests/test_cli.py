@@ -12,7 +12,7 @@ from monofit.cli import parse_link, render_plot, run, write_records
 from monofit.experiments import ConjectureConfig, ConjectureRow
 from monofit.deconv import estimate_cdf
 from monofit.regress import fit_shuffled, fit_unlinked, stepfn_from_csv
-from monofit.synth import Dataset, LinkSpec, NoiseSpec, dataset_to_csv, identity_link, rng_stream, sample_dataset
+from monofit.synth import Dataset, LinkSpec, NoiseSpec, dataset_to_csv, rng_stream, sample_dataset
 
 
 def read_csv(path):
@@ -206,7 +206,7 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("mode", ["shuffled", "unlinked", "deconv"])
     def test_round_trip_matches_library(self, mode, tmp_path, capsys):
         # the command writes exactly what the library computes
-        ds = sample_dataset(mode, 25, identity_link(), NoiseSpec(), 0.05, seed=3)
+        ds = sample_dataset(mode, 25, LinkSpec("identity"), NoiseSpec(), 0.05, seed=3)
         data = tmp_path / "data.csv"
         dataset_to_csv(ds, data)
         out = tmp_path / "fit"
@@ -240,7 +240,7 @@ class TestEstimateCommand:
     def test_default_sigma_at_large_n(self, tmp_path, capsys):
         # the default --sigma 0 gives h = n^(-1/2); at n = 1e5 the grid is
         # refined to resolve it instead of the call being refused
-        ds = sample_dataset("unlinked", 100_000, identity_link(), NoiseSpec(), 0.0, seed=9)
+        ds = sample_dataset("unlinked", 100_000, LinkSpec("identity"), NoiseSpec(), 0.0, seed=9)
         data = tmp_path / "data.csv"
         dataset_to_csv(ds, data)
         assert run(["estimate", "--data", str(data), "--out", str(tmp_path / "fit")]) == 0
@@ -251,7 +251,7 @@ class TestEstimateCommand:
         assert np.array_equal(m.values, direct.fit.values)
 
     def test_deconv_writes_cdf_table(self, tmp_path, capsys):
-        ds = sample_dataset("deconv", 40, identity_link(), NoiseSpec(), 0.2, seed=4)
+        ds = sample_dataset("deconv", 40, LinkSpec("identity"), NoiseSpec(), 0.2, seed=4)
         data = tmp_path / "data.csv"
         dataset_to_csv(ds, data)
         out = tmp_path / "cdf"

@@ -35,14 +35,7 @@ from monofit.experiments import (
 )
 import monofit
 from monofit.experiments import _gauss_legendre, _occupancy_counts
-from monofit.synth import (
-    eval_link,
-    identity_link,
-    link_cdf,
-    rng_stream,
-    step_link,
-    unbounded_tail_link,
-)
+from monofit.synth import LinkSpec, link_cdf, rng_stream
 
 from links import link_catalog
 
@@ -95,7 +88,7 @@ def risk_quad(mhat, m0):
 
 
 def risk_population_loop(mhat, m0):
-    """The quadrature of risk_population as one eval_link call per node.
+    """The quadrature of risk_population as one link call per node.
 
     Edges by np.unique, then the library's panels, node order and per-node
     arithmetic with a fresh array for every intermediate, and the same
@@ -120,7 +113,7 @@ def risk_population_loop(mhat, m0):
     acc = np.zeros_like(half)
     for node, weight in zip(nodes, weights):
         xs = half * node + mid
-        vals = np.abs(v - eval_link(m0, xs))
+        vals = np.abs(v - m0(xs))
         acc += weight * vals
     return float((acc * half).sum())
 
@@ -317,11 +310,11 @@ class TestConjectureConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n_min", 100.5), ("n_max", 10000.5), ("n_max", math.inf), ("grid_points", 2.5), ("reps", 2.5)],
+        [("n_min", 100.5), ("n_max", 10000.5), ("n_max", math.inf), ("grid_points", 2.5), ("reps", 2.5), ("reps", "5")],
     )
     def test_fractional_sizes_refused(self, field, value):
         # cut down to an integer, reps = 2.5 would draw 2 replications and
-        # divide the standard error by sqrt(2.5)
+        # divide the standard error by sqrt(2.5); text is no size either
         with pytest.raises(ValueError, match="%s must be an integer" % field):
             ConjectureConfig(**{field: value})
 
@@ -383,7 +376,7 @@ class TestRisks:
 
     def test_empirical_trivial_cases(self):
         x = np.sort(rng_stream(47, "triv").random(30))
-        m0 = identity_link()
+        m0 = LinkSpec("identity")
         exact = MonotoneStepFn(x, x.copy())
         assert risk_empirical(exact, m0, x) == 0.0
         shifted = MonotoneStepFn(x, x + 0.3)
@@ -391,27 +384,27 @@ class TestRisks:
 
     def test_population_zero_vs_identity(self):
         mzero = MonotoneStepFn(np.array([1.0]), np.array([0.0]))
-        assert risk_population(mzero, identity_link()) == pytest.approx(0.5, rel=1e-9)
+        assert risk_population(mzero, LinkSpec("identity")) == pytest.approx(0.5, rel=1e-9)
 
     def test_population_constant_shift(self):
-        st = step_link((-1.0, 0.5, 2.0))
+        st = LinkSpec("step", (-1.0, 0.5, 2.0))
         mhat = MonotoneStepFn(np.array([1 / 3, 2 / 3, 1.0]), np.array([-0.75, 0.75, 2.25]))
         assert risk_population(mhat, st) == pytest.approx(0.25, rel=1e-9)
 
     def test_population_exact_match_is_zero(self):
-        st = step_link((-1.0, 0.5, 2.0))
+        st = LinkSpec("step", (-1.0, 0.5, 2.0))
         mhat = MonotoneStepFn(np.array([1 / 3, 2 / 3, 1.0]), np.array([-1.0, 0.5, 2.0]))
         assert risk_population(mhat, st) == pytest.approx(0.0, abs=1e-12)
 
     def test_population_crossing_split(self):
         # mhat = 1/2 against identity: |1/2 - x| integrates to 1/4
         mhalf = MonotoneStepFn(np.array([1.0]), np.array([0.5]))
-        assert risk_population(mhalf, identity_link()) == pytest.approx(0.25, rel=1e-9)
+        assert risk_population(mhalf, LinkSpec("identity")) == pytest.approx(0.25, rel=1e-9)
 
     def test_population_singular_tail(self):
         from scipy.integrate import quad
 
-        ub = unbounded_tail_link(0.5, 1.0, 0.5, 50)
+        ub = LinkSpec("unbounded_tail", (0.5, 1.0, 0.5, 50))
         mzero = MonotoneStepFn(np.array([1.0]), np.array([0.0]))
         ref, _ = quad(lambda x: -ub(x), 1e-300, ub.cut, points=[ub.cut * 1e-6, ub.cut * 1e-3], limit=200)
         assert risk_population(mzero, ub) == pytest.approx(ref, rel=1e-6)
@@ -454,6 +447,25 @@ class TestRisks:
         values = np.sort(rng.uniform(-8.0, 4.0, knots.size))
         mhat = MonotoneStepFn(knots, values)
         assert risk_population(mhat, m0).hex() == risk_population_loop(mhat, m0).hex()
+
+    @given(
+        levels=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=8).map(sorted),
+        xs=st.lists(st.floats(0.0, 1.0), max_size=20),
+        v=st.floats(-10.0, 10.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_step_link_against_step_function_and_closed_form(self, levels, xs, v):
+        # MonotoneStepFn on the knots i/k is the step link written
+        # independently, and a constant fit v against it has the closed-form
+        # risk sum |level - v| / k
+        k = len(levels)
+        link = LinkSpec("step", levels)
+        x = np.concatenate((xs, np.arange(k + 1) / k))
+        oracle = MonotoneStepFn(np.arange(1, k + 1) / k, levels)
+        assert np.array_equal(link(x), oracle(x))
+        flat = MonotoneStepFn(np.array([1.0]), np.array([v]))
+        want = sum(abs(level - v) for level in levels) / k
+        assert risk_population(flat, link) == pytest.approx(want, rel=1e-12)
 
     def test_population_risk_does_not_depend_on_blas_threads(self):
         # a threaded BLAS dot product splits the panel sum by thread; at
@@ -567,8 +579,8 @@ class TestRateSweep:
 
         recs = rate_sweep("shuffled", [80], "constant:0.2", reps=2, seed=11)
         r = recs[1]
-        ds = sample_dataset("shuffled", r.n, identity_link(), NoiseSpec(), r.sigma, seed=r.seed)
-        again = _measure_risks("shuffled", ds, identity_link(), (r.risk_kind,))
+        ds = sample_dataset("shuffled", r.n, LinkSpec("identity"), NoiseSpec(), r.sigma, seed=r.seed)
+        again = _measure_risks("shuffled", ds, LinkSpec("identity"), (r.risk_kind,))
         assert again[r.risk_kind] == r.value
 
     def test_incompatible_risk_kind(self):

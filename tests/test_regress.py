@@ -37,14 +37,7 @@ from monofit.regress import (
     stepfn_from_csv,
     stepfn_to_csv,
 )
-from monofit.synth import (
-    NoiseSpec,
-    affine_link,
-    derive_seed,
-    eval_link,
-    rng_stream,
-    sample_dataset,
-)
+from monofit.synth import LinkSpec, NoiseSpec, derive_seed, rng_stream, sample_dataset
 
 from links import link_catalog
 
@@ -112,7 +105,7 @@ class TestFitResult:
         # the fit is exactly the moment projection of the running max of the
         # mid-cell quantiles of estimate_cdf's table, bit for bit
         n, sigma = 2000, 0.1
-        ds = sample_dataset("unlinked", n, affine_link(slope, offset), NOISE, sigma, seed=36)
+        ds = sample_dataset("unlinked", n, LinkSpec("affine", (slope, offset)), NOISE, sigma, seed=36)
         res = fit_unlinked(ds.x_ordered, ds.y, sigma)
         est, _ = estimate_cdf(ds.y, sigma)
         levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
@@ -214,7 +207,7 @@ class TestProjectMoment:
     def test_threshold_is_largest_feasible_at_1e5(self, mode):
         # n = 1e5 responses like those of the benchmark's estimate
         # workload, where the default bound M / c_X = 10 at p = 3 binds
-        ds = sample_dataset(mode, 10**5, affine_link(8.0, -4.0), NOISE, 0.1, seed=derive_seed(5, mode))
+        ds = sample_dataset(mode, 10**5, LinkSpec("affine", (8.0, -4.0)), NOISE, 0.1, seed=derive_seed(5, mode))
         self.assert_largest_feasible(np.sort(ds.y), 10.0, 3.0)
 
 
@@ -243,7 +236,7 @@ class TestFitShuffled:
             for link in link_catalog(n).values():
                 ds = sample_dataset("shuffled", n, link, NOISE, 0.0, seed=42)
                 m = fit_shuffled(ds.x_ordered, ds.y, 0.0).fit
-                truth = eval_link(link, ds.x_ordered)
+                truth = link(ds.x_ordered)
                 assert np.max(np.abs(m(ds.x_ordered) - truth)) == 0.0
 
     def test_sorted_assignment_is_optimal(self):
@@ -274,7 +267,7 @@ class TestFitShuffled:
                     res = fit_shuffled(ds.x_ordered, ds.y, sig)
                     assert not res.projected
                     delta = rng_stream(seed, "noise").standard_normal(n)
-                    lhs = np.mean((res.fit(ds.x_ordered) - eval_link(link, ds.x_ordered)) ** 2)
+                    lhs = np.mean((res.fit(ds.x_ordered) - link(ds.x_ordered)) ** 2)
                     rhs = 4.0 * sig**2 * np.mean(delta**2) + 2.0 * sig**2
                     assert lhs <= rhs
 
@@ -414,7 +407,9 @@ class TestFitUnlinked:
 
         def contrast(vals):
             emp = EmpiricalMeasure.from_sample(vals)
-            tab = TabulatedDistribution.from_callable(emp.cdf, grid.lo, grid.hi, grid.points)
+            tab = TabulatedDistribution.from_callable(
+                lambda xs: np.searchsorted(emp.atoms, xs, side="right") / emp.n, grid.lo, grid.hi, grid.points
+            )
             return w1_tabulated(tab, muZ)
 
         achieved = contrast(np.asarray(res.fit.values))

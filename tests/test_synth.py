@@ -11,20 +11,14 @@ from monofit.synth import (
     Dataset,
     LinkSpec,
     NoiseSpec,
-    affine_link,
     check_integer,
-    cube_link,
     dataset_from_csv,
     dataset_to_csv,
     derive_seed,
-    eval_link,
-    identity_link,
     link_cdf,
     noise_charfn,
     rng_stream,
     sample_dataset,
-    step_link,
-    unbounded_tail_link,
 )
 
 from links import link_catalog
@@ -49,7 +43,7 @@ class TestNoiseSpec:
     def test_sample_moments(self):
         # centered, unit variance, within 5 standard errors
         n = 200_000
-        draws = sample_dataset("deconv", n, affine_link(0.0, 0.0), NoiseSpec(), 1.0, seed=4).y
+        draws = sample_dataset("deconv", n, LinkSpec("affine", (0.0, 0.0)), NoiseSpec(), 1.0, seed=4).y
         se_mean = 1.0 / math.sqrt(n)
         assert abs(draws.mean()) < 5 * se_mean
         se_var = math.sqrt(2.0 / n)
@@ -61,15 +55,15 @@ class TestLinkSpec:
         with pytest.raises(ValueError):
             LinkSpec("parabola")
         with pytest.raises(ValueError):
-            affine_link(-1.0, 0.0)
+            LinkSpec("affine", (-1.0, 0.0))
         with pytest.raises(ValueError):
-            step_link(())
+            LinkSpec("step", ())
         with pytest.raises(ValueError):
-            step_link((1.0, 0.0))
+            LinkSpec("step", (1.0, 0.0))
         with pytest.raises(ValueError, match="finite"):
-            step_link((0.0, 1.0, 2.0, math.nan))  # NaN passes the order check
+            LinkSpec("step", (0.0, 1.0, 2.0, math.nan))  # NaN passes the order check
         with pytest.raises(ValueError):
-            unbounded_tail_link(0.5, 1.0, 2.0, 1)
+            LinkSpec("unbounded_tail", (0.5, 1.0, 2.0, 1))
 
     def test_takes_only_its_kinds_parameters(self):
         # a kind has no slot for a parameter it does not read
@@ -83,8 +77,8 @@ class TestLinkSpec:
         with pytest.raises(ValueError, match="unbounded_tail takes 4 parameters, got 5"):
             LinkSpec("unbounded_tail", (0.5, 1.0, 0.5, 100, 1.0))
         with pytest.raises(ValueError, match="must be an integer"):
-            unbounded_tail_link(0.5, 1, 0.5, 100.7)
-        assert unbounded_tail_link(0.5, 1, 0.5, 100.0) == unbounded_tail_link(0.5, 1.0, 0.5, 100)
+            LinkSpec("unbounded_tail", (0.5, 1, 0.5, 100.7))
+        assert LinkSpec("unbounded_tail", (0.5, 1, 0.5, 100.0)) == LinkSpec("unbounded_tail", (0.5, 1.0, 0.5, 100))
 
     def test_rejects_tail_cut_where_link_turns_down(self):
         # x log^{1+eps}(1/x) peaks at e^{-(1+eps)}: with eps = 0.5 a cut of
@@ -93,46 +87,46 @@ class TestLinkSpec:
         xs = np.array([0.22, 0.25])
         assert np.all(np.diff(-((xs * np.log(1.0 / xs) ** 1.5) ** (-1.0 / 3.0))) < 0)
         with pytest.raises(ValueError, match="exp"):
-            unbounded_tail_link(0.5, 1.0, 0.5, 2)
+            LinkSpec("unbounded_tail", (0.5, 1.0, 0.5, 2))
         with pytest.raises(ValueError, match="exp"):
             LinkSpec("unbounded_tail", (0.1, 1.0, math.exp(-1.1), 1))
         below = LinkSpec("unbounded_tail", (0.1, 1.0, math.exp(-1.1) * (1.0 - 1e-12), 1))
         grid = np.linspace(0.0, below.cut, 10_001)[1:]
-        assert np.all(np.diff(eval_link(below, grid)) >= 0)
+        assert np.all(np.diff(below(grid)) >= 0)
 
     def test_identity(self):
-        assert eval_link(identity_link(), 0.3) == 0.3
+        assert LinkSpec("identity")(0.3) == 0.3
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            eval_link(identity_link(), 1.2)
+            LinkSpec("identity")(1.2)
 
     @pytest.mark.parametrize("name", sorted(link_catalog(3)))
     @pytest.mark.parametrize("x", [-1e-300, -0.5, np.nextafter(1.0, 2.0), 1.2, np.inf, np.nan])
     def test_domain_error_scalar_and_array(self, name, x):
         link = link_catalog(1000)[name]
         with pytest.raises(ValueError, match="domain"):
-            eval_link(link, x)
+            link(x)
         with pytest.raises(ValueError, match="domain"):
-            eval_link(link, np.array([0.0, 0.5, x, 1.0]))
+            link(np.array([0.0, 0.5, x, 1.0]))
 
     def test_step_left_continuous(self):
-        link = step_link((0.0, 1.0))
-        assert eval_link(link, 0.5) == 0.0
-        assert eval_link(link, 0.50001) == 1.0
-        assert eval_link(link, 0.0) == 0.0
-        assert eval_link(link, 1.0) == 1.0
+        link = LinkSpec("step", (0.0, 1.0))
+        assert link(0.5) == 0.0
+        assert link(0.50001) == 1.0
+        assert link(0.0) == 0.0
+        assert link(1.0) == 1.0
 
     def test_unbounded_tail_vanishes_past_cut(self):
-        link = unbounded_tail_link(0.1, 1.0, 0.5, 100)
-        assert eval_link(link, link.cut + 1e-9) == 0.0
-        assert eval_link(link, 1.0) == 0.0
+        link = LinkSpec("unbounded_tail", (0.1, 1.0, 0.5, 100))
+        assert link(link.cut + 1e-9) == 0.0
+        assert link(1.0) == 0.0
 
     def test_unbounded_tail_closed_form(self):
-        link = unbounded_tail_link(0.1, 1.0, 0.5, 100)
+        link = LinkSpec("unbounded_tail", (0.1, 1.0, 0.5, 100))
         x = 0.5 / 200.0
         want = -((x * math.log(1.0 / x) ** 1.1) ** (-1.0 / 3.0))
-        assert eval_link(link, x) == pytest.approx(want, rel=1e-12)
+        assert link(x) == pytest.approx(want, rel=1e-12)
 
     def test_unbounded_tail_nondecreasing_down_to_subnormals(self):
         # log(x) stays finite down to the smallest subnormal, where 1 / x
@@ -141,14 +135,14 @@ class TestLinkSpec:
         xs = np.array([0.0, 5e-324, 1e-310, 5e-309, 1e-300, 1e-200, link.cut])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vals = eval_link(link, xs)
+            vals = link(xs)
         assert np.all(np.diff(vals) >= 0)
         assert np.all(vals[1:] < 0.0)
 
     def test_all_catalog_members_nondecreasing(self):
         xs = np.linspace(0.0, 1.0, 4001)[1:]  # skip 0: the tail link is -inf there
         for name, link in link_catalog(1000).items():
-            vals = eval_link(link, xs)
+            vals = link(xs)
             assert np.all(np.diff(vals) >= 0), name
 
     def test_moment_bound_under_uniform_design(self):
@@ -163,13 +157,13 @@ class TestLinkSpec:
 class TestLinkCdf:
     def test_identity_affine_cube(self):
         zs = np.linspace(-2, 2, 41)
-        assert np.allclose(link_cdf(identity_link(), zs), np.clip(zs, 0, 1))
-        aff = affine_link(2.0, -0.5)
+        assert np.allclose(link_cdf(LinkSpec("identity"), zs), np.clip(zs, 0, 1))
+        aff = LinkSpec("affine", (2.0, -0.5))
         assert np.allclose(link_cdf(aff, zs), np.clip((zs + 0.5) / 2.0, 0, 1))
-        assert np.allclose(link_cdf(cube_link(), zs), np.clip(np.cbrt(zs), 0, 1))
+        assert np.allclose(link_cdf(LinkSpec("cube"), zs), np.clip(np.cbrt(zs), 0, 1))
 
     def test_step(self):
-        link = step_link((-1.0, 0.0, 2.0))
+        link = LinkSpec("step", (-1.0, 0.0, 2.0))
         assert link_cdf(link, -1.5) == 0.0
         assert link_cdf(link, -1.0) == pytest.approx(1.0 / 3.0)
         assert link_cdf(link, 0.5) == pytest.approx(2.0 / 3.0)
@@ -178,16 +172,16 @@ class TestLinkCdf:
     def test_matches_level_set_measure_on_grid(self):
         # Leb{x : m(x) <= z} evaluated by brute force on a fine grid
         grid = np.linspace(0.0, 1.0, 200_001)[1:]
-        for link in (affine_link(0.7, -0.2), cube_link(), step_link((-0.5, 0.25, 0.3))):
-            vals = eval_link(link, grid)
+        for link in (LinkSpec("affine", (0.7, -0.2)), LinkSpec("cube"), LinkSpec("step", (-0.5, 0.25, 0.3))):
+            vals = link(grid)
             for z in (-0.6, -0.2, 0.0, 0.2, 0.26, 0.9):
                 want = np.mean(vals <= z)
                 assert link_cdf(link, z) == pytest.approx(want, abs=1e-4)
 
     def test_unbounded_tail_inversion(self):
-        link = unbounded_tail_link(0.5, 1.0, 0.5, 1000)
+        link = LinkSpec("unbounded_tail", (0.5, 1.0, 0.5, 1000))
         grid = np.linspace(0.0, 1.0, 2_000_001)[1:]
-        vals = eval_link(link, grid)
+        vals = link(grid)
         for z in (-8.0, -4.0, -2.5, -0.01, 0.0, 1.0):
             want = np.mean(vals <= z)
             assert link_cdf(link, z) == pytest.approx(want, abs=1e-5)
@@ -197,7 +191,7 @@ class TestLinkCdf:
     def test_unbounded_tail_solves_profile_equation(self, eps, a, n):
         # below the cut, x = Leb{m <= z} solves log x + (1+eps) log log(1/x)
         # = -(a+2) log(-z); elsewhere the CDF is exactly the cut or 1
-        link = unbounded_tail_link(eps, a, 0.5, n)
+        link = LinkSpec("unbounded_tail", (eps, a, 0.5, n))
         z = -np.geomspace(1e-3, 1e3, 2000)
         x = link_cdf(link, z)
         tail = x < link.cut
@@ -216,7 +210,7 @@ class TestCheckInteger:
     def test_integral_values_taken(self, value):
         assert check_integer(value, "n") == 100 and type(check_integer(value, "n")) is int
 
-    @pytest.mark.parametrize("value", [100.7, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [100.7, -0.5, math.nan, math.inf, "5", True, np.True_, None])
     def test_other_values_refused(self, value):
         with pytest.raises(ValueError, match="n must be an integer, got"):
             check_integer(value, "n")
@@ -225,43 +219,43 @@ class TestCheckInteger:
 class TestSampleDataset:
     def test_fractional_n_refused(self):
         with pytest.raises(ValueError, match="n must be an integer, got 100.7"):
-            sample_dataset("deconv", 100.7, identity_link(), NoiseSpec(), 0.1, seed=1)
-        assert sample_dataset("deconv", 100.0, identity_link(), NoiseSpec(), 0.1, seed=1).n == 100
+            sample_dataset("deconv", 100.7, LinkSpec("identity"), NoiseSpec(), 0.1, seed=1)
+        assert sample_dataset("deconv", 100.0, LinkSpec("identity"), NoiseSpec(), 0.1, seed=1).n == 100
 
     def test_noiseless_shuffled_recovery(self):
         # with sigma = 0 the sorted responses are exactly the link at the
         # ordered covariates
         for name, link in link_catalog(500).items():
             ds = sample_dataset("shuffled", 500, link, NoiseSpec(), 0.0, seed=42)
-            assert np.array_equal(np.sort(ds.y, kind="stable"), eval_link(link, ds.x_ordered)), name
+            assert np.array_equal(np.sort(ds.y, kind="stable"), link(ds.x_ordered)), name
 
     def test_determinism(self):
-        a = sample_dataset("unlinked", 257, cube_link(), NoiseSpec(), 0.3, seed=9)
-        b = sample_dataset("unlinked", 257, cube_link(), NoiseSpec(), 0.3, seed=9)
+        a = sample_dataset("unlinked", 257, LinkSpec("cube"), NoiseSpec(), 0.3, seed=9)
+        b = sample_dataset("unlinked", 257, LinkSpec("cube"), NoiseSpec(), 0.3, seed=9)
         assert np.array_equal(a.x_ordered, b.x_ordered)
         assert np.array_equal(a.y, b.y)
-        c = sample_dataset("unlinked", 257, cube_link(), NoiseSpec(), 0.3, seed=10)
+        c = sample_dataset("unlinked", 257, LinkSpec("cube"), NoiseSpec(), 0.3, seed=10)
         assert not np.array_equal(a.y, c.y)
 
     def test_shuffled_stream_accounting(self):
         n, seed, sigma = 101, 77, 0.25
-        link = affine_link(1.5, 0.2)
+        link = LinkSpec("affine", (1.5, 0.2))
         ds = sample_dataset("shuffled", n, link, NoiseSpec(), sigma, seed)
         x = np.sort(rng_stream(seed, "x").random(n), kind="stable")
         delta = rng_stream(seed, "noise").standard_normal(n)
         perm = rng_stream(seed, "perm").permutation(n)
         assert np.array_equal(ds.x_ordered, x)
-        assert np.array_equal(ds.y, (eval_link(link, x) + sigma * delta)[perm])
+        assert np.array_equal(ds.y, (link(x) + sigma * delta)[perm])
 
     def test_unlinked_streams_disjoint(self):
         n, seed, sigma = 64, 5, 0.1
-        link = identity_link()
+        link = LinkSpec("identity")
         ds = sample_dataset("unlinked", n, link, NoiseSpec(), sigma, seed)
         x = np.sort(rng_stream(seed, "x").random(n), kind="stable")
         x_latent = rng_stream(seed, "latent").random(n)
         delta = rng_stream(seed, "noise").standard_normal(n)
         assert np.array_equal(ds.x_ordered, x)
-        assert np.array_equal(ds.y, eval_link(link, x_latent) + sigma * delta)
+        assert np.array_equal(ds.y, link(x_latent) + sigma * delta)
 
     @pytest.mark.parametrize("mode", ["shuffled", "unlinked"])
     @pytest.mark.parametrize("n", [1, 1000, 10_000])
@@ -269,31 +263,31 @@ class TestSampleDataset:
     def test_matches_a_stable_sort_rebuild(self, mode, n, seed):
         # the covariates lie in [0, 1) with no -0.0 or NaN, so any sort of
         # them gives the stable sort's array
-        link, sigma = cube_link(), 0.2
+        link, sigma = LinkSpec("cube"), 0.2
         ds = sample_dataset(mode, n, link, NoiseSpec(), sigma, seed)
         x = np.sort(rng_stream(seed, "x").random(n), kind="stable")
         latent = x if mode == "shuffled" else rng_stream(seed, "latent").random(n)
-        y = eval_link(link, latent) + sigma * rng_stream(seed, "noise").standard_normal(n)
+        y = link(latent) + sigma * rng_stream(seed, "noise").standard_normal(n)
         if mode == "shuffled":
             y = y[rng_stream(seed, "perm").permutation(n)]
         assert ds.x_ordered.tobytes() == x.tobytes()
         assert ds.y.tobytes() == y.tobytes()
 
     def test_deconv_has_no_covariates(self):
-        ds = sample_dataset("deconv", 32, identity_link(), NoiseSpec(), 0.5, seed=1)
+        ds = sample_dataset("deconv", 32, LinkSpec("identity"), NoiseSpec(), 0.5, seed=1)
         assert ds.x_ordered is None
         assert ds.n == 32
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            sample_dataset("linked", 10, identity_link(), NoiseSpec(), 0.1, 0)
+            sample_dataset("linked", 10, LinkSpec("identity"), NoiseSpec(), 0.1, 0)
         with pytest.raises(ValueError):
-            sample_dataset("shuffled", 0, identity_link(), NoiseSpec(), 0.1, 0)
+            sample_dataset("shuffled", 0, LinkSpec("identity"), NoiseSpec(), 0.1, 0)
         with pytest.raises(ValueError):
-            sample_dataset("shuffled", 10, identity_link(), NoiseSpec(), -0.1, 0)
+            sample_dataset("shuffled", 10, LinkSpec("identity"), NoiseSpec(), -0.1, 0)
         for sigma in (math.nan, math.inf):
             with pytest.raises(ValueError, match="sigma"):
-                sample_dataset("shuffled", 10, identity_link(), NoiseSpec(), sigma, 0)
+                sample_dataset("shuffled", 10, LinkSpec("identity"), NoiseSpec(), sigma, 0)
 
     def test_derive_seed_stable(self):
         assert derive_seed(3, "rates", 100, 7) == derive_seed(3, "rates", 100, 7)
@@ -330,7 +324,7 @@ class TestOrderStatisticsLaws:
 
 class TestDatasetCsv:
     def test_round_trip(self, tmp_path):
-        ds = sample_dataset("shuffled", 23, cube_link(), NoiseSpec(), 0.2, seed=8)
+        ds = sample_dataset("shuffled", 23, LinkSpec("cube"), NoiseSpec(), 0.2, seed=8)
         path = tmp_path / "ds.csv"
         dataset_to_csv(ds, path)
         back = dataset_from_csv(path, sigma=0.2)
@@ -339,7 +333,7 @@ class TestDatasetCsv:
         assert np.array_equal(back.y, ds.y)
 
     def test_deconv_round_trip(self, tmp_path):
-        ds = sample_dataset("deconv", 11, identity_link(), NoiseSpec(), 0.4, seed=3)
+        ds = sample_dataset("deconv", 11, LinkSpec("identity"), NoiseSpec(), 0.4, seed=3)
         path = tmp_path / "ds.csv"
         dataset_to_csv(ds, path)
         back = dataset_from_csv(path, sigma=0.4)
