@@ -35,36 +35,13 @@ from .experiments import (
     rate_sweep,
 )
 from .regress import fit_shuffled, fit_unlinked, stepfn_to_csv
-from .synth import LinkSpec, dataset_from_csv
+from .synth import LinkSpec, _float_list, dataset_from_csv, parse_spec
 
-__all__ = ["main", "run", "write_records", "render_plot", "parse_link"]
-
-
-def _float_list(text):
-    return tuple(float(v) for v in text.split(",") if v.strip() != "")
+__all__ = ["main", "run", "write_records", "render_plot"]
 
 
 def _int_list(text):
     return tuple(int(v) for v in text.split(",") if v.strip() != "")
-
-
-def parse_link(text):
-    """Parse a link description: a catalog name or name:params.
-
-    Accepted forms: ``identity``, ``cube``, ``affine:slope,offset``,
-    ``step:v1,v2,...``, ``unbounded-tail:eps,a,scale,n``.  Whatever
-    :class:`LinkSpec` refuses (a wrong parameter count, a fractional n, a
-    non-finite parameter, an unknown kind) is refused with a message quoting
-    ``text``.
-    """
-    text = text.strip()
-    name, _, arg = text.partition(":")
-    try:
-        if "_" in name:  # a kind is spelled with hyphens only
-            raise ValueError("unknown link kind: %r" % (name,))
-        return LinkSpec(name.replace("-", "_"), _float_list(arg))
-    except ValueError as exc:
-        raise ValueError("link %r: %s" % (text, exc)) from None
 
 
 def write_records(path, records, fields):
@@ -303,7 +280,7 @@ def _cmd_rates(opts):
         opts["sigma_rule"],
         reps=opts["reps"],
         seed=opts["seed"],
-        link=parse_link(opts["link"]),
+        link=parse_spec(LinkSpec, opts["link"]),
     )
     opts["out"].mkdir(parents=True, exist_ok=True)
     out_path = opts["out"] / "risks.csv"

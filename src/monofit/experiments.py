@@ -27,8 +27,8 @@ import numpy as np
 from .deconv import estimate_cdf
 from .dist1d import TabulatedDistribution, w1_tabulated
 from .regress import fit_shuffled, fit_unlinked
-from .synth import LinkSpec, NoiseSpec, derive_seed, link_cdf, rng_stream, sample_dataset
-from .synth import _link_values, check_integer
+from .synth import LinkSpec, NoiseSpec, derive_seed, link_cdf, parse_spec, rng_stream, sample_dataset
+from .synth import _link_values, check_integer, check_real
 
 __all__ = [
     "DEFAULT_SEED",
@@ -36,7 +36,6 @@ __all__ = [
     "ConjectureRow",
     "RiskRecord",
     "SigmaRule",
-    "parse_sigma_rule",
     "conjecture_product",
     "conjecture_sweep",
     "risk_empirical",
@@ -47,7 +46,7 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 
-# exponents pinning the noise-regime presets of parse_sigma_rule
+# exponents pinning the noise-regime presets of SigmaRule
 REGIME_ETA = 0.2
 REGIME_BETA = 2.0
 
@@ -82,7 +81,7 @@ class ConjectureConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        for name in ("n_min", "n_max", "grid_points", "reps"):
+        for name in ("n_min", "n_max", "grid_points", "reps", "seed"):
             object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError("need 1 <= n_min <= n_max")
@@ -90,9 +89,10 @@ class ConjectureConfig:
             raise ValueError("need at least one grid point")
         if self.reps < 1:
             raise ValueError("need at least one replication")
+        object.__setattr__(self, "c", check_real(self.c, "c"))
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError("c must be finite and positive, got %r" % (self.c,))
-        C_list = tuple(float(C) for C in self.C_list)
+        C_list = tuple(check_real(C, "C") for C in self.C_list)
         if not C_list or not all(math.isfinite(C) and C > 0 for C in C_list):
             raise ValueError("C_list must be nonempty with finite, positive entries")
         if len(set(C_list)) != len(C_list):
@@ -283,78 +283,56 @@ def _regime_edges(n):
     return (0.0, root, root * log_n**REGIME_ETA, root * log_n**(1.0 / REGIME_BETA), n**(-0.5 + REGIME_ETA), 1.0)
 
 
-# sigma_n(n, log n, n^{-1/2}) of each preset, in regime order: the geometric
-# mean of its range's ends, or a fixed representative in the outer two
-_PRESETS = {
-    "below-root": lambda n, log_n, root: 0.1 * n**-0.6,
-    "root-log-small": lambda n, log_n, root: root * log_n**(REGIME_ETA / 2.0),
-    "root-log-large": lambda n, log_n, root: root * log_n**((REGIME_ETA + 1.0 / REGIME_BETA) / 2.0),
-    "intermediate": lambda n, log_n, root: math.sqrt(root * log_n**(1.0 / REGIME_BETA) * n**(-0.5 + REGIME_ETA)),
-    "fixed": lambda n, log_n, root: 0.5,
+# sigma_n(n, *params) of each rule: constant:s and power:k, then the five
+# presets in regime order, each the geometric mean of its range's ends or a
+# fixed representative in the outer two
+_RULES = {
+    "constant": lambda n, s: s,
+    "power": lambda n, k: float(n) ** -k,
+    "below-root": lambda n: 0.1 * n**-0.6,
+    "root-log-small": lambda n: n**-0.5 * math.log(n) ** (REGIME_ETA / 2.0),
+    "root-log-large": lambda n: n**-0.5 * math.log(n) ** ((REGIME_ETA + 1.0 / REGIME_BETA) / 2.0),
+    "intermediate": lambda n: math.sqrt(n**-0.5 * math.log(n) ** (1.0 / REGIME_BETA) * n**(-0.5 + REGIME_ETA)),
+    "fixed": lambda n: 0.5,
 }
+_PRESETS = tuple(_RULES)[2:]
 
 
 @dataclass(frozen=True)
 class SigmaRule:
     """Noise scale as a function of n: a constant, a power, or a regime preset.
 
-    ``constant:s`` gives s and ``power:k`` gives n^{-k}, for finite s, k > 0.
-    A preset's formula in ``_PRESETS`` puts sigma_n in its own range of
-    ``_regime_edges``, which :meth:`check` verifies at n.
+    ``constant`` (s) gives s and ``power`` (k) gives n^{-k}, for finite s, k > 0.
+    A preset takes no parameter; its formula puts sigma_n in its own range
+    of ``_regime_edges``, which :meth:`check` verifies at n.
     """
 
     kind: str
-    param: float = 0.0
+    params: tuple = ()
 
     def __post_init__(self):
-        if self.kind in ("constant", "power"):
-            if not (math.isfinite(self.param) and self.param > 0):
-                raise ValueError("%s rule needs a finite positive parameter, got %r" % (self.kind, self.param))
-        elif self.kind not in _PRESETS:
+        if self.kind not in _RULES:
             raise ValueError("unknown sigma rule: %r" % (self.kind,))
+        params = tuple(check_real(v, "%s rule parameter" % self.kind) for v in self.params)
+        takes = 0 if self.kind in _PRESETS else 1
+        if len(params) != takes:
+            raise ValueError("%s takes %d parameters, got %d" % (self.kind, takes, len(params)))
+        if not all(math.isfinite(p) and p > 0 for p in params):
+            raise ValueError("%s rule needs a finite positive parameter, got %r" % (self.kind, params[0]))
+        object.__setattr__(self, "params", params)
 
     def sigma(self, n):
-        n = check_integer(n, "n")
-        if self.kind == "constant":
-            return self.param
-        if self.kind == "power":
-            return float(n) ** -self.param
-        return _PRESETS[self.kind](n, math.log(n), n**-0.5)
-
-    def range_at(self, n):
-        """(lo, hi] bounds of the preset's regime; None for parametric rules."""
-        if self.kind in ("constant", "power"):
-            return None
-        k = list(_PRESETS).index(self.kind)
-        return _regime_edges(check_integer(n, "n"))[k : k + 2]
+        return _RULES[self.kind](check_integer(n, "n"), *self.params)
 
     def check(self, n):
-        """Raise if the preset's sigma falls outside its own regime at n."""
-        bounds = self.range_at(n)
-        if bounds is None:
-            return
-        lo, hi = bounds
-        s = self.sigma(n)
-        if not lo < s <= hi:
-            raise ValueError(
-                "preset %r out of regime at n=%d: sigma=%g not in (%g, %g]" % (self.kind, n, s, lo, hi)
-            )
-
-
-def parse_sigma_rule(text):
-    """Parse 'constant:s', 'power:k', or one of the preset names."""
-    text = text.strip()
-    if ":" in text:
-        kind, _, arg = text.partition(":")
-        kind = kind.strip()
-        if kind not in ("constant", "power"):
-            raise ValueError("unknown sigma rule: %r" % (text,))
-        try:
-            param = float(arg)
-        except ValueError:
-            raise ValueError("bad numeric argument in sigma rule: %r" % (text,))
-        return SigmaRule(kind, param)
-    return SigmaRule(text)
+        """Raise if a preset's sigma falls outside its own regime at n."""
+        if self.kind in _PRESETS:
+            k = _PRESETS.index(self.kind)
+            lo, hi = _regime_edges(check_integer(n, "n"))[k : k + 2]
+            s = self.sigma(n)
+            if not lo < s <= hi:
+                msg = "preset %r out of regime at n=%d: sigma=%g not in (%g, %g]"
+                raise ValueError(msg % (self.kind, n, s, lo, hi))
 
 
 def _measure_risks(problem, ds, link, kinds):
@@ -383,13 +361,14 @@ def rate_sweep(problem, n_grid, sigma_rule, reps, seed, link=None, risk_kinds=No
 
     One :class:`RiskRecord` per (n, replication, risk kind), each rerunning
     exactly from its recorded seed.  ``sigma_rule`` is a :class:`SigmaRule`
-    or a :func:`parse_sigma_rule` string.  An empty ``n_grid``, ``reps`` < 1
-    and a size < 1 or outside a preset's regime are refused before any fit.
+    or its text (``below-root``, ``power:0.5``) for ``synth.parse_spec``.
+    An empty ``n_grid``, ``reps`` < 1 and a size < 1 or outside a preset's
+    regime are refused before any fit.
     """
     if problem not in _COMPATIBLE:
         raise ValueError("unknown problem: %r" % (problem,))
     if isinstance(sigma_rule, str):
-        sigma_rule = parse_sigma_rule(sigma_rule)
+        sigma_rule = parse_spec(SigmaRule, sigma_rule)
     link = LinkSpec("identity") if link is None else link
     kinds = tuple(risk_kinds) if risk_kinds else _COMPATIBLE[problem][:1]
     for kind in kinds:

@@ -29,6 +29,8 @@ __all__ = [
     "Dataset",
     "check_sigma",
     "check_integer",
+    "check_real",
+    "parse_spec",
     "rng_stream",
     "derive_seed",
     "noise_charfn",
@@ -41,7 +43,7 @@ __all__ = [
 
 
 def _seed_words(seed, *tags):
-    words = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    words = [check_integer(seed, "seed") & 0xFFFFFFFFFFFFFFFF]
     for tag in tags:
         if isinstance(tag, str):
             words.append(zlib.crc32(tag.encode("utf-8")))
@@ -82,16 +84,42 @@ def check_integer(value, name):
     """``value`` as an int; ValueError naming ``name`` unless it is integral.
 
     Integral floats such as 100.0 and numpy integers are taken; 100.7, a
-    non-finite value, text, a boolean or None is refused rather than read
-    as an integer.
+    non-finite value and all that :func:`check_real` refuses (text, a
+    boolean, None, 10**400) are refused rather than read as an integer.
     """
     try:
-        integral = not isinstance(value, (str, bytes, bool, np.bool_)) and float(value).is_integer()
-    except TypeError:
+        integral = check_real(value, name).is_integer()
+    except ValueError:
         integral = False
     if not integral:
         raise ValueError("%s must be an integer, got %r" % (name, value))
     return int(value)
+
+
+def check_real(value, name):
+    """``value`` as a float; ValueError naming ``name`` for text, a boolean, None or an int past float range."""
+    if not isinstance(value, (str, bytes, bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, OverflowError):
+            pass
+    raise ValueError("%s must be a real number, got %r" % (name, value))
+
+
+def _float_list(text):
+    return tuple(float(v) for v in text.split(",") if v.strip() != "")
+
+
+def parse_spec(cls, text):
+    """``cls(kind, params)`` from the text ``kind`` or ``kind:p1,p2,...``.
+
+    It reads ``--link`` (a LinkSpec) and ``--sigma-rule`` (a SigmaRule); a refusal quotes ``text``.
+    """
+    kind, _, arg = text.strip().partition(":")
+    try:
+        return cls(kind.strip(), _float_list(arg))
+    except ValueError as exc:
+        raise ValueError("%s %r: %s" % (cls.__name__, text, exc)) from None
 
 
 def noise_charfn(t):
@@ -108,7 +136,7 @@ _LINK_PARAMS = {
     "affine": ("slope", "offset"),
     "cube": (),
     "step": None,
-    "unbounded_tail": ("eps", "a", "tail_scale", "n"),
+    "unbounded-tail": ("eps", "a", "tail_scale", "n"),
 }
 
 
@@ -123,7 +151,7 @@ class LinkSpec:
     - ``affine``          m(x) = slope * x + offset, slope >= 0
     - ``cube``            m(x) = x ** 3
     - ``step``            levels[i] on ((i-1)/k, i/k]; levels[0] on [0, 1/k]
-    - ``unbounded_tail``  -(x * log^{1+eps}(1/x))^{-1/(a+2)} on (0, cut],
+    - ``unbounded-tail``  -(x * log^{1+eps}(1/x))^{-1/(a+2)} on (0, cut],
                           0 on (cut, 1], with cut = tail_scale / n for an
                           integer sample size n, below e^{-(1+eps)}, past
                           which it would decrease.
@@ -139,14 +167,14 @@ class LinkSpec:
     def __post_init__(self):
         if self.kind not in _LINK_PARAMS:
             raise ValueError("unknown link kind: %r" % (self.kind,))
-        params = tuple(float(v) for v in self.params)
+        params = tuple(check_real(v, "%s link parameter" % self.kind) for v in self.params)
         names = _LINK_PARAMS[self.kind]
         if names is None:
             if not params:
                 raise ValueError("step link needs at least one level")
         elif len(params) != len(names):
             raise ValueError("%s takes %d parameters, got %d" % (self.kind, len(names), len(params)))
-        if self.kind == "unbounded_tail":
+        if self.kind == "unbounded-tail":
             check_integer(params[3], "the sample size n")
         if not all(map(math.isfinite, params)):
             raise ValueError("%s link parameters must be finite" % self.kind)
@@ -154,12 +182,12 @@ class LinkSpec:
             raise ValueError("affine link needs slope >= 0")
         if self.kind == "step" and any(b < a for a, b in zip(params, params[1:])):
             raise ValueError("step levels must be nondecreasing")
-        if self.kind == "unbounded_tail":
+        if self.kind == "unbounded-tail":
             eps, a, tail_scale, n = params
             if eps <= 0 or a <= 0 or tail_scale <= 0:
-                raise ValueError("unbounded_tail needs eps, a, tail_scale > 0")
+                raise ValueError("unbounded-tail needs eps, a, tail_scale > 0")
             if n < 1:
-                raise ValueError("unbounded_tail needs the sample size n >= 1")
+                raise ValueError("unbounded-tail needs the sample size n >= 1")
             if not tail_scale / n < math.exp(-(1.0 + eps)):
                 raise ValueError("tail cutoff tail_scale / n must stay below exp(-(1 + eps))")
         object.__setattr__(self, "params", params)
@@ -174,7 +202,7 @@ class LinkSpec:
 
     @property
     def cut(self):
-        """Tail cutoff tail_scale / n of the unbounded_tail link."""
+        """Tail cutoff tail_scale / n of the unbounded-tail link."""
         _, _, tail_scale, n = self.params
         return tail_scale / n
 
@@ -188,7 +216,7 @@ class LinkSpec:
         if self.kind == "step":
             k = len(self.params)
             return np.arange(1, k) / k
-        if self.kind == "unbounded_tail":
+        if self.kind == "unbounded-tail":
             return self.cut * 0.5 ** np.arange(50, -1, -1)
         return np.empty(0)
 
@@ -245,11 +273,11 @@ def link_cdf(spec, z):
         levels = np.asarray(spec.params, dtype=float)
         out = np.searchsorted(levels, z_arr, side="right") / levels.size
     else:
-        out = _unbounded_tail_cdf(spec, z_arr)
+        out = _tail_cdf(spec, z_arr)
     return out if np.ndim(z) else float(out[0])
 
 
-def _unbounded_tail_cdf(spec, z_arr):
+def _tail_cdf(spec, z_arr):
     # For z below the tail's top value m(cut), m(x) <= z iff
     # t + (1 + eps) log(-t) <= -(a + 2) log(-z) in t = log x, and the left
     # side rises for t < log(cut): bisect for the largest such t.  exp(t)

@@ -13,5 +13,5 @@ def link_catalog(n):
         "affine": LinkSpec("affine", (2.0, -0.5)),
         "cube": LinkSpec("cube"),
         "step": LinkSpec("step", (-1.0, -0.25, 0.25, 1.0)),
-        "unbounded_tail": LinkSpec("unbounded_tail", (0.5, 1.0, 0.5, n)),
+        "unbounded-tail": LinkSpec("unbounded-tail", (0.5, 1.0, 0.5, n)),
     }

@@ -2,13 +2,15 @@
 
 Every exported name resolves, every subcommand runs with scipy unimportable,
 every function the benchmark tracer wraps still exists where the tracer
-looks for it, so a refactor cannot silently zero a per-layer metric, and
-every name the benchmark imports from monofit still resolves.
+looks for it, so a refactor cannot silently zero a per-layer metric, every
+argument the tracer reads from a call is still a parameter of its target,
+and every name the benchmark imports from monofit still resolves.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import re
@@ -58,7 +60,7 @@ def test_cli_import_and_deconvolution_load_no_scipy(tmp_path):
             ["estimate", "--data", out + "/data.csv", "--sigma", "0.1"],
         ]
         codes = [cli.run([*argv, "--out", out]) for argv in argvs]
-        link = synth.LinkSpec("unbounded_tail", (0.5, 1.0, 0.5, 200))
+        link = synth.LinkSpec("unbounded-tail", (0.5, 1.0, 0.5, 200))
         records = experiments.rate_sweep(
             "shuffled", (100, 200), "below-root", 1, 5, link=link, risk_kinds=("population_L1",)
         )
@@ -148,6 +150,31 @@ def test_tracer_targets_resolve_and_restore():
     after = _bindings()
     changed = [key for key in before if after.get(key) is not before[key]]
     assert changed == []
+
+
+def test_tracer_captures_read_parameters_of_their_targets():
+    # a capture reduces a wrapped call by reading args["name"], its bound
+    # arguments by parameter name; a renamed parameter would pass every
+    # other test and fail only inside a traced benchmark run
+    tree = ast.parse(TRACER.read_text())
+    reducers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (capture,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_CAPTURE" for t in node.targets)
+    ]
+    read = []
+    for key, reducer in zip(capture.keys, capture.values):
+        mod_name, _, qual = key.value.partition(".")
+        target = importlib.import_module("monofit." + mod_name)
+        for attr in qual.split("."):
+            target = getattr(target, attr)
+        params = inspect.signature(target).parameters
+        for node in ast.walk(reducers[reducer.id]):
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "args":
+                read.append((key.value, node.slice.value))
+                assert node.slice.value in params, "%s has no parameter %r" % (key.value, node.slice.value)
+    assert ("experiments.risk_population", "mhat") in read and ("deconv.deconvolve_cdf", "ys") in read
 
 
 def _monofit_imports(tree):

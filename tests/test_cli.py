@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from monofit import cli
-from monofit.cli import parse_link, render_plot, run, write_records
-from monofit.experiments import ConjectureConfig, ConjectureRow
+from monofit.cli import render_plot, run, write_records
+from monofit.experiments import ConjectureConfig, ConjectureRow, SigmaRule
 from monofit.deconv import estimate_cdf
 from monofit.regress import fit_shuffled, fit_unlinked, stepfn_from_csv
-from monofit.synth import Dataset, LinkSpec, NoiseSpec, dataset_to_csv, rng_stream, sample_dataset
+from monofit.synth import Dataset, LinkSpec, NoiseSpec, dataset_to_csv, parse_spec, rng_stream, sample_dataset
 
 
 def read_csv(path):
@@ -335,55 +335,65 @@ class TestRenderPlot:
 
 
 class TestHelpers:
-    def test_parse_link_forms(self):
-        assert parse_link("identity").kind == "identity"
-        aff = parse_link("affine:4,-2")
-        assert aff.params == (4.0, -2.0)
-        stp = parse_link("step:-1,0,1")
-        assert stp.params == (-1.0, 0.0, 1.0)
-        ub = parse_link("unbounded-tail:0.5,1,0.5,100")
-        assert ub.params[3] == 100
+    def test_parse_spec_forms(self):
+        assert parse_spec(LinkSpec, "identity").kind == "identity"
+        assert parse_spec(LinkSpec, " affine : 4, -2 ").params == (4.0, -2.0)
+        ub = parse_spec(LinkSpec, "unbounded-tail:0.5,1,0.5,100")
+        assert ub.kind == "unbounded-tail" and ub.params[3] == 100
+        assert parse_spec(SigmaRule, "power:0.5").sigma(10**4) == pytest.approx(0.01)
         with pytest.raises(ValueError):
-            parse_link("spline")
+            parse_spec(LinkSpec, "spline")
 
-    @pytest.mark.parametrize(
-        "text, kind, params",
-        [
-            ("identity", "identity", ()),
-            ("cube", "cube", ()),
-            ("affine:4,-2", "affine", (4, -2)),
-            ("step:-1,0,1", "step", (-1, 0, 1)),
-            ("unbounded-tail:0.5,1,0.5,100", "unbounded_tail", (0.5, 1, 0.5, 100)),
-        ],
-    )
-    def test_parse_link_is_the_link_spec(self, text, kind, params):
-        assert parse_link(text) == LinkSpec(kind, params)
-        if "_" in kind:  # the CLI spells it with a hyphen only
-            with pytest.raises(ValueError, match="unknown link"):
-                parse_link(text.replace("-", "_", 1))
+    SPECS = [
+        ("identity", LinkSpec("identity")),
+        ("cube", LinkSpec("cube")),
+        ("affine:4,-2", LinkSpec("affine", (4, -2))),
+        ("step:-1,0,1", LinkSpec("step", (-1, 0, 1))),
+        ("unbounded-tail:0.5,1,0.5,100", LinkSpec("unbounded-tail", (0.5, 1, 0.5, 100))),
+        ("constant:0.25", SigmaRule("constant", (0.25,))),
+        ("power:0.5", SigmaRule("power", (0.5,))),
+        ("below-root", SigmaRule("below-root")),
+        ("fixed", SigmaRule("fixed")),
+    ]
 
-    @pytest.mark.parametrize(
-        "text, why",
-        [
-            ("identity:7", "takes 0 parameters, got 1"),
-            ("cube:1,2", "takes 0 parameters, got 2"),
-            ("affine:1", "takes 2 parameters, got 1"),
-            ("affine:1,2,3", "takes 2 parameters, got 3"),
-            ("unbounded-tail:0.5,1,0.5", "takes 4 parameters, got 3"),
-            ("unbounded-tail:0.5,1,0.5,1000.5", "must be an integer"),
-            ("unbounded-tail:0.5,1,0.5,inf", "must be an integer"),
-            ("step:1,nan", "must be finite"),
-            ("affine:nan,0", "must be finite"),
-            ("affine:inf,0", "must be finite"),
-            ("affine:x,0", "could not convert"),
-            ("step:", "at least one level"),
-            ("nosuch:1", "unknown link kind: 'nosuch'"),
-            ("spline", "unknown link kind: 'spline'"),
-        ],
-    )
-    def test_parse_link_refusals_quote_the_text(self, text, why):
+    @pytest.mark.parametrize("text, spec", SPECS, ids=[text for text, _ in SPECS])
+    def test_parse_spec_is_the_spec(self, text, spec):
+        # the command line writes a kind exactly as the code does, so the
+        # underscore spelling of a hyphenated kind is no kind at all
+        assert parse_spec(type(spec), text) == spec
+        if "-" in spec.kind:
+            with pytest.raises(ValueError, match="unknown"):
+                parse_spec(type(spec), text.replace("-", "_", 1))
+
+    REFUSALS = [
+        (LinkSpec, "identity:7", "takes 0 parameters, got 1"),
+        (LinkSpec, "cube:1,2", "takes 0 parameters, got 2"),
+        (LinkSpec, "affine:1", "takes 2 parameters, got 1"),
+        (LinkSpec, "affine:1,2,3", "takes 2 parameters, got 3"),
+        (LinkSpec, "unbounded-tail:0.5,1,0.5", "takes 4 parameters, got 3"),
+        (LinkSpec, "unbounded-tail:0.5,1,0.5,1000.5", "must be an integer"),
+        (LinkSpec, "unbounded-tail:0.5,1,0.5,inf", "must be an integer"),
+        (LinkSpec, "step:1,nan", "must be finite"),
+        (LinkSpec, "affine:nan,0", "must be finite"),
+        (LinkSpec, "affine:inf,0", "must be finite"),
+        (LinkSpec, "affine:x,0", "could not convert"),
+        (LinkSpec, "step:", "at least one level"),
+        (LinkSpec, "nosuch:1", "unknown link kind: 'nosuch'"),
+        (LinkSpec, "spline", "unknown link kind: 'spline'"),
+        (SigmaRule, "below-root:5", "below-root takes 0 parameters, got 1"),
+        (SigmaRule, "constant", "constant takes 1 parameters, got 0"),
+        (SigmaRule, "constant:1,2", "constant takes 1 parameters, got 2"),
+        (SigmaRule, "power:inf", "finite positive"),
+        (SigmaRule, "constant:-1", "finite positive"),
+        (SigmaRule, "constant:abc", "could not convert"),
+        (SigmaRule, "junk", "unknown sigma rule: 'junk'"),
+        (SigmaRule, "bogus:3", "unknown sigma rule: 'bogus'"),
+    ]
+
+    @pytest.mark.parametrize("cls, text, why", REFUSALS, ids=[text for _, text, _ in REFUSALS])
+    def test_parse_spec_refusals_quote_the_text(self, cls, text, why):
         with pytest.raises(ValueError) as info:
-            parse_link(text)
+            parse_spec(cls, text)
         assert repr(text) in str(info.value) and why in str(info.value)
 
     def test_rates_refuses_non_finite_link_before_the_sweep(self, tmp_path, monkeypatch, capsys):

@@ -9,6 +9,7 @@ catalog link.
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,14 +29,13 @@ from monofit.experiments import (
     conjecture_product,
     conjecture_sweep,
     fit_loglog_slope,
-    parse_sigma_rule,
     rate_sweep,
     risk_empirical,
     risk_population,
 )
 import monofit
-from monofit.experiments import _gauss_legendre, _occupancy_counts
-from monofit.synth import LinkSpec, link_cdf, rng_stream
+from monofit.experiments import _gauss_legendre, _occupancy_counts, _regime_edges
+from monofit.synth import LinkSpec, link_cdf, parse_spec, rng_stream
 
 from links import link_catalog
 
@@ -69,7 +69,7 @@ def risk_quad(mhat, m0):
     edges = {0.0, 1.0, *map(float, mhat.knots)}
     if m0.kind == "step":
         edges.update(np.arange(1, len(m0.params)) / len(m0.params))
-    elif m0.kind == "unbounded_tail":
+    elif m0.kind == "unbounded-tail":
         edges.add(m0.cut)
     edges = sorted(edges)
     total = 0.0
@@ -97,7 +97,7 @@ def risk_population_loop(mhat, m0):
     edges = [np.array([0.0, 1.0]), mhat.knots]
     if m0.kind == "step":
         edges.append(np.arange(1, len(m0.params)) / len(m0.params))
-    elif m0.kind == "unbounded_tail":
+    elif m0.kind == "unbounded-tail":
         edges.append(m0.cut * 0.5 ** np.arange(0, 51))
     edges = np.unique(np.concatenate(edges))
     a, b = edges[:-1], edges[1:]
@@ -121,10 +121,14 @@ def risk_population_loop(mhat, m0):
 PRESET_NAMES = ("below-root", "root-log-small", "root-log-large", "intermediate", "fixed")
 
 
-def sigma_chain(kind, n):
-    """A preset's sigma_n, as one if-chain over the presets (eta = 0.2, beta = 2)."""
+def sigma_chain(kind, n, params=()):
+    """A rule's sigma_n, as one if-chain over the kinds (eta = 0.2, beta = 2)."""
     log_n = math.log(n)
     root = n**-0.5
+    if kind == "constant":
+        return params[0]
+    if kind == "power":
+        return float(n) ** -params[0]
     if kind == "below-root":
         return 0.1 * n**-0.6
     if kind == "root-log-small":
@@ -323,6 +327,27 @@ class TestConjectureConfig:
         assert (cfg.n_min, cfg.n_max, cfg.grid_points, cfg.reps) == (100, 1000, 3, 2)
         assert all(type(v) is int for v in (cfg.n_min, cfg.n_max, cfg.grid_points, cfg.reps))
 
+    @pytest.mark.parametrize(
+        "field, value, why",
+        [
+            ("seed", 2.5, "seed must be an integer, got 2.5"),
+            ("seed", "17", "seed must be an integer, got '17'"),
+            ("c", True, "c must be a real number, got True"),
+            ("c", "20", "c must be a real number, got '20'"),
+            ("C_list", "15", "C must be a real number, got '1'"),
+            ("C_list", (1.0, None), "C must be a real number, got None"),
+        ],
+    )
+    def test_refuses_what_it_would_cut_down_or_misread(self, field, value, why):
+        # seed 2.5 once drew the streams of seed 2, and C_list "15" became (1.0, 5.0)
+        with pytest.raises(ValueError, match=re.escape(why)):
+            ConjectureConfig(**{field: value})
+
+    def test_numbers_taken_as_python_numbers(self):
+        cfg = ConjectureConfig(c=np.float32(20.0), C_list=(1, np.int64(2)), seed=np.uint64(1729))
+        assert (cfg.c, cfg.C_list, cfg.seed) == (20.0, (1.0, 2.0), 1729)
+        assert type(cfg.c) is float and type(cfg.seed) is int
+
 
 class TestConjectureSweep:
     CFG = ConjectureConfig(n_min=100, n_max=1000, grid_points=3, reps=30, C_list=(1.0, 100.0), seed=5)
@@ -404,7 +429,7 @@ class TestRisks:
     def test_population_singular_tail(self):
         from scipy.integrate import quad
 
-        ub = LinkSpec("unbounded_tail", (0.5, 1.0, 0.5, 50))
+        ub = LinkSpec("unbounded-tail", (0.5, 1.0, 0.5, 50))
         mzero = MonotoneStepFn(np.array([1.0]), np.array([0.0]))
         ref, _ = quad(lambda x: -ub(x), 1e-300, ub.cut, points=[ub.cut * 1e-6, ub.cut * 1e-3], limit=200)
         assert risk_population(mzero, ub) == pytest.approx(ref, rel=1e-6)
@@ -412,7 +437,7 @@ class TestRisks:
     @pytest.mark.parametrize("n", [3, 50, 1000, 10**6])
     def test_population_singular_tail_to_1e12(self, n):
         # the pieces next to the singular origin count in full
-        ub = link_catalog(n)["unbounded_tail"]
+        ub = link_catalog(n)["unbounded-tail"]
         mzero = MonotoneStepFn(np.array([1.0]), np.array([0.0]))
         assert risk_population(mzero, ub) == pytest.approx(risk_quad(mzero, ub), rel=1e-12)
 
@@ -432,7 +457,7 @@ class TestRisks:
     )
     @settings(max_examples=40, deadline=None)
     @example(name="step", n=3, k=1, seed=0, shared=True, zero=-0.0)
-    @example(name="unbounded_tail", n=10**6, k=20_000, seed=1, shared=True, zero=0.0)
+    @example(name="unbounded-tail", n=10**6, k=20_000, seed=1, shared=True, zero=0.0)
     def test_population_is_the_eval_link_loop_bit_for_bit(self, name, n, k, seed, shared, zero):
         # random knots, optionally also on the links' own edges (shared with
         # [0, 1], the step jumps and the tail refinement) and at a signed zero
@@ -490,7 +515,7 @@ class TestRisks:
     def test_population_zero_width_panel_at_origin_adds_nothing(self):
         # a level so low that the tail link crosses it only at x = 0, where
         # the link is -inf: the empty panel there must not turn the sum to nan
-        ub = link_catalog(100)["unbounded_tail"]
+        ub = link_catalog(100)["unbounded-tail"]
         mhat = MonotoneStepFn(np.array([0.5, 1.0]), np.array([-1e200, 0.0]))
         val = risk_population(mhat, ub)
         assert math.isfinite(val)
@@ -504,39 +529,54 @@ class TestRisks:
 
 class TestSigmaRule:
     def test_parse_forms(self):
-        assert parse_sigma_rule("constant:0.25").sigma(10**6) == 0.25
-        assert parse_sigma_rule("power:0.5").sigma(10**4) == pytest.approx(0.01)
-        assert parse_sigma_rule("below-root").sigma(10**4) == pytest.approx(0.1 * 10**-2.4)
+        assert parse_spec(SigmaRule, "constant:0.25").sigma(10**6) == 0.25
+        assert parse_spec(SigmaRule, "power:0.5").sigma(10**4) == pytest.approx(0.01)
+        assert parse_spec(SigmaRule, "below-root").sigma(10**4) == pytest.approx(0.1 * 10**-2.4)
 
     def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_sigma_rule("nonsense")
-        with pytest.raises(ValueError):
-            parse_sigma_rule("constant:abc")
-        with pytest.raises(ValueError):
-            parse_sigma_rule("constant:-1")
-        with pytest.raises(ValueError):
-            parse_sigma_rule("bogus:3")
+        for text in ("nonsense", "constant:abc", "constant:-1", "bogus:3"):
+            with pytest.raises(ValueError):
+                parse_spec(SigmaRule, text)
         # "<= 0" alone passes both: NaN compares false, and n**-inf = 0
         for text in ("constant:nan", "constant:inf", "power:nan", "power:inf"):
             with pytest.raises(ValueError, match="finite positive"):
-                parse_sigma_rule(text)
+                parse_spec(SigmaRule, text)
+
+    @pytest.mark.parametrize(
+        "kind, params, why",
+        [
+            ("below-root", (5.0,), "below-root takes 0 parameters, got 1"),
+            ("fixed", (0.5,), "fixed takes 0 parameters, got 1"),
+            ("constant", (), "constant takes 1 parameters, got 0"),
+            ("constant", (0.1, 0.2), "constant takes 1 parameters, got 2"),
+            ("power", (), "power takes 1 parameters, got 0"),
+            ("constant", (True,), "constant rule parameter must be a real number, got True"),
+            ("power", ("0.5",), "power rule parameter must be a real number, got '0.5'"),
+            ("constant", (None,), "must be a real number, got None"),
+            ("unbounded-tail", (), "unknown sigma rule"),
+        ],
+    )
+    def test_refuses_a_parameter_its_kind_does_not_take(self, kind, params, why):
+        # a preset's parameter was once kept and never read
+        with pytest.raises(ValueError, match=re.escape(why)):
+            SigmaRule(kind, params)
 
     def test_presets_stay_in_regime(self):
         grid = ConjectureConfig().n_grid
-        for name in PRESET_NAMES:
-            rule = parse_sigma_rule(name)
+        for i, name in enumerate(PRESET_NAMES):
+            rule = SigmaRule(name)
             for n in grid:
                 rule.check(int(n))
-                lo, hi = rule.range_at(int(n))
+                lo, hi = _regime_edges(int(n))[i : i + 2]
                 assert lo < rule.sigma(int(n)) <= hi
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets_match_the_if_chains_bit_for_bit(self, name):
         rule = SigmaRule(name)
+        i = PRESET_NAMES.index(name)
         for n in [*range(2, 3001), *(10**k for k in range(4, 10))]:
             assert rule.sigma(n).hex() == sigma_chain(name, n).hex()
-            assert [v.hex() for v in rule.range_at(n)] == [v.hex() for v in range_chain(name, n)]
+            assert [v.hex() for v in _regime_edges(n)[i : i + 2]] == [v.hex() for v in range_chain(name, n)]
             lo, hi = range_chain(name, n)
             try:
                 rule.check(n)
@@ -545,17 +585,23 @@ class TestSigmaRule:
             else:
                 assert lo < sigma_chain(name, n) <= hi
 
+    @pytest.mark.parametrize("kind, param", [("constant", 0.25), ("constant", 3.0), ("power", 0.5), ("power", 0.7)])
+    def test_parametric_rules_match_the_if_chain_bit_for_bit(self, kind, param):
+        rule = SigmaRule(kind, (param,))
+        for n in [*range(1, 3001), *(10**k for k in range(4, 10))]:
+            assert rule.sigma(n).hex() == sigma_chain(kind, n, (param,)).hex()
+
     def test_preset_out_of_regime_raises(self):
         # the fixed preset needs n^{-0.3} < 0.5, i.e. n >= 11
         with pytest.raises(ValueError, match="out of regime"):
             SigmaRule("fixed").check(5)
 
     def test_parametric_rules_skip_check(self):
-        SigmaRule("constant", 0.7).check(5)  # no regime to violate
+        SigmaRule("constant", (0.7,)).check(5)  # no regime to violate
 
     def test_fractional_n_refused(self):
         rule = SigmaRule("below-root")
-        for method in (rule.sigma, rule.range_at, rule.check):
+        for method in (rule.sigma, rule.check):
             with pytest.raises(ValueError, match="n must be an integer, got 100.5"):
                 method(100.5)
 
@@ -612,6 +658,13 @@ class TestRateSweep:
         monkeypatch.setattr("monofit.experiments.sample_dataset", lambda *a, **k: pytest.fail("a fit ran"))
         with pytest.raises(ValueError, match=message):
             rate_sweep("shuffled", n_grid, "below-root", reps=reps, seed=1)
+
+    @pytest.mark.parametrize("seed", [1729.9, "1729", None])
+    def test_a_seed_that_is_no_integer_refused_before_any_fit(self, monkeypatch, seed):
+        # seed 1729.9 once returned the records of seed 1729
+        monkeypatch.setattr("monofit.experiments.sample_dataset", lambda *a, **k: pytest.fail("a fit ran"))
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            rate_sweep("shuffled", (100,), "below-root", reps=1, seed=seed)
 
     def test_preset_out_of_regime_at_a_late_size_refused_before_any_fit(self, monkeypatch):
         monkeypatch.setattr("monofit.experiments.sample_dataset", lambda *a, **k: pytest.fail("a fit ran"))

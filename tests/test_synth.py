@@ -12,6 +12,7 @@ from monofit.synth import (
     LinkSpec,
     NoiseSpec,
     check_integer,
+    check_real,
     dataset_from_csv,
     dataset_to_csv,
     derive_seed,
@@ -63,7 +64,13 @@ class TestLinkSpec:
         with pytest.raises(ValueError, match="finite"):
             LinkSpec("step", (0.0, 1.0, 2.0, math.nan))  # NaN passes the order check
         with pytest.raises(ValueError):
-            LinkSpec("unbounded_tail", (0.5, 1.0, 2.0, 1))
+            LinkSpec("unbounded-tail", (0.5, 1.0, 2.0, 1))
+
+    @pytest.mark.parametrize("params", [("1", "2"), (0.0, True), (None,), "12"])
+    def test_parameters_must_be_numbers(self, params):
+        # text was once read as numbers: ("1", "2") became (1.0, 2.0)
+        with pytest.raises(ValueError, match="step link parameter must be a real number"):
+            LinkSpec("step", params)
 
     def test_takes_only_its_kinds_parameters(self):
         # a kind has no slot for a parameter it does not read
@@ -74,11 +81,11 @@ class TestLinkSpec:
             LinkSpec("identity", (2.0,))
         with pytest.raises(ValueError, match="affine takes 2 parameters, got 1"):
             LinkSpec("affine", (1.0,))
-        with pytest.raises(ValueError, match="unbounded_tail takes 4 parameters, got 5"):
-            LinkSpec("unbounded_tail", (0.5, 1.0, 0.5, 100, 1.0))
+        with pytest.raises(ValueError, match="unbounded-tail takes 4 parameters, got 5"):
+            LinkSpec("unbounded-tail", (0.5, 1.0, 0.5, 100, 1.0))
         with pytest.raises(ValueError, match="must be an integer"):
-            LinkSpec("unbounded_tail", (0.5, 1, 0.5, 100.7))
-        assert LinkSpec("unbounded_tail", (0.5, 1, 0.5, 100.0)) == LinkSpec("unbounded_tail", (0.5, 1.0, 0.5, 100))
+            LinkSpec("unbounded-tail", (0.5, 1, 0.5, 100.7))
+        assert LinkSpec("unbounded-tail", (0.5, 1, 0.5, 100.0)) == LinkSpec("unbounded-tail", (0.5, 1.0, 0.5, 100))
 
     def test_rejects_tail_cut_where_link_turns_down(self):
         # x log^{1+eps}(1/x) peaks at e^{-(1+eps)}: with eps = 0.5 a cut of
@@ -87,10 +94,10 @@ class TestLinkSpec:
         xs = np.array([0.22, 0.25])
         assert np.all(np.diff(-((xs * np.log(1.0 / xs) ** 1.5) ** (-1.0 / 3.0))) < 0)
         with pytest.raises(ValueError, match="exp"):
-            LinkSpec("unbounded_tail", (0.5, 1.0, 0.5, 2))
+            LinkSpec("unbounded-tail", (0.5, 1.0, 0.5, 2))
         with pytest.raises(ValueError, match="exp"):
-            LinkSpec("unbounded_tail", (0.1, 1.0, math.exp(-1.1), 1))
-        below = LinkSpec("unbounded_tail", (0.1, 1.0, math.exp(-1.1) * (1.0 - 1e-12), 1))
+            LinkSpec("unbounded-tail", (0.1, 1.0, math.exp(-1.1), 1))
+        below = LinkSpec("unbounded-tail", (0.1, 1.0, math.exp(-1.1) * (1.0 - 1e-12), 1))
         grid = np.linspace(0.0, below.cut, 10_001)[1:]
         assert np.all(np.diff(below(grid)) >= 0)
 
@@ -117,21 +124,21 @@ class TestLinkSpec:
         assert link(0.0) == 0.0
         assert link(1.0) == 1.0
 
-    def test_unbounded_tail_vanishes_past_cut(self):
-        link = LinkSpec("unbounded_tail", (0.1, 1.0, 0.5, 100))
+    def test_tail_link_vanishes_past_cut(self):
+        link = LinkSpec("unbounded-tail", (0.1, 1.0, 0.5, 100))
         assert link(link.cut + 1e-9) == 0.0
         assert link(1.0) == 0.0
 
-    def test_unbounded_tail_closed_form(self):
-        link = LinkSpec("unbounded_tail", (0.1, 1.0, 0.5, 100))
+    def test_tail_link_closed_form(self):
+        link = LinkSpec("unbounded-tail", (0.1, 1.0, 0.5, 100))
         x = 0.5 / 200.0
         want = -((x * math.log(1.0 / x) ** 1.1) ** (-1.0 / 3.0))
         assert link(x) == pytest.approx(want, rel=1e-12)
 
-    def test_unbounded_tail_nondecreasing_down_to_subnormals(self):
+    def test_tail_link_nondecreasing_down_to_subnormals(self):
         # log(x) stays finite down to the smallest subnormal, where 1 / x
         # would overflow to inf and flip the link to -0.0
-        link = link_catalog(1000)["unbounded_tail"]
+        link = link_catalog(1000)["unbounded-tail"]
         xs = np.array([0.0, 5e-324, 1e-310, 5e-309, 1e-300, 1e-200, link.cut])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -178,8 +185,8 @@ class TestLinkCdf:
                 want = np.mean(vals <= z)
                 assert link_cdf(link, z) == pytest.approx(want, abs=1e-4)
 
-    def test_unbounded_tail_inversion(self):
-        link = LinkSpec("unbounded_tail", (0.5, 1.0, 0.5, 1000))
+    def test_tail_link_inversion(self):
+        link = LinkSpec("unbounded-tail", (0.5, 1.0, 0.5, 1000))
         grid = np.linspace(0.0, 1.0, 2_000_001)[1:]
         vals = link(grid)
         for z in (-8.0, -4.0, -2.5, -0.01, 0.0, 1.0):
@@ -188,10 +195,10 @@ class TestLinkCdf:
 
 
     @pytest.mark.parametrize("eps, a, n", [(0.5, 1.0, 1000), (0.5, 1.0, 3), (0.1, 2.5, 50), (2.0, 0.5, 10**6)])
-    def test_unbounded_tail_solves_profile_equation(self, eps, a, n):
+    def test_tail_link_solves_profile_equation(self, eps, a, n):
         # below the cut, x = Leb{m <= z} solves log x + (1+eps) log log(1/x)
         # = -(a+2) log(-z); elsewhere the CDF is exactly the cut or 1
-        link = LinkSpec("unbounded_tail", (eps, a, 0.5, n))
+        link = LinkSpec("unbounded-tail", (eps, a, 0.5, n))
         z = -np.geomspace(1e-3, 1e3, 2000)
         x = link_cdf(link, z)
         tail = x < link.cut
@@ -200,8 +207,8 @@ class TestLinkCdf:
         assert np.max(np.abs(resid)) <= 1e-12
         assert np.all(x[~tail] == link.cut)
 
-    def test_unbounded_tail_extremes(self):
-        link = link_catalog(100)["unbounded_tail"]
+    def test_tail_link_extremes(self):
+        link = link_catalog(100)["unbounded-tail"]
         assert np.array_equal(link_cdf(link, [-np.inf, -1e300, 0.0, 5.0]), [0.0, 0.0, 1.0, 1.0])
 
 
@@ -214,6 +221,23 @@ class TestCheckInteger:
     def test_other_values_refused(self, value):
         with pytest.raises(ValueError, match="n must be an integer, got"):
             check_integer(value, "n")
+
+    def test_integer_past_float_range_refused(self):
+        # float() overflows on it, which once escaped as a bare OverflowError
+        with pytest.raises(ValueError, match="n must be an integer, got 1000"):
+            check_integer(10**400, "n")
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [1.5, 3, np.float32(1.5), np.int64(3), -math.inf, math.nan])
+    def test_numbers_taken_as_floats(self, value):
+        out = check_real(value, "c")
+        assert type(out) is float and (out == float(value) or math.isnan(out))
+
+    @pytest.mark.parametrize("value", ["1", b"1", True, np.True_, None, (1.0,), pytest.param(10**400, id="10**400")])
+    def test_other_values_refused(self, value):
+        with pytest.raises(ValueError, match="c must be a real number, got"):
+            check_real(value, "c")
 
 
 class TestSampleDataset:
@@ -292,6 +316,18 @@ class TestSampleDataset:
     def test_derive_seed_stable(self):
         assert derive_seed(3, "rates", 100, 7) == derive_seed(3, "rates", 100, 7)
         assert derive_seed(3, "rates", 100, 7) != derive_seed(3, "rates", 100, 8)
+
+    @pytest.mark.parametrize("seed", [2.5, "17", True, None, pytest.param(10**400, id="10**400")])
+    def test_a_seed_that_is_no_integer_refused(self, seed):
+        # derive_seed("17", ...) once equalled derive_seed(17, ...), and 2.5 drew seed 2
+        for make in (rng_stream, derive_seed):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                make(seed, "x")
+
+    def test_integer_seeds_keep_their_bits(self):
+        # an integral float or numpy integer is the same seed; -1 and 2^64 - 1 share 64 bits
+        assert derive_seed(17.0, "x") == derive_seed(np.int64(17), "x") == derive_seed(17, "x")
+        assert derive_seed(-1, "x") == derive_seed(2**64 - 1, "x")
 
 
 class TestOrderStatisticsLaws:
