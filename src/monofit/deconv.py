@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist1d import EmpiricalMeasure, TabulatedDistribution
-from .synth import check_integer, check_sigma, noise_charfn
+from .synth import check_integer, check_real, check_sigma, noise_charfn
 
 __all__ = [
     "GridSpec",
@@ -50,13 +50,11 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("grid ends must be finite")
-        if not self.lo < self.hi:
+        if not check_real(self.lo, "lo") < check_real(self.hi, "hi"):
             raise ValueError("grid needs lo < hi")
-        p = check_integer(self.points, "points")
-        if p < 2 or p & (p - 1) != 0:
-            raise ValueError("points must be a power of two >= 2")
+        p = check_integer(self.points, "points", least=2)
+        if p & (p - 1) != 0:
+            raise ValueError("points must be a power of two, got %d" % p)
         object.__setattr__(self, "points", p)
 
     @property
@@ -79,9 +77,7 @@ def select_bandwidth(n, sigma):
     belongs to the first branch.  If the inner logarithm comes out
     nonpositive (tiny n), the rule falls back to n^{-1/2} and warns.
     """
-    n = check_integer(n, "n")
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = check_integer(n, "n", least=2)
     sigma = check_sigma(sigma)
     root = 1.0 / math.sqrt(n)
     if sigma < root:
@@ -240,11 +236,10 @@ def deconvolve_cdf(ys, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
     -------
     TabulatedDistribution
     """
-    if not 0.0 < h <= 1.0:
-        raise ValueError("bandwidth must lie in (0, 1]")
-    freq_points = check_integer(freq_points, "freq_points")
-    if freq_points < 2:
-        raise ValueError("freq_points must be at least 2, got %r" % (freq_points,))
+    h = check_real(h, "h", above=0.0)
+    if h > 1.0:
+        raise ValueError("h must lie in (0, 1], got %r" % (h,))
+    freq_points = check_integer(freq_points, "freq_points", least=2)
     sigma = check_sigma(sigma)
     pad = 6.0 * (1.0 + sigma)
     if grid.lo > ys.atoms[0] - pad or grid.hi < ys.atoms[-1] + pad:

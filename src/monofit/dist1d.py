@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .synth import check_real
+
 __all__ = [
     "EmpiricalMeasure",
     "TabulatedDistribution",
@@ -78,11 +80,9 @@ class TabulatedDistribution:
     cdf: np.ndarray
 
     def __post_init__(self):
-        lo = float(self.grid_lo)
-        hi = float(self.grid_hi)
+        lo = check_real(self.grid_lo, "grid_lo")
+        hi = check_real(self.grid_hi, "grid_hi")
         cdf = np.asarray(self.cdf, dtype=float)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("grid_lo and grid_hi must be finite")
         if not lo < hi:
             raise ValueError("degenerate grid: grid_lo must be < grid_hi")
         if cdf.ndim != 1 or cdf.size < 2:

@@ -28,7 +28,7 @@ from .deconv import estimate_cdf
 from .dist1d import TabulatedDistribution, w1_tabulated
 from .regress import fit_shuffled, fit_unlinked
 from .synth import LinkSpec, NoiseSpec, derive_seed, link_cdf, parse_spec, rng_stream, sample_dataset
-from .synth import _link_values, check_integer, check_real
+from .synth import _link_values, _spec_params, check_integer, check_real
 
 __all__ = [
     "DEFAULT_SEED",
@@ -81,20 +81,13 @@ class ConjectureConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        for name in ("n_min", "n_max", "grid_points", "reps", "seed"):
-            object.__setattr__(self, name, check_integer(getattr(self, name), name))
-        if self.n_min < 1 or self.n_max < self.n_min:
-            raise ValueError("need 1 <= n_min <= n_max")
-        if self.grid_points < 1:
-            raise ValueError("need at least one grid point")
-        if self.reps < 1:
-            raise ValueError("need at least one replication")
-        object.__setattr__(self, "c", check_real(self.c, "c"))
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError("c must be finite and positive, got %r" % (self.c,))
-        C_list = tuple(check_real(C, "C") for C in self.C_list)
-        if not C_list or not all(math.isfinite(C) and C > 0 for C in C_list):
-            raise ValueError("C_list must be nonempty with finite, positive entries")
+        for name, least in (("n_min", 1), ("grid_points", 1), ("reps", 1), ("seed", None)):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, least))
+        object.__setattr__(self, "n_max", check_integer(self.n_max, "n_max", self.n_min))
+        object.__setattr__(self, "c", check_real(self.c, "c", above=0.0))
+        C_list = tuple(check_real(C, "C", above=0.0) for C in self.C_list)
+        if not C_list:
+            raise ValueError("C_list must hold one or more values")
         if len(set(C_list)) != len(C_list):
             raise ValueError("C_list must not repeat a value, got %r" % (C_list,))
         object.__setattr__(self, "C_list", C_list)
@@ -149,9 +142,8 @@ def conjecture_product(counts, n, C, c):
     an exact zero short-circuit per C so no log(0) is ever taken.  Empty
     cells contribute no factor.  Natural log throughout.
     """
-    n = check_integer(n, "n")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = check_integer(n, "n", least=1)
+    c = check_real(c, "c", above=0.0)
     counts = np.asarray(counts).ravel()
     integral = counts.dtype.kind in "iu" or (
         counts.dtype.kind == "f" and np.all(np.isfinite(counts)) and np.all(counts == np.floor(counts))
@@ -164,16 +156,16 @@ def conjecture_product(counts, n, C, c):
     hist = np.bincount(counts)
     if counts.size and int(np.dot(hist, np.arange(hist.size))) != n:
         raise ValueError("counts must be nonnegative and sum to n")
-    Cs = np.asarray(C, dtype=float)
-    if Cs.ndim > 1:
-        raise ValueError("C must be a scalar or a 1-d sequence")
+    if np.ndim(C) > 1:
+        raise ValueError("C must be a scalar or a 1-d sequence, got %r" % (C,))
+    Cs = np.array([check_real(v, "C") for v in (C if np.ndim(C) else [C])])
     occ = np.flatnonzero(hist[1:]) + 1
     mult = hist[occ]
     factors = 1.0 - Cs.reshape(-1, 1) * np.exp(-c * math.log(n) / occ)
     zero = factors == 0.0
     sums = np.sum(mult * np.log(np.abs(np.where(zero, 1.0, factors))), axis=1)
     out = np.array([0.0 if z else math.exp(2.0 * float(s)) for z, s in zip(zero.any(axis=1), sums)])
-    return float(out[0]) if Cs.ndim == 0 else out
+    return float(out[0]) if np.ndim(C) == 0 else out
 
 
 def _occupancy_counts(rng, n):
@@ -200,9 +192,7 @@ def conjecture_sweep(cfg, workers=1):
     process pool of ``workers`` processes: each n's ``min(reps, 2 workers)``
     chunks are reassembled in replication order before the means are taken.
     """
-    workers = check_integer(workers, "workers")
-    if workers < 1:
-        raise ValueError("workers must be at least 1, got %r" % (workers,))
+    workers = check_integer(workers, "workers", least=1)
     n_grid = cfg.n_grid.tolist()
     chunks = min(cfg.reps, 2 * workers)
     bounds = np.linspace(0, cfg.reps, chunks + 1).astype(int).tolist()
@@ -313,12 +303,10 @@ class SigmaRule:
     def __post_init__(self):
         if self.kind not in _RULES:
             raise ValueError("unknown sigma rule: %r" % (self.kind,))
-        params = tuple(check_real(v, "%s rule parameter" % self.kind) for v in self.params)
+        params = tuple(check_real(v, "%s rule parameter" % self.kind, above=0.0) for v in _spec_params(self))
         takes = 0 if self.kind in _PRESETS else 1
         if len(params) != takes:
             raise ValueError("%s takes %d parameters, got %d" % (self.kind, takes, len(params)))
-        if not all(math.isfinite(p) and p > 0 for p in params):
-            raise ValueError("%s rule needs a finite positive parameter, got %r" % (self.kind, params[0]))
         object.__setattr__(self, "params", params)
 
     def sigma(self, n):
@@ -374,12 +362,10 @@ def rate_sweep(problem, n_grid, sigma_rule, reps, seed, link=None, risk_kinds=No
     for kind in kinds:
         if kind not in _COMPATIBLE[problem]:
             raise ValueError("risk kind %r incompatible with problem %r" % (kind, problem))
-    n_grid = [check_integer(n, "n") for n in n_grid]
-    reps = check_integer(reps, "reps")
-    if not n_grid or min(n_grid) < 1:
-        raise ValueError("n_grid must hold one or more sizes of at least 1, got %r" % (n_grid,))
-    if reps < 1:
-        raise ValueError("reps must be at least 1, got %d" % reps)
+    n_grid = [check_integer(n, "n", least=1) for n in n_grid]
+    reps = check_integer(reps, "reps", least=1)
+    if not n_grid:
+        raise ValueError("n_grid must hold one or more sizes, got []")
     for n in n_grid:
         sigma_rule.check(n)
     records = []
@@ -400,13 +386,9 @@ def fit_loglog_slope(points):
     """Least-squares slope of log(value) against log(n).
 
     Returns (slope, intercept, r_squared).  Needs at least two distinct n;
-    n and the values must be finite and positive for the logs to exist.
+    each n and value must be above 0 for the logs to exist.
     """
-    pts = [(float(n), float(v)) for n, v in points]
-    if not all(math.isfinite(n) and n > 0 for n, _ in pts):
-        raise ValueError("n must be finite and positive")
-    if not all(math.isfinite(v) and v > 0 for _, v in pts):
-        raise ValueError("values must be finite and positive")
+    pts = [(check_real(n, "n", above=0.0), check_real(v, "value", above=0.0)) for n, v in points]
     ns = np.array([n for n, _ in pts])
     if np.unique(ns).size < 2:
         raise ValueError("need at least two distinct n")

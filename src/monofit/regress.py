@@ -30,7 +30,7 @@ import numpy as np
 from .csvio import read_columns, write_table
 from .deconv import estimate_cdf
 from .dist1d import MonotoneStepFn, quantile
-from .synth import check_integer, check_sigma
+from .synth import check_integer, check_real, check_sigma
 
 __all__ = [
     "MOMENT_BOUND",
@@ -79,12 +79,8 @@ def project_moment(values, bound, p):
         raise ValueError("values must be finite")
     if np.any(np.diff(values) < 0):
         raise ValueError("values must be nondecreasing")
-    p = float(p)
-    if not (math.isfinite(p) and p > 0):
-        raise ValueError("moment order must be finite and positive")
-    bound = float(bound)
-    if not bound >= 0:
-        raise ValueError("moment bound must be nonnegative")
+    p = check_real(p, "p", above=0.0)
+    bound = check_real(bound, "bound", least=0.0)
     powers = np.abs(values) ** p
     if float(np.mean(powers)) <= bound:
         return values.copy()
@@ -166,23 +162,19 @@ def stepfn_from_csv(path):
     """Read a step function written by :func:`stepfn_to_csv`.
 
     Returns (MonotoneStepFn, metadata dict with keys n, sigma, eta,
-    projected).  Refused with a ValueError naming ``path``: an n that is
-    not a positive integer, a sigma or eta that is not finite and
-    nonnegative, a projected other than 0 or 1, and knots or values that
-    :class:`MonotoneStepFn` refuses (a NaN among them).
+    projected).  Refused with a ValueError naming ``path``: an n below 1
+    or not integral, a sigma or eta below 0 or not finite, a projected
+    other than 0 or 1, and knots or values that :class:`MonotoneStepFn`
+    refuses (a NaN among them).
     """
     meta, cols = read_columns(path, {"knot": float, "value": float})
     for key in ("n", "sigma", "eta", "projected"):
         if key not in meta:
             raise ValueError("%s: missing metadata line %r" % (path, key))
     try:
-        out = {"n": check_integer(float(meta["n"]), "n")}
-        if out["n"] < 1:
-            raise ValueError("n must be positive, got %d" % out["n"])
+        out = {"n": check_integer(float(meta["n"]), "n", least=1)}
         for key in ("sigma", "eta"):
-            out[key] = float(meta[key])
-            if not (math.isfinite(out[key]) and out[key] >= 0.0):
-                raise ValueError("%s must be finite and nonnegative, got %r" % (key, meta[key]))
+            out[key] = check_real(float(meta[key]), key, least=0.0)
         if meta["projected"] not in ("0", "1"):
             raise ValueError("projected must be 0 or 1, got %r" % (meta["projected"],))
         out["projected"] = meta["projected"] == "1"

@@ -72,38 +72,44 @@ class NoiseSpec:
     """The standard Gaussian noise; it has no fields, so no other family can be asked for."""
 
 
-def check_sigma(sigma):
-    """``sigma`` as a float; ValueError unless it is finite and nonnegative."""
-    sigma = float(sigma)
-    if not (np.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError("sigma must be finite and nonnegative")
-    return sigma
+def check_sigma(value):
+    """A noise scale: :func:`check_real` with the bound ``least=0``."""
+    return check_real(value, "sigma", least=0.0)
 
 
-def check_integer(value, name):
-    """``value`` as an int; ValueError naming ``name`` unless it is integral.
+def check_integer(value, name, least=None):
+    """``value`` as an int; ValueError naming ``name`` unless it is integral and at least ``least``.
 
-    Integral floats such as 100.0 and numpy integers are taken; 100.7, a
-    non-finite value and all that :func:`check_real` refuses (text, a
-    boolean, None, 10**400) are refused rather than read as an integer.
+    Integral floats such as 100.0 and numpy integers are taken; 100.7 and
+    all that :func:`check_real` refuses (text, a boolean, None, NaN, inf,
+    10**400) are refused rather than read as an integer.
     """
     try:
         integral = check_real(value, name).is_integer()
     except ValueError:
         integral = False
-    if not integral:
-        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if not integral or (least is not None and value < least):
+        bound = "" if least is None else " >= %d" % least
+        raise ValueError("%s must be an integer%s, got %r" % (name, bound, value))
     return int(value)
 
 
-def check_real(value, name):
-    """``value`` as a float; ValueError naming ``name`` for text, a boolean, None or an int past float range."""
-    if not isinstance(value, (str, bytes, bool, np.bool_)):
-        try:
-            return float(value)
-        except (TypeError, OverflowError):
-            pass
-    raise ValueError("%s must be a real number, got %r" % (name, value))
+def check_real(value, name, least=None, above=None):
+    """``value`` as a finite float, at least ``least`` and above ``above`` where given.
+
+    The one check of a scalar from outside: text, a boolean, None, an int
+    past float range, NaN, inf and a value out of bounds are refused with
+    a ValueError whose message starts with ``name``.
+    """
+    try:
+        number = math.nan if isinstance(value, (str, bytes, bool, np.bool_)) else float(value)
+    except (TypeError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number) or (least is not None and number < least) or (above is not None and number <= above):
+        bound = "" if least is None else " >= %g" % least
+        bound += "" if above is None else " > %g" % above
+        raise ValueError("%s must be a finite real number%s, got %r" % (name, bound, value))
+    return number
 
 
 def _float_list(text):
@@ -129,23 +135,36 @@ def noise_charfn(t):
     return out if np.ndim(t) else float(out)
 
 
-# each link kind's parameter names, in the order ``LinkSpec.params`` holds
-# them; step (None) takes one or more levels
+# each link kind's parameters, in the order ``LinkSpec.params`` holds them,
+# with the bounds :func:`check_real` applies to each; step (None) takes one
+# or more levels, and the tail's n must also be an integer
+_POSITIVE = {"above": 0.0}
 _LINK_PARAMS = {
     "identity": (),
-    "affine": ("slope", "offset"),
+    "affine": (("slope", {"least": 0.0}), ("offset", {})),
     "cube": (),
     "step": None,
-    "unbounded-tail": ("eps", "a", "tail_scale", "n"),
+    "unbounded-tail": (("eps", _POSITIVE), ("a", _POSITIVE), ("tail_scale", _POSITIVE), ("n", {"least": 1})),
 }
+
+
+def _spec_params(spec):
+    """``spec.params`` as a tuple; ValueError naming the class unless it is a tuple or list.
+
+    A LinkSpec or SigmaRule takes its parameters as a sequence, so a scalar
+    or a string in its place is refused rather than iterated.
+    """
+    if not isinstance(spec.params, (tuple, list)):
+        raise ValueError("%s params must be a tuple or list, got %r" % (type(spec).__name__, spec.params))
+    return tuple(spec.params)
 
 
 @dataclass(frozen=True)
 class LinkSpec:
     """A nondecreasing, left-continuous link on [0, 1] from a small catalog.
 
-    ``params`` holds the kind's parameters in the order ``_LINK_PARAMS``
-    names them; any other count is refused.
+    ``params`` is a tuple or list of the kind's parameters in the order
+    ``_LINK_PARAMS`` names them; any other count is refused.
 
     - ``identity``        m(x) = x
     - ``affine``          m(x) = slope * x + offset, slope >= 0
@@ -167,27 +186,20 @@ class LinkSpec:
     def __post_init__(self):
         if self.kind not in _LINK_PARAMS:
             raise ValueError("unknown link kind: %r" % (self.kind,))
-        params = tuple(check_real(v, "%s link parameter" % self.kind) for v in self.params)
-        names = _LINK_PARAMS[self.kind]
-        if names is None:
+        params = _spec_params(self)
+        fields = _LINK_PARAMS[self.kind]
+        if fields is None:
             if not params:
                 raise ValueError("step link needs at least one level")
-        elif len(params) != len(names):
-            raise ValueError("%s takes %d parameters, got %d" % (self.kind, len(names), len(params)))
-        if self.kind == "unbounded-tail":
-            check_integer(params[3], "the sample size n")
-        if not all(map(math.isfinite, params)):
-            raise ValueError("%s link parameters must be finite" % self.kind)
-        if self.kind == "affine" and params[0] < 0:
-            raise ValueError("affine link needs slope >= 0")
+            fields = (("level", {}),) * len(params)
+        elif len(params) != len(fields):
+            raise ValueError("%s takes %d parameters, got %d" % (self.kind, len(fields), len(params)))
+        params = tuple(check_real(v, name, **bounds) for v, (name, bounds) in zip(params, fields))
         if self.kind == "step" and any(b < a for a, b in zip(params, params[1:])):
             raise ValueError("step levels must be nondecreasing")
         if self.kind == "unbounded-tail":
-            eps, a, tail_scale, n = params
-            if eps <= 0 or a <= 0 or tail_scale <= 0:
-                raise ValueError("unbounded-tail needs eps, a, tail_scale > 0")
-            if n < 1:
-                raise ValueError("unbounded-tail needs the sample size n >= 1")
+            eps, _, tail_scale, n = params
+            check_integer(n, "n")
             if not tail_scale / n < math.exp(-(1.0 + eps)):
                 raise ValueError("tail cutoff tail_scale / n must stay below exp(-(1 + eps))")
         object.__setattr__(self, "params", params)
@@ -334,7 +346,7 @@ class Dataset:
             if not np.all((x >= 0.0) & (x <= 1.0)):
                 raise ValueError("covariates must lie in [0, 1]")
             object.__setattr__(self, "x_ordered", x)
-        check_sigma(self.sigma)
+        object.__setattr__(self, "sigma", check_sigma(self.sigma))
 
     @property
     def n(self):
@@ -357,9 +369,7 @@ def sample_dataset(mode, n, link, noise, sigma, seed):
     """
     if mode not in _MODES:
         raise ValueError("unknown mode: %r" % (mode,))
-    n = check_integer(n, "n")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = check_integer(n, "n", least=1)
     sigma = check_sigma(sigma)
     x = None if mode == "deconv" else np.sort(rng_stream(seed, "x").random(n))
     x_latent = x if mode == "shuffled" else rng_stream(seed, "latent").random(n)
@@ -392,7 +402,7 @@ def dataset_from_csv(path, sigma=0.0):
     a ValueError naming ``path``: a file whose rows do not all carry the
     same mode, a blank or NaN x outside deconv mode, and any value that
     :class:`Dataset` refuses (x unsorted or outside [0, 1], a non-finite
-    y).  The index column is not read back.
+    y, a sigma below 0).  The index column is not read back.
     """
     _, cols = read_columns(path, _CSV_COLUMNS, converters={"x": _x_cell})
     modes = cols["mode"]
@@ -402,7 +412,6 @@ def dataset_from_csv(path, sigma=0.0):
     x = None if mode == "deconv" else cols["x"]
     if x is not None and np.any(np.isnan(x)):
         raise ValueError("%s: x column incomplete for mode %s: blank or NaN cells" % (path, mode))
-    sigma = check_sigma(sigma)
     try:
         return Dataset(mode, x, cols["y"], sigma)
     except ValueError as exc:

@@ -4,7 +4,8 @@ Every exported name resolves, every subcommand runs with scipy unimportable,
 every function the benchmark tracer wraps still exists where the tracer
 looks for it, so a refactor cannot silently zero a per-layer metric, every
 argument the tracer reads from a call is still a parameter of its target,
-and every name the benchmark imports from monofit still resolves.
+every name the benchmark imports from monofit still resolves, and a scalar
+is tested for finiteness in one place only.
 """
 
 import ast
@@ -24,6 +25,7 @@ import pytest
 import monofit
 
 MODULES = ["monofit"] + ["monofit." + m.name for m in pkgutil.iter_modules(monofit.__path__)]
+SRC = Path(monofit.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
 
@@ -210,3 +212,29 @@ def test_benchmark_imports_resolve():
     # imports inside functions and in subprocess code are both walked
     assert {("monofit.synth", "NoiseSpec"), ("monofit.experiments", "rate_sweep")} <= found
     assert missing == []
+
+
+def _callers(tree, target):
+    """Name of the innermost function around each call of ``target`` in ``tree`` (None at module level)."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == target:
+                out.append(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(tree, None)
+    return out
+
+
+def test_only_check_real_tests_a_scalar_for_finiteness():
+    # a number from outside is converted, bounded and refused in one place;
+    # a hand-written convert, compare and raise pair elsewhere would call
+    # math.isfinite, while array checks use np.isfinite
+    found = [
+        (path.stem, owner)
+        for path in sorted(SRC.glob("*.py"))
+        for owner in _callers(ast.parse(path.read_text()), "math.isfinite")
+    ]
+    assert found == [("synth", "check_real")]

@@ -372,10 +372,10 @@ class TestHelpers:
         (LinkSpec, "affine:1,2,3", "takes 2 parameters, got 3"),
         (LinkSpec, "unbounded-tail:0.5,1,0.5", "takes 4 parameters, got 3"),
         (LinkSpec, "unbounded-tail:0.5,1,0.5,1000.5", "must be an integer"),
-        (LinkSpec, "unbounded-tail:0.5,1,0.5,inf", "must be an integer"),
-        (LinkSpec, "step:1,nan", "must be finite"),
-        (LinkSpec, "affine:nan,0", "must be finite"),
-        (LinkSpec, "affine:inf,0", "must be finite"),
+        (LinkSpec, "unbounded-tail:0.5,1,0.5,inf", "n must be a finite real number >= 1, got inf"),
+        (LinkSpec, "step:1,nan", "level must be a finite real number, got nan"),
+        (LinkSpec, "affine:nan,0", "slope must be a finite real number >= 0, got nan"),
+        (LinkSpec, "affine:inf,0", "slope must be a finite real number >= 0, got inf"),
         (LinkSpec, "affine:x,0", "could not convert"),
         (LinkSpec, "step:", "at least one level"),
         (LinkSpec, "nosuch:1", "unknown link kind: 'nosuch'"),
@@ -383,8 +383,8 @@ class TestHelpers:
         (SigmaRule, "below-root:5", "below-root takes 0 parameters, got 1"),
         (SigmaRule, "constant", "constant takes 1 parameters, got 0"),
         (SigmaRule, "constant:1,2", "constant takes 1 parameters, got 2"),
-        (SigmaRule, "power:inf", "finite positive"),
-        (SigmaRule, "constant:-1", "finite positive"),
+        (SigmaRule, "power:inf", "power rule parameter must be a finite real number > 0, got inf"),
+        (SigmaRule, "constant:-1", "constant rule parameter must be a finite real number > 0, got -1.0"),
         (SigmaRule, "constant:abc", "could not convert"),
         (SigmaRule, "junk", "unknown sigma rule: 'junk'"),
         (SigmaRule, "bogus:3", "unknown sigma rule: 'bogus'"),

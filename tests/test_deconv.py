@@ -141,7 +141,7 @@ class TestSelectBandwidth:
         assert select_bandwidth(100, 2.0) == 1.0
 
     def test_fractional_n_refused(self):
-        with pytest.raises(ValueError, match="n must be an integer, got 100.9"):
+        with pytest.raises(ValueError, match="n must be an integer >= 2, got 100.9"):
             select_bandwidth(100.9, 0.0)
         assert select_bandwidth(100.0, 0.0) == select_bandwidth(np.int64(100), 0.0) == 0.1
 
@@ -188,7 +188,7 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 1)
 
     def test_fractional_points_refused(self):
-        with pytest.raises(ValueError, match="points must be an integer, got 16.9"):
+        with pytest.raises(ValueError, match="points must be an integer >= 2, got 16.9"):
             GridSpec(0.0, 1.0, 16.9)
         assert GridSpec(0.0, 1.0, 16.0).points == 16
 
@@ -209,7 +209,7 @@ class TestGridSpec:
     def test_auto_grid_refuses_a_bad_sigma(self, sigma):
         # sigma -5 would pad by -22 and leave the sample's ends off the grid
         ys = EmpiricalMeasure(np.linspace(-100.0, 100.0, 50))
-        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="sigma must be a finite real number >= 0"):
             auto_grid(ys, sigma)
 
 
@@ -486,12 +486,12 @@ class TestDeconvolveCdf:
     @pytest.mark.parametrize("freq_points", [1, 0, -5])
     def test_rejects_fewer_than_two_freq_points(self, freq_points):
         ys = EmpiricalMeasure(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="freq_points must be at least 2"):
+        with pytest.raises(ValueError, match="freq_points must be an integer >= 2"):
             deconvolve_cdf(ys, 0.0, 0.5, auto_grid(ys, 0.0), freq_points=freq_points)
 
     def test_rejects_fractional_freq_points(self):
         ys = EmpiricalMeasure(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="freq_points must be an integer, got 4096.5"):
+        with pytest.raises(ValueError, match="freq_points must be an integer >= 2, got 4096.5"):
             deconvolve_cdf(ys, 0.0, 0.5, auto_grid(ys, 0.0), freq_points=4096.5)
 
     def test_rejects_bad_bandwidth_and_sigma(self):

@@ -185,7 +185,7 @@ def product_per_C(counts, n, C, c):
 
 class TestConjectureProduct:
     def test_fractional_n_refused(self):
-        with pytest.raises(ValueError, match="n must be an integer, got 100.5"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1, got 100.5"):
             conjecture_product(np.ones(100, dtype=int), 100.5, 1.0, 20.0)
 
     def test_single_cell_zero(self):
@@ -332,10 +332,10 @@ class TestConjectureConfig:
         [
             ("seed", 2.5, "seed must be an integer, got 2.5"),
             ("seed", "17", "seed must be an integer, got '17'"),
-            ("c", True, "c must be a real number, got True"),
-            ("c", "20", "c must be a real number, got '20'"),
-            ("C_list", "15", "C must be a real number, got '1'"),
-            ("C_list", (1.0, None), "C must be a real number, got None"),
+            ("c", True, "c must be a finite real number > 0, got True"),
+            ("c", "20", "c must be a finite real number > 0, got '20'"),
+            ("C_list", "15", "C must be a finite real number > 0, got '1'"),
+            ("C_list", (1.0, None), "C must be a finite real number > 0, got None"),
         ],
     )
     def test_refuses_what_it_would_cut_down_or_misread(self, field, value, why):
@@ -373,7 +373,9 @@ class TestConjectureSweep:
         cfg = ConjectureConfig(n_min=100, n_max=1000, grid_points=3, reps=reps, C_list=(1.0, 100.0), seed=5)
         assert conjecture_sweep(cfg, workers=workers) == conjecture_sweep(cfg, workers=1)
 
-    @pytest.mark.parametrize("workers, why", [(2.5, "workers must be an integer"), (0, "workers must be at least 1")])
+    @pytest.mark.parametrize(
+        "workers, why", [(2.5, "workers must be an integer"), (0, "workers must be an integer >= 1")]
+    )
     def test_refuses_a_bad_worker_count_by_name(self, workers, why):
         with pytest.raises(ValueError, match=why):
             conjecture_sweep(self.CFG, workers=workers)
@@ -539,7 +541,7 @@ class TestSigmaRule:
                 parse_spec(SigmaRule, text)
         # "<= 0" alone passes both: NaN compares false, and n**-inf = 0
         for text in ("constant:nan", "constant:inf", "power:nan", "power:inf"):
-            with pytest.raises(ValueError, match="finite positive"):
+            with pytest.raises(ValueError, match="rule parameter must be a finite real number > 0"):
                 parse_spec(SigmaRule, text)
 
     @pytest.mark.parametrize(
@@ -550,9 +552,9 @@ class TestSigmaRule:
             ("constant", (), "constant takes 1 parameters, got 0"),
             ("constant", (0.1, 0.2), "constant takes 1 parameters, got 2"),
             ("power", (), "power takes 1 parameters, got 0"),
-            ("constant", (True,), "constant rule parameter must be a real number, got True"),
-            ("power", ("0.5",), "power rule parameter must be a real number, got '0.5'"),
-            ("constant", (None,), "must be a real number, got None"),
+            ("constant", (True,), "constant rule parameter must be a finite real number > 0, got True"),
+            ("power", ("0.5",), "power rule parameter must be a finite real number > 0, got '0.5'"),
+            ("constant", (None,), "must be a finite real number > 0, got None"),
             ("unbounded-tail", (), "unknown sigma rule"),
         ],
     )
@@ -646,11 +648,11 @@ class TestRateSweep:
     @pytest.mark.parametrize(
         "n_grid, reps, message",
         [
-            ((100,), 0, r"reps must be at least 1, got 0"),
-            ((100,), -2, r"reps must be at least 1, got -2"),
-            ((), 2, r"n_grid must hold one or more sizes of at least 1, got \[\]"),
-            ((100, 0), 2, r"n_grid must hold .*, got \[100, 0\]"),
-            ((-5,), 2, r"n_grid must hold .*, got \[-5\]"),
+            ((100,), 0, r"reps must be an integer >= 1, got 0"),
+            ((100,), -2, r"reps must be an integer >= 1, got -2"),
+            ((), 2, r"n_grid must hold one or more sizes, got \[\]"),
+            ((100, 0), 2, r"n must be an integer >= 1, got 0"),
+            ((-5,), 2, r"n must be an integer >= 1, got -5"),
         ],
         ids=["reps-0", "reps-negative", "empty-grid", "n-0", "n-negative"],
     )
@@ -704,11 +706,11 @@ class TestFitLoglogSlope:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_value_refused(self, value):
         # a NaN value is not <= 0, so it used to fit to (nan, nan, nan)
-        with pytest.raises(ValueError, match="values must be finite and positive"):
+        with pytest.raises(ValueError, match="value must be a finite real number > 0"):
             fit_loglog_slope([(10, 1.0), (100, value)])
 
     @pytest.mark.parametrize("n", [0, -10, math.inf, math.nan])
     def test_bad_n_refused(self, n):
         # these used to reach the least-squares solve and fail there
-        with pytest.raises(ValueError, match="n must be finite and positive"):
+        with pytest.raises(ValueError, match="n must be a finite real number > 0"):
             fit_loglog_slope([(10, 1.0), (n, 2.0)])

@@ -471,14 +471,14 @@ class TestStepfnCsv:
     @pytest.mark.parametrize(
         "key, text, why",
         [
-            ("n", "100.5", "n must be an integer, got 100.5"),
-            ("n", "0", "n must be positive, got 0"),
+            ("n", "100.5", "n must be an integer >= 1, got 100.5"),
+            ("n", "0", "n must be an integer >= 1, got 0"),
             ("n", "ten", "could not convert"),
             ("projected", "2", "projected must be 0 or 1, got '2'"),
             ("projected", "yes", "projected must be 0 or 1, got 'yes'"),
-            ("sigma", "nan", "sigma must be finite and nonnegative, got 'nan'"),
-            ("sigma", "-0.25", "sigma must be finite and nonnegative, got '-0.25'"),
-            ("eta", "inf", "eta must be finite and nonnegative, got 'inf'"),
+            ("sigma", "nan", "sigma must be a finite real number >= 0, got nan"),
+            ("sigma", "-0.25", "sigma must be a finite real number >= 0, got -0.25"),
+            ("eta", "inf", "eta must be a finite real number >= 0, got inf"),
         ],
     )
     def test_bad_preamble_value_refused_with_the_file_name(self, tmp_path, key, text, why):

@@ -69,7 +69,8 @@ class TestLinkSpec:
     @pytest.mark.parametrize("params", [("1", "2"), (0.0, True), (None,), "12"])
     def test_parameters_must_be_numbers(self, params):
         # text was once read as numbers: ("1", "2") became (1.0, 2.0)
-        with pytest.raises(ValueError, match="step link parameter must be a real number"):
+        why = "level must be a finite real number" if isinstance(params, tuple) else "LinkSpec params must be a tuple"
+        with pytest.raises(ValueError, match=why):
             LinkSpec("step", params)
 
     def test_takes_only_its_kinds_parameters(self):
@@ -229,20 +230,22 @@ class TestCheckInteger:
 
 
 class TestCheckReal:
-    @pytest.mark.parametrize("value", [1.5, 3, np.float32(1.5), np.int64(3), -math.inf, math.nan])
+    @pytest.mark.parametrize("value", [1.5, 3, np.float32(1.5), np.int64(3)])
     def test_numbers_taken_as_floats(self, value):
         out = check_real(value, "c")
-        assert type(out) is float and (out == float(value) or math.isnan(out))
+        assert type(out) is float and out == float(value)
 
-    @pytest.mark.parametrize("value", ["1", b"1", True, np.True_, None, (1.0,), pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize(
+        "value", ["1", b"1", True, np.True_, None, (1.0,), pytest.param(10**400, id="10**400"), -math.inf, math.nan]
+    )
     def test_other_values_refused(self, value):
-        with pytest.raises(ValueError, match="c must be a real number, got"):
+        with pytest.raises(ValueError, match="c must be a finite real number, got"):
             check_real(value, "c")
 
 
 class TestSampleDataset:
     def test_fractional_n_refused(self):
-        with pytest.raises(ValueError, match="n must be an integer, got 100.7"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1, got 100.7"):
             sample_dataset("deconv", 100.7, LinkSpec("identity"), NoiseSpec(), 0.1, seed=1)
         assert sample_dataset("deconv", 100.0, LinkSpec("identity"), NoiseSpec(), 0.1, seed=1).n == 100
 
@@ -409,6 +412,14 @@ class TestDatasetCsv:
             dataset_from_csv(path)
         assert str(refused.value) == "%s: %s" % (path, message)
 
+    @pytest.mark.parametrize("sigma", [-0.25, math.nan, "0.1", True])
+    def test_bad_sigma_refused_naming_the_file(self, tmp_path, sigma):
+        path = tmp_path / "ds.csv"
+        path.write_text("mode,index,x,y\ndeconv,0,,1.5\n")
+        with pytest.raises(ValueError) as refused:
+            dataset_from_csv(path, sigma=sigma)
+        assert str(refused.value) == "%s: sigma must be a finite real number >= 0, got %r" % (path, sigma)
+
     def test_lf_ends_and_blank_lines_accepted(self, tmp_path):
         path = tmp_path / "lf.csv"
         path.write_text("mode,index,x,y\nunlinked,0,0.25,1.5\n\nunlinked,1,0.5,-2\n\n", newline="")
@@ -424,3 +435,8 @@ class TestDatasetCsv:
             Dataset("shuffled", np.array([0.1, np.nan]), np.array([1.0, 2.0]), 0.1)
         with pytest.raises(ValueError, match="sigma"):
             Dataset("deconv", None, np.array([1.0]), math.nan)
+
+    def test_sigma_stored_as_the_checked_float(self):
+        # the sigma given was once stored as it came: "0.1" stayed text, True stayed True
+        ds = Dataset("deconv", None, [1.0, 2.0], np.float32(0.5))
+        assert ds.sigma == 0.5 and type(ds.sigma) is float
