@@ -51,6 +51,7 @@ REGIME_ETA = 0.2
 REGIME_BETA = 2.0
 
 DEFAULT_C_LIST = (1.0, 2.0, 5.0, 10.0, 100.0, 200.0, 500.0, 1000.0)
+OCCUPANCY_CHUNK = 2**16  # 512 KB of float64: uniforms binned per step of a draw
 
 
 @functools.cache
@@ -144,7 +145,9 @@ def conjecture_product(counts, n, C, c):
     """
     n = check_integer(n, "n", least=1)
     c = check_real(c, "c", above=0.0)
-    counts = np.asarray(counts).ravel()
+    counts = np.asarray(counts)
+    if counts.ndim != 1:
+        raise ValueError("counts must be a 1-d sequence, got %d dimensions" % counts.ndim)
     integral = counts.dtype.kind in "iu" or (
         counts.dtype.kind == "f" and np.all(np.isfinite(counts)) and np.all(counts == np.floor(counts))
     )
@@ -169,9 +172,26 @@ def conjecture_product(counts, n, C, c):
 
 
 def _occupancy_counts(rng, n):
-    """Multinomial(n; 1/n, ..., 1/n) by binning n uniforms into n cells."""
-    idx = np.minimum((rng.random(n) * n).astype(np.int64), n - 1)
-    return np.bincount(idx, minlength=n)
+    """Multinomial(n; 1/n, ..., 1/n) by binning n uniforms into n cells.
+
+    Cell floor(n u) of each uniform u, clipped at n - 1, gains one ball.
+    The uniforms are drawn and binned ``OCCUPANCY_CHUNK`` at a time, so a
+    draw holds one n-length int64 count array plus two 512 KB buffers:
+    about 9 MB at n = 10^6, where binning all n uniforms at once held
+    16 MB.  The generator yields the same n doubles in the same order, so
+    the counts match that one-shot binning bit for bit.
+    """
+    counts = np.zeros(n, np.int64)
+    uniforms = np.empty(min(n, OCCUPANCY_CHUNK))
+    cells = np.empty(uniforms.size, np.int64)
+    for lo in range(0, n, OCCUPANCY_CHUNK):
+        u, idx = uniforms[: n - lo], cells[: n - lo]
+        rng.random(out=u)
+        u *= n
+        idx[...] = u  # truncates, as astype(np.int64) does
+        np.minimum(idx, n - 1, out=idx)
+        np.add.at(counts, idx, 1)
+    return counts
 
 
 def _sweep_chunk(args):
@@ -179,8 +199,9 @@ def _sweep_chunk(args):
     seed, n, lo, hi, C_list, c = args
     out = np.empty((hi - lo, len(C_list)))
     for r in range(lo, hi):
-        counts = _occupancy_counts(rng_stream(seed, "conjecture", n, r), n)
-        out[r - lo] = conjecture_product(counts, n, C_list, c)
+        # no name holds the counts, so each draw is freed before the next one
+        rng = rng_stream(seed, "conjecture", n, r)
+        out[r - lo] = conjecture_product(_occupancy_counts(rng, n), n, C_list, c)
     return out
 
 
@@ -220,6 +241,8 @@ def conjecture_sweep(cfg, workers=1):
 def risk_empirical(mhat, m0, xs):
     """(1/n) sum |mhat(x_i) - m0(x_i)| over the design points."""
     xs = np.asarray(xs, dtype=float)
+    if xs.size == 0:
+        raise ValueError("xs must hold one or more design points")
     return float(np.mean(np.abs(mhat(xs) - m0(xs))))
 
 

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from monofit.experiments import (
     risk_population,
 )
 import monofit
-from monofit.experiments import _gauss_legendre, _occupancy_counts, _regime_edges
+from monofit.experiments import OCCUPANCY_CHUNK, _gauss_legendre, _occupancy_counts, _regime_edges, _sweep_chunk
 from monofit.synth import LinkSpec, link_cdf, parse_spec, rng_stream
 
 from links import link_catalog
@@ -236,6 +237,10 @@ class TestConjectureProduct:
             conjecture_product([49.5, 50.5], 100, 1.0, 20.0)
         with pytest.raises(ValueError):
             conjecture_product([50, 50], 100, [[1.0, 2.0]], 20.0)  # C must be at most 1-d
+        with pytest.raises(ValueError, match="^counts must be a 1-d sequence"):
+            conjecture_product([[1, 1]], 2, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^counts must be a 1-d sequence"):
+            conjecture_product(np.int64(1), 1, 1.0, 1.0)
 
     def test_integral_float_counts_accepted(self):
         as_floats = conjecture_product([50.0, 0.0, 50.0], 100, 1.0, 20.0)
@@ -260,7 +265,38 @@ class TestConjectureProduct:
             assert values[k] == scalar == product_per_C(counts, n, C, c)
 
 
+def one_shot_counts(rng, n):
+    """Bin all n uniforms at once: the draw before it was chunked."""
+    return np.bincount(np.minimum((rng.random(n) * n).astype(np.int64), n - 1), minlength=n)
+
+
 class TestOccupancyCounts:
+    @pytest.mark.parametrize("n", [1, 2, OCCUPANCY_CHUNK - 1, OCCUPANCY_CHUNK, OCCUPANCY_CHUNK + 1,
+                                   3 * OCCUPANCY_CHUNK + 5, 10**6])
+    @pytest.mark.parametrize("seed", [0, 1729, 2**40 + 3])
+    def test_matches_one_shot_binning(self, n, seed):
+        rng, twin = rng_stream(seed, "chunked", n), rng_stream(seed, "chunked", n)
+        counts, oracle = _occupancy_counts(rng, n), one_shot_counts(twin, n)
+        assert counts.dtype == oracle.dtype and np.array_equal(counts, oracle)
+        # the draw takes exactly n doubles, so a generator reused across draws stays in step
+        assert rng.random() == twin.random()
+
+    def test_sweep_chunk_holds_one_draw_at_a_time(self):
+        n = 2**20
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _sweep_chunk((1729, n, 0, 3, DEFAULT_C_LIST, 20.0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        # one n-length int64 count array plus 4 MiB; two live draws would need 16 MiB
+        assert peak < 8 * n + 4 * 2**20, "peak %.1f MiB" % (peak / 2**20)
+
     def test_counts_sum_exactly(self):
         for n in (10, 1000, 10**5):
             counts = _occupancy_counts(rng_stream(43, "sum", n), n)
@@ -408,6 +444,8 @@ class TestRisks:
         assert risk_empirical(exact, m0, x) == 0.0
         shifted = MonotoneStepFn(x, x + 0.3)
         assert risk_empirical(shifted, m0, x) == pytest.approx(0.3, rel=1e-12)
+        with pytest.raises(ValueError, match="^xs must hold one or more design points"):
+            risk_empirical(exact, m0, [])
 
     def test_population_zero_vs_identity(self):
         mzero = MonotoneStepFn(np.array([1.0]), np.array([0.0]))
