@@ -11,19 +11,22 @@ numpy's included, are 1 and 0.
 
 Every table is written ``CHUNK_ROWS`` rows at a time, one ``%`` per row: a
 float array column from its chunk's ``.tolist()``, any other column sliced
-and formatted cell by cell.  :func:`read_columns` parses the data rows with
-:func:`numpy.loadtxt` into one array per column.
+and formatted cell by cell.  Reads go ``CHUNK_ROWS`` lines at a time too:
+:func:`read_chunks` parses each chunk with one :func:`numpy.loadtxt` call,
+so a reader holds the columns it keeps plus one chunk of text and rows;
+:func:`read_columns` joins every chunk into one array per column.
 """
 
 import csv
+import itertools
 import warnings
 
 import numpy as np
 
-__all__ = ["write_table", "read_columns"]
+__all__ = ["write_table", "read_chunks", "read_columns"]
 
 FLOAT_FMT = "%.17g"
-# Rows formatted per write: bounds the text held in memory at once.
+# Rows formatted per write and lines parsed per read: bounds the text held in memory at once.
 CHUNK_ROWS = 8192
 
 
@@ -72,40 +75,40 @@ def write_table(path, header, columns, preamble=None):
             fh.write("".join(map(row.__mod__, zip(*chunk))))
 
 
-def _first_bad_line(path, first, options):
-    """``line N: reason: 'text'`` for the first data line from ``first`` on
-    that ``np.loadtxt(**options)`` refuses on its own, or None.
+def _first_bad_line(lines, first, options):
+    """``line N: reason: 'text'`` for the first of ``lines``, numbered from
+    ``first``, that ``np.loadtxt(**options)`` refuses on its own, or None.
 
-    Used only once a whole read has failed, to say where.
+    Used only once a chunk has failed, to say where.
     """
     width = len(options["dtype"])
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.rstrip("\r\n")
-            if lineno < first or not text:
-                continue
-            try:
-                np.loadtxt([line], **options)
-            except ValueError as exc:
-                cells = len(next(csv.reader([text])))
-                reason = exc.__cause__ or exc
-                if cells != width:
-                    reason = "expected %d cells, found %d" % (width, cells)
-                return "line %d: %s: %r" % (lineno, reason, text)
+    for lineno, line in enumerate(lines, first):
+        text = line.rstrip("\r\n")
+        if not text:
+            continue
+        try:
+            np.loadtxt([line], **options)
+        except ValueError as exc:
+            cells = len(next(csv.reader([text])))
+            reason = exc.__cause__ or exc
+            if cells != width:
+                reason = "expected %d cells, found %d" % (width, cells)
+            return "line %d: %s: %r" % (lineno, reason, text)
     return None
 
 
-def read_columns(path, dtypes, converters=None):
-    """Read a table written by :func:`write_table` as one array per column.
+def read_chunks(path, dtypes, converters=None):
+    """Read a table written by :func:`write_table` a chunk of rows at a time.
 
     ``dtypes`` maps each header name, in header order, to its column's numpy
     dtype; ``converters`` maps a column name to a function from cell text
-    to value, as :func:`numpy.loadtxt` takes them.  Returns ``(preamble,
-    columns)``: the preamble as a dict of stripped strings and a dict of
-    contiguous 1-d arrays by name.  Blank lines are skipped; every other
-    data line must hold one parsable cell per column.  Raises ValueError
-    naming ``path`` when the header differs from the names, or naming the
-    first line that does not parse.
+    to value, as :func:`numpy.loadtxt` takes them.  A generator: it yields
+    the preamble as a dict of stripped strings, then the data rows as
+    structured arrays of one field per name, each from ``CHUNK_ROWS`` lines
+    or fewer; a chunk of blank lines only is not yielded.  Blank lines are
+    skipped; every other data line must hold one parsable cell per column.
+    Raises ValueError naming ``path`` when the header differs from the
+    names, or naming the first line of a chunk that does not parse.
     """
     header = list(dtypes)
     preamble = {}
@@ -118,6 +121,7 @@ def read_columns(path, dtypes, converters=None):
         found = next(csv.reader([line]), None)
         if found is None or [h.strip() for h in found] != header:
             raise ValueError("%s: expected header %s" % (path, ",".join(header)))
+        yield preamble
         options = {
             "dtype": list(dtypes.items()),
             "delimiter": ",",
@@ -126,13 +130,32 @@ def read_columns(path, dtypes, converters=None):
             "ndmin": 1,
             "converters": {header.index(name): fn for name, fn in (converters or {}).items()},
         }
-        try:
-            with warnings.catch_warnings():
-                # no data rows reads as empty columns; the caller judges them
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                table = np.loadtxt(fh, **options)
-        except ValueError as exc:
-            where = _first_bad_line(path, lineno + 1, options)
-            raise ValueError("%s: %s" % (path, where or exc)) from None
-    # copies, so no column keeps the whole table alive
-    return preamble, {name: np.ascontiguousarray(table[name]) for name in header}
+        while lines := list(itertools.islice(fh, CHUNK_ROWS)):
+            try:
+                with warnings.catch_warnings():
+                    # a chunk of blank lines reads as no rows
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    table = np.loadtxt(lines, **options)
+            except ValueError as exc:
+                where = _first_bad_line(lines, lineno + 1, options)
+                raise ValueError("%s: %s" % (path, where or exc)) from None
+            lineno += len(lines)
+            if table.size:
+                yield table
+
+
+def read_columns(path, dtypes, converters=None):
+    """Read a whole table by :func:`read_chunks` as one array per column.
+
+    Takes the arguments of :func:`read_chunks` and refuses what it refuses.
+    Returns ``(preamble, columns)``: the preamble dict and a dict of
+    contiguous 1-d arrays by name, empty for a table with no data rows.
+    """
+    chunks = read_chunks(path, dtypes, converters)
+    preamble = next(chunks)
+    # each chunk's columns copied out, so no chunk stays alive as a whole
+    parts = {name: [np.empty(0, dtype)] for name, dtype in dtypes.items()}
+    for chunk in chunks:
+        for name, part in parts.items():
+            part.append(np.ascontiguousarray(chunk[name]))
+    return preamble, {name: np.concatenate(parts.pop(name)) for name in dtypes}

@@ -101,47 +101,51 @@ def _ecf(ys, ts):
     Uses the geometric recurrence exp(i t_j y) = exp(i t_0 y) * exp(i dt y)^j,
     which costs one complex multiply per (j, k) instead of one exp.
 
-    The values equal the loop ``out[j] = acc.mean(); acc *= base`` bit for
+    The values equal the loop ``out[j] = acc.mean(); acc *= base`` over
+    ``acc = exp(1j * t_0 * ys)`` and ``base = exp(1j * dt * ys)`` bit for
     bit.  numpy's ``mean`` of a contiguous complex row is its pairwise sum
     divided by n, and that sum splits a row of more than 64 values into
     ``sum(a[:h]) + sum(a[h:])`` with ``h = (n - n % 8) // 2``.
     :func:`_ecf_sum` follows the same tree down to leaves of at most
     ``ECF_BLOCK_CELLS // 4`` samples, small enough to stay in cache, and
     adds the leaves' sums in tree order; the total is divided by n once, as
-    ``mean`` does.  Every row comes from the same element-wise SIMD multiply
-    as the loop's in-place ``acc *= base``.  A single observation runs the
-    loop itself: numpy multiplies a one-element array in place by its scalar
+    ``mean`` does.  Each leaf builds its own part of ``acc`` and ``base``,
+    element by element as the loop does, so no n-length complex array is
+    held.  Every row comes from the same element-wise SIMD multiply as the
+    loop's in-place ``acc *= base``.  A single observation runs the loop
+    itself: numpy multiplies a one-element array in place by its scalar
     loop, whose rounding differs from the SIMD loop's.
     """
-    dt = ts[1] - ts[0]
-    acc = np.exp(1j * ts[0] * ys)
-    base = np.exp(1j * dt * ys)
+    t0, dt = ts[0], ts[1] - ts[0]
     if ys.size == 1:
+        acc = np.exp(1j * t0 * ys)
+        base = np.exp(1j * dt * ys)
         out = np.empty(ts.size, dtype=complex)
         for j in range(ts.size):
             out[j] = acc.mean()
             acc *= base
         return out
-    return _ecf_sum(acc, base, ts.size) / ys.size
+    return _ecf_sum(ys, t0, dt, ts.size) / ys.size
 
 
-def _ecf_sum(acc, base, freqs):
-    """Row sums sum_k acc_k base_k^j for j < freqs, split as numpy's pairwise sum.
+def _ecf_sum(ys, t0, dt, freqs):
+    """Row sums sum_k exp(i t0 y_k) exp(i dt y_k)^j for j < freqs, split as numpy's pairwise sum.
 
-    A leaf writes consecutive rows of the recurrence into one C-contiguous
-    block of at most ``ECF_BLOCK_CELLS`` cells, four rows or more, and sums
-    the block by one ``np.add.reduce(axis=1)``, which sums each row exactly
-    as a 1-d ``sum()`` does.
+    A leaf writes exp(i t0 y) and then consecutive rows of the recurrence
+    into one C-contiguous block of at most ``ECF_BLOCK_CELLS`` cells, four
+    rows or more, and sums the block by one ``np.add.reduce(axis=1)``,
+    which sums each row exactly as a 1-d ``sum()`` does.
     """
-    n = acc.size
+    n = ys.size
     if n > ECF_BLOCK_CELLS // 4:
         h = (n - n % 8) // 2
-        return _ecf_sum(acc[:h], base[:h], freqs) + _ecf_sum(acc[h:], base[h:], freqs)
+        return _ecf_sum(ys[:h], t0, dt, freqs) + _ecf_sum(ys[h:], t0, dt, freqs)
     rows = min(freqs, ECF_BLOCK_CELLS // n)
     out = np.empty(freqs, dtype=complex)
     block = np.empty((rows, n), dtype=complex)
-    block[0] = acc
     row = list(block)  # views made once, not once a multiply
+    np.exp(1j * t0 * ys, out=row[0])
+    base = np.exp(1j * dt * ys)
     for j in range(0, freqs, rows):
         r = min(rows, freqs - j)
         for i in range(1, r):
@@ -191,11 +195,15 @@ def _running_trapezoid(f, dx):
 def isotonize_cdf(raw):
     """Project a raw CDF table onto valid CDFs: running max, then clip to [0, 1].
 
-    Idempotent; leaves any already-valid CDF unchanged.
+    Idempotent; leaves any already-valid CDF unchanged.  A NaN or infinite
+    entry, the mark of a broken inversion, is refused rather than spread
+    by the running max or clipped to 1.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size == 0:
         raise ValueError("need a nonempty 1-d sequence")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("raw must be finite")
     return np.clip(np.maximum.accumulate(raw), 0.0, 1.0)
 
 

@@ -22,6 +22,8 @@ __all__ = [
     "quantile",
 ]
 
+QUANTILE_BLOCK = 2**13  # levels read per block by quantile()
+
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
@@ -42,7 +44,7 @@ class EmpiricalMeasure:
             raise ValueError("atoms must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(atoms)):
             raise ValueError("atoms must be finite")
-        if np.any(np.diff(atoms) < 0):
+        if np.any(atoms[1:] < atoms[:-1]):
             raise ValueError("atoms must be sorted in nondecreasing order")
         object.__setattr__(self, "atoms", atoms)
 
@@ -132,11 +134,11 @@ class MonotoneStepFn:
             raise ValueError("knots and values must be 1-d of equal nonzero length")
         if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
             raise ValueError("knots and values must be finite")
-        if np.any(np.diff(knots) <= 0):
+        if np.any(knots[1:] <= knots[:-1]):
             raise ValueError("knots must be strictly increasing")
         if knots[0] < 0.0 or knots[-1] > 1.0:
             raise ValueError("knots must lie in [0, 1]")
-        if np.any(np.diff(values) < 0):
+        if np.any(values[1:] < values[:-1]):
             raise ValueError("values must be nondecreasing")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
@@ -212,18 +214,25 @@ def quantile(d, u):
     ----------
     d : TabulatedDistribution
     u : float or array_like in (0, 1)
+
+    The levels are read ``QUANTILE_BLOCK`` at a time, so the temporaries
+    stay that size whatever the number of levels.
     """
     u_arr = np.asarray(u, dtype=float)
     if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
         raise ValueError("quantile level must lie strictly inside (0, 1)")
     xs = d.grid
     cdf = d.cdf
-    j = np.searchsorted(cdf, u_arr, side="left")
-    jm = np.clip(j, 1, cdf.size - 1)
-    c0 = cdf[jm - 1]
-    c1 = cdf[jm]
-    denom = np.where(c1 > c0, c1 - c0, 1.0)
-    interp = xs[jm - 1] + (u_arr - c0) / denom * (xs[jm] - xs[jm - 1])
-    # outside the tabulated cdf range, clamp to the grid ends
-    out = np.where(j == 0, xs[0], np.where(j == cdf.size, xs[-1], interp))
+    out = np.empty(u_arr.shape)
+    flat_u, flat_out = u_arr.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_u.size, QUANTILE_BLOCK):
+        v = flat_u[start : start + QUANTILE_BLOCK]
+        j = np.searchsorted(cdf, v, side="left")
+        jm = np.clip(j, 1, cdf.size - 1)
+        c0 = cdf[jm - 1]
+        c1 = cdf[jm]
+        denom = np.where(c1 > c0, c1 - c0, 1.0)
+        interp = xs[jm - 1] + (v - c0) / denom * (xs[jm] - xs[jm - 1])
+        # outside the tabulated cdf range, clamp to the grid ends
+        flat_out[start : start + QUANTILE_BLOCK] = np.where(j == 0, xs[0], np.where(j == cdf.size, xs[-1], interp))
     return out if np.ndim(u) else float(out)

@@ -77,7 +77,7 @@ def project_moment(values, bound, p):
         raise ValueError("values must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
-    if np.any(np.diff(values) < 0):
+    if np.any(values[1:] < values[:-1]):
         raise ValueError("values must be nondecreasing")
     p = check_real(p, "p", above=0.0)
     bound = check_real(bound, "bound", least=0.0)
@@ -142,8 +142,8 @@ def fit_unlinked(x, y, sigma):
         raise ValueError("covariates must lie in [0, 1]")
     n = x.size
     mu, _ = estimate_cdf(y, sigma)
-    levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    raw = np.maximum.accumulate(quantile(mu, levels))
+    raw = quantile(mu, (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n))
+    np.maximum.accumulate(raw, out=raw)
     return _project_and_extend(np.sort(x, kind="stable"), raw, 1.0 / math.sqrt(n))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import read_columns, write_table
+from .csvio import read_chunks, write_table
 
 __all__ = [
     "NoiseSpec",
@@ -269,8 +269,10 @@ def _link_values(spec, x, out):
 
 
 def link_cdf(spec, z):
-    """CDF of m(X) for X ~ Uniform[0, 1]: Leb{x : m(x) <= z}."""
+    """CDF of m(X) for X ~ Uniform[0, 1]: Leb{x : m(x) <= z}; a NaN z is refused."""
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+    if np.any(np.isnan(z_arr)):
+        raise ValueError("z must not be NaN")
     if spec.kind == "identity":
         out = np.clip(z_arr, 0.0, 1.0)
     elif spec.kind == "affine":
@@ -341,7 +343,7 @@ class Dataset:
             x = np.asarray(self.x_ordered, dtype=float)
             if x.shape != y.shape:
                 raise ValueError("x and y must have equal length")
-            if np.any(np.diff(x) < 0):
+            if np.any(x[1:] < x[:-1]):
                 raise ValueError("x_ordered must be sorted")
             if not np.all((x >= 0.0) & (x <= 1.0)):
                 raise ValueError("covariates must lie in [0, 1]")
@@ -402,17 +404,29 @@ def dataset_from_csv(path, sigma=0.0):
     a ValueError naming ``path``: a file whose rows do not all carry the
     same mode, a blank or NaN x outside deconv mode, and any value that
     :class:`Dataset` refuses (x unsorted or outside [0, 1], a non-finite
-    y, a sigma below 0).  The index column is not read back.
+    y, a sigma below 0).  The file is read a chunk at a time and only x and
+    y are kept, x not at all in deconv mode; the index column is not read back.
     """
-    _, cols = read_columns(path, _CSV_COLUMNS, converters={"x": _x_cell})
-    modes = cols["mode"]
-    if modes.size == 0 or np.any(modes != modes[0]):
-        raise ValueError("%s: expected a single mode, found %s" % (path, np.unique(modes).tolist()))
-    mode = str(modes[0])
-    x = None if mode == "deconv" else cols["x"]
+    chunks = read_chunks(path, _CSV_COLUMNS, converters={"x": _x_cell})
+    next(chunks)  # no preamble is written
+    mode, modes, xs, ys = None, set(), [], []
+    for chunk in chunks:
+        cells = chunk["mode"]
+        if mode is None:
+            mode = str(cells[0])
+        if np.any(cells != mode):
+            # read on, so a bad line later in the file is still named first
+            modes.update(np.unique(cells).tolist(), (mode,))
+        if mode != "deconv":
+            xs.append(np.ascontiguousarray(chunk["x"]))
+        ys.append(np.ascontiguousarray(chunk["y"]))
+    if mode is None or modes:
+        raise ValueError("%s: expected a single mode, found %s" % (path, sorted(modes)))
+    x = None if mode == "deconv" else np.concatenate(xs)
+    del xs  # its parts, before y is joined
     if x is not None and np.any(np.isnan(x)):
         raise ValueError("%s: x column incomplete for mode %s: blank or NaN cells" % (path, mode))
     try:
-        return Dataset(mode, x, cols["y"], sigma)
+        return Dataset(mode, x, np.concatenate(ys), sigma)
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None

@@ -14,6 +14,8 @@ from monofit.deconv import estimate_cdf
 from monofit.regress import fit_shuffled, fit_unlinked, stepfn_from_csv
 from monofit.synth import Dataset, LinkSpec, NoiseSpec, dataset_to_csv, parse_spec, rng_stream, sample_dataset
 
+from memory import traced_peak
+
 
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
@@ -249,6 +251,21 @@ class TestEstimateCommand:
         direct = fit_unlinked(ds.x_ordered, ds.y, 0.0)
         assert meta["n"] == 100_000 and meta["sigma"] == 0.0
         assert np.array_equal(m.values, direct.fit.values)
+
+    @pytest.mark.parametrize("mode", ["shuffled", "unlinked", "deconv"])
+    def test_fit_within_a_memory_budget(self, tmp_path, capsys, mode):
+        n = 100_000
+        ds = sample_dataset(mode, n, LinkSpec("affine", (8.0, -4.0)), NoiseSpec(), 0.1, seed=601)
+        data = tmp_path / "data.csv"
+        dataset_to_csv(ds, data)
+        del ds
+        argv = ["estimate", "--data", str(data), "--sigma", "0.1", "--out", str(tmp_path / "out")]
+        code, peak = traced_peak(run, argv)
+        capsys.readouterr()
+        assert code == 0
+        # read, fit and write within 9 n-length real arrays (8 n bytes each);
+        # the three fits trace 4.5 to 6.4 of them
+        assert peak < 9 * 8 * n, "peak %.1f x 8n bytes" % (peak / (8 * n))
 
     def test_deconv_writes_cdf_table(self, tmp_path, capsys):
         ds = sample_dataset("deconv", 40, LinkSpec("identity"), NoiseSpec(), 0.2, seed=4)

@@ -1,7 +1,9 @@
 """Tests for the shared CSV format: one byte layout whatever the column type."""
 
 import csv
+import io
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monofit import csvio
-from monofit.csvio import read_columns, write_table
+from monofit.csvio import CHUNK_ROWS, read_columns, write_table
 
 # every kind of double: subnormals, signed zeros, infinities, NaN, +-max
 DOUBLES = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True, width=64)
@@ -169,3 +171,45 @@ def test_header_only_table_reads_as_empty_columns(tmp_path):
     preamble, cols = read_columns(path, {"knot": float, "value": float})
     assert preamble == {"n": "0"}
     assert cols["knot"].shape == (0,) and cols["value"].shape == (0,)
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3])
+@pytest.mark.parametrize("end", ["\r\n", "\n"])
+def test_chunked_read_is_one_loadtxt_bit_for_bit(tmp_path, rows, end):
+    rng = np.random.default_rng(rows)
+    values = (rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)).tolist()
+    lines = ["%d,%r,%s%s" % (i, v, "ab"[i % 2], end) for i, v in enumerate(values)]
+    # blank lines after the first row, across the first chunk edge and at the end
+    for at in sorted({1, CHUNK_ROWS - 1, CHUNK_ROWS + 1, len(lines)} & set(range(len(lines) + 1)), reverse=True):
+        lines.insert(at, end)
+    body = "".join(lines)
+    path = tmp_path / "t.csv"
+    path.write_text("# n=%d\ni,v,s%s%s" % (rows, end, body), newline="")
+    dtypes = {"i": "i8", "v": float, "s": "U1"}
+    with warnings.catch_warnings(), mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+        warnings.simplefilter("error")
+        preamble, cols = read_columns(path, dtypes)
+    assert preamble == {"n": str(rows)}
+    # one loadtxt call a chunk of at most CHUNK_ROWS lines
+    assert [len(call.args[0]) for call in spy.call_args_list] == [
+        min(CHUNK_ROWS, len(lines) - start) for start in range(0, len(lines), CHUNK_ROWS)
+    ]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        whole = np.loadtxt(io.StringIO(body, newline=""), dtype=list(dtypes.items()), delimiter=",", ndmin=1)
+    for name in dtypes:
+        assert cols[name].dtype == whole[name].dtype and cols[name].flags.c_contiguous
+        assert cols[name].tobytes() == whole[name].tobytes()
+
+
+@pytest.mark.parametrize("bad", [CHUNK_ROWS, CHUNK_ROWS + 7])
+def test_bad_row_in_a_later_chunk_named_by_its_line(tmp_path, bad):
+    # rows 0.. go on lines 3..: a preamble line and the header come first
+    rows = ["%d,%d\r\n" % (i, i) for i in range(CHUNK_ROWS + 10)]
+    rows[bad] = "%d,abc\r\n" % bad
+    path = tmp_path / "t.csv"
+    path.write_text("# n=1\nknot,value\r\n" + "".join(rows), newline="")
+    with pytest.raises(ValueError) as refused:
+        read_columns(path, {"knot": float, "value": float})
+    assert str(refused.value) == "%s: line %d: could not convert string to float: 'abc': '%d,abc'" % (
+        path, bad + 3, bad)

@@ -35,6 +35,7 @@ from monofit.dist1d import EmpiricalMeasure, TabulatedDistribution, quantile, w1
 from monofit.synth import NoiseSpec, rng_stream, sample_dataset
 
 from links import link_catalog
+from memory import traced_peak
 
 ECF_LEAF = deconv_mod.ECF_BLOCK_CELLS // 4  # largest leaf of _ecf's summation tree
 
@@ -224,6 +225,12 @@ class TestIsotonize:
         with pytest.raises(ValueError):
             isotonize_cdf([[0.0, 1.0]])
 
+    @pytest.mark.parametrize("raw", [[math.nan, 0.5], [0.2, math.inf], [-math.inf, 0.5, 1.0], [0.0, math.nan, 1.0]])
+    def test_non_finite_refused(self, raw):
+        # neither spread by the running max nor clipped into [0, 1]
+        with pytest.raises(ValueError, match="^raw must be finite$"):
+            isotonize_cdf(raw)
+
     @given(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=40))
     def test_output_is_cdf_table(self, raw):
         out = isotonize_cdf(raw)
@@ -301,6 +308,13 @@ class TestFrequencyHelpers:
         ys = rng_stream(5, "ecf-tree-edges", n, T).normal(size=n)
         ts = np.linspace(-30.0, 30.0, T)
         assert np.array_equal(_ecf(ys, ts).view(float), ecf_loop(ys, ts).view(float))
+
+    def test_ecf_holds_no_sample_length_complex_array(self):
+        n = 100_000
+        ys = np.sort(rng_stream(5, "ecf-memory").normal(size=n))
+        _, peak = traced_peak(_ecf, ys, np.linspace(-30.0, 30.0, 16))
+        # one leaf's block and start rows; one n-length complex array is 16 n bytes
+        assert peak < 16 * n, "peak %.2f MB" % (peak / 1e6)
 
     @pytest.mark.parametrize("n", [65, 100, 129, 1000, ECF_LEAF + 1, 2 * ECF_LEAF + 7, 100_003])
     def test_numpy_sums_a_complex_row_pairwise(self, n):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from monofit.dist1d import (
+    QUANTILE_BLOCK,
     EmpiricalMeasure,
     MonotoneStepFn,
     TabulatedDistribution,
@@ -24,6 +25,21 @@ from monofit.dist1d import (
     w1_tabulated,
     w2_empirical,
 )
+
+from memory import traced_peak
+
+
+def quantile_oracle(d, u):
+    """``quantile`` with every level in one pass: the reference for its blocks."""
+    u_arr = np.asarray(u, dtype=float)
+    xs, cdf = d.grid, d.cdf
+    j = np.searchsorted(cdf, u_arr, side="left")
+    jm = np.clip(j, 1, cdf.size - 1)
+    c0, c1 = cdf[jm - 1], cdf[jm]
+    denom = np.where(c1 > c0, c1 - c0, 1.0)
+    interp = xs[jm - 1] + (u_arr - c0) / denom * (xs[jm] - xs[jm - 1])
+    out = np.where(j == 0, xs[0], np.where(j == cdf.size, xs[-1], interp))
+    return out if np.ndim(u) else float(out)
 
 
 def coupling_oracle(a, b, power):
@@ -291,6 +307,29 @@ class TestQuantile:
         us = np.linspace(0.01, 0.99, 200)
         qs = quantile(d, us)
         assert np.all(np.diff(qs) >= 0)
+
+    @pytest.mark.parametrize("size", [1, QUANTILE_BLOCK - 1, QUANTILE_BLOCK, QUANTILE_BLOCK + 1, 2 * QUANTILE_BLOCK + 3])
+    def test_blocks_are_the_whole_read_bit_for_bit(self, size):
+        # levels on a flat stretch (equal cdf values) and past both table ends
+        cdf = np.linspace(0.005, 0.995, 4097)
+        cdf[1000:1200] = cdf[1000]
+        d = TabulatedDistribution(-3.0, 5.0, cdf)
+        us = np.random.default_rng(size).uniform(5e-324, 1.0, size)
+        us[:: max(1, size // 7)] = cdf[1000]
+        us[[0, -1]] = 0.001, 0.999
+        for levels in (us, us[::-1], us[: size - size % 3].reshape(3, -1)):
+            got, want = quantile(d, levels), quantile_oracle(d, levels)
+            assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+        got, want = quantile(d, float(us[-1])), quantile_oracle(d, float(us[-1]))
+        assert type(got) is float and np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+    def test_levels_read_within_a_memory_budget(self):
+        n = 100_000
+        d = TabulatedDistribution.from_callable(norm.cdf, -8.0, 8.0, 2**14)
+        levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+        _, peak = traced_peak(quantile, d, levels)
+        # the result, the level check's masks and one block's temporaries
+        assert peak < 2 * 8 * n + 2**20, "peak %.2f MB" % (peak / 1e6)
 
 
 class TestConvolutionContraction:

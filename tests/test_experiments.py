@@ -12,7 +12,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +38,7 @@ from monofit.experiments import OCCUPANCY_CHUNK, _gauss_legendre, _occupancy_cou
 from monofit.synth import LinkSpec, link_cdf, parse_spec, rng_stream
 
 from links import link_catalog
+from memory import traced_peak
 
 CATALOG_NAMES = sorted(link_catalog(3))
 
@@ -283,17 +283,7 @@ class TestOccupancyCounts:
 
     def test_sweep_chunk_holds_one_draw_at_a_time(self):
         n = 2**20
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            _sweep_chunk((1729, n, 0, 3, DEFAULT_C_LIST, 20.0))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
+        _, peak = traced_peak(_sweep_chunk, (1729, n, 0, 3, DEFAULT_C_LIST, 20.0))
         # one n-length int64 count array plus 4 MiB; two live draws would need 16 MiB
         assert peak < 8 * n + 4 * 2**20, "peak %.1f MiB" % (peak / 2**20)
 

@@ -2,11 +2,13 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from monofit import csvio
 from monofit.synth import (
     Dataset,
     LinkSpec,
@@ -23,6 +25,7 @@ from monofit.synth import (
 )
 
 from links import link_catalog
+from memory import traced_peak
 
 
 class TestNoiseSpec:
@@ -163,6 +166,14 @@ class TestLinkSpec:
 
 
 class TestLinkCdf:
+    @pytest.mark.parametrize("name", sorted(link_catalog(50)))
+    def test_nan_refused(self, name):
+        link = link_catalog(50)[name]
+        for z in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match="^z must not be NaN$"):
+                link_cdf(link, z)
+        assert link_cdf(link, math.inf) == 1.0 and link_cdf(link, -math.inf) == 0.0
+
     def test_identity_affine_cube(self):
         zs = np.linspace(-2, 2, 41)
         assert np.allclose(link_cdf(LinkSpec("identity"), zs), np.clip(zs, 0, 1))
@@ -423,8 +434,60 @@ class TestDatasetCsv:
     def test_lf_ends_and_blank_lines_accepted(self, tmp_path):
         path = tmp_path / "lf.csv"
         path.write_text("mode,index,x,y\nunlinked,0,0.25,1.5\n\nunlinked,1,0.5,-2\n\n", newline="")
-        back = dataset_from_csv(path, sigma=0.1)
-        assert (back.mode, back.x_ordered.tolist(), back.y.tolist()) == ("unlinked", [0.25, 0.5], [1.5, -2.0])
+        # chunks of one blank line, chunks that end on one, and the whole file
+        for chunk in (1, 2, 3, csvio.CHUNK_ROWS):
+            with warnings.catch_warnings(), mock.patch.object(csvio, "CHUNK_ROWS", chunk):
+                warnings.simplefilter("error")
+                back = dataset_from_csv(path, sigma=0.1)
+            assert (back.mode, back.x_ordered.tolist(), back.y.tolist()) == ("unlinked", [0.25, 0.5], [1.5, -2.0])
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("mode", ["shuffled", "unlinked", "deconv"])
+    def test_chunked_read_is_the_written_dataset(self, tmp_path, chunk, mode):
+        ds = sample_dataset(mode, 11, LinkSpec("cube"), NoiseSpec(), 0.3, seed=chunk)
+        path = tmp_path / "ds.csv"
+        dataset_to_csv(ds, path)
+        with mock.patch.object(csvio, "CHUNK_ROWS", chunk):
+            back = dataset_from_csv(path, sigma=0.3)
+        assert back.mode == mode and back.y.tobytes() == ds.y.tobytes()
+        assert (back.x_ordered is None) if mode == "deconv" else back.x_ordered.tobytes() == ds.x_ordered.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # the second mode only in the last chunk
+            ("shuffled,0,0.25,1\r\nshuffled,1,0.5,2\r\nunlinked,2,0.75,3\r\n",
+             "expected a single mode, found ['shuffled', 'unlinked']"),
+            # every mode of the file is named, not only the first chunk's
+            ("unlinked,0,0.25,1\r\ndeconv,1,,2\r\nshuffled,2,0.5,3\r\ndeconv,3,,4\r\n",
+             "expected a single mode, found ['deconv', 'shuffled', 'unlinked']"),
+            # a line that does not parse is named first, wherever it is
+            ("shuffled,0,0.25,1\r\ndeconv,1,,2\r\nshuffled,2,0.5,abc\r\n",
+             "line 4: could not convert string to float: 'abc': 'shuffled,2,0.5,abc'"),
+            # so is a mixed mode ahead of a NaN x
+            ("shuffled,0,nan,1\r\nshuffled,1,0.5,2\r\ndeconv,2,,3\r\n",
+             "expected a single mode, found ['deconv', 'shuffled']"),
+        ],
+        ids=["late-mode", "three-modes", "late-bad-line", "mode-before-nan-x"],
+    )
+    def test_later_chunks_refused_as_the_whole_file(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("mode,index,x,y\r\n" + rows, newline="")
+        for chunk in (1, 2, csvio.CHUNK_ROWS):
+            with mock.patch.object(csvio, "CHUNK_ROWS", chunk), pytest.raises(ValueError) as refused:
+                dataset_from_csv(path)
+            assert str(refused.value) == "%s: %s" % (path, message)
+
+    @pytest.mark.parametrize("mode", ["unlinked", "deconv"])
+    def test_read_within_a_memory_budget(self, tmp_path, mode):
+        n = 100_000
+        path = tmp_path / "ds.csv"
+        dataset_to_csv(sample_dataset(mode, n, LinkSpec("affine", (8.0, -4.0)), NoiseSpec(), 0.1, seed=601), path)
+        ds, peak = traced_peak(dataset_from_csv, path, 0.1)
+        assert ds.n == n
+        # x and y, one of them twice while its chunks are joined, plus one
+        # chunk's text and rows
+        assert peak < 3 * 8 * n + 2 * 2**20, "peak %.2f MB" % (peak / 1e6)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
