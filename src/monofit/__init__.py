@@ -1,7 +1,9 @@
 """Monotone link estimation from shuffled or unlinked one-dimensional samples.
 
-The package groups seven pieces:
+The package groups eight pieces:
 
+- :mod:`monofit.checks` -- the checks that refuse a bad number or array
+  from outside by name; it imports no other module of the package.
 - :mod:`monofit.dist1d` -- empirical measures, tabulated CDFs, monotone step
   functions, and Wasserstein distances W1/W2.
 - :mod:`monofit.synth` -- synthetic data generation: a catalog of monotone

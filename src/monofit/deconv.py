@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist1d import EmpiricalMeasure, TabulatedDistribution
-from .synth import check_integer, check_real, check_sigma, noise_charfn
+from .checks import check_array, check_integer, check_real, check_sigma
+from .synth import noise_charfn
 
 __all__ = [
     "GridSpec",
@@ -199,12 +200,7 @@ def isotonize_cdf(raw):
     entry, the mark of a broken inversion, is refused rather than spread
     by the running max or clipped to 1.
     """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1 or raw.size == 0:
-        raise ValueError("need a nonempty 1-d sequence")
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("raw must be finite")
-    return np.clip(np.maximum.accumulate(raw), 0.0, 1.0)
+    return np.clip(np.maximum.accumulate(check_array(raw, "raw")), 0.0, 1.0)
 
 
 def auto_grid(ys, sigma, points=2**14):
@@ -286,7 +282,7 @@ def estimate_cdf(y, sigma):
     :func:`deconvolve_cdf`, which refuses too spread a sample.
     Returns ``(TabulatedDistribution, h)``.
     """
-    ys = EmpiricalMeasure.from_sample(y)
+    ys = EmpiricalMeasure.from_sample(check_array(y, "y"))
     h = select_bandwidth(ys.n, sigma)
     grid = auto_grid(ys, sigma)
     while grid.step > h / 4.0 and grid.points < MAX_GRID_POINTS:

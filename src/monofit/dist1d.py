@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .synth import check_real
+from .checks import check_array, check_integer, check_real
 
 __all__ = [
     "EmpiricalMeasure",
@@ -39,19 +39,12 @@ class EmpiricalMeasure:
     atoms: np.ndarray
 
     def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        if atoms.ndim != 1 or atoms.size < 1:
-            raise ValueError("atoms must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(atoms)):
-            raise ValueError("atoms must be finite")
-        if np.any(atoms[1:] < atoms[:-1]):
-            raise ValueError("atoms must be sorted in nondecreasing order")
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", check_array(self.atoms, "atoms", order="nondecreasing"))
 
     @classmethod
     def from_sample(cls, values):
         """Build a measure from an unsorted sample (stable sort)."""
-        return cls(np.sort(np.asarray(values, dtype=float), kind="stable"))
+        return cls(np.sort(values, kind="stable"))
 
     @property
     def n(self):
@@ -84,17 +77,9 @@ class TabulatedDistribution:
     def __post_init__(self):
         lo = check_real(self.grid_lo, "grid_lo")
         hi = check_real(self.grid_hi, "grid_hi")
-        cdf = np.asarray(self.cdf, dtype=float)
         if not lo < hi:
             raise ValueError("degenerate grid: grid_lo must be < grid_hi")
-        if cdf.ndim != 1 or cdf.size < 2:
-            raise ValueError("cdf must hold at least two grid values")
-        if np.any(np.isnan(cdf)):
-            raise ValueError("cdf must not hold NaN")
-        if np.any(np.diff(cdf) < 0):
-            raise ValueError("cdf must be nondecreasing")
-        if cdf[0] < 0.0 or cdf[-1] > 1.0:
-            raise ValueError("cdf values must lie in [0, 1]")
+        cdf = check_array(self.cdf, "cdf", least_size=2, order="nondecreasing", within=(0.0, 1.0))
         if cdf[0] > 0.01 or cdf[-1] < 0.99:
             raise ValueError(
                 "grid too narrow: cdf spans [%.4g, %.4g], need cdf[0] <= 0.01 and cdf[-1] >= 0.99"
@@ -111,8 +96,8 @@ class TabulatedDistribution:
     @classmethod
     def from_callable(cls, fn, lo, hi, points):
         """Tabulate a CDF callable on a uniform grid of ``points`` values."""
-        xs = np.linspace(lo, hi, points)
-        return cls(lo, hi, np.asarray(fn(xs), dtype=float))
+        xs = np.linspace(lo, hi, check_integer(points, "points", least=2))
+        return cls(lo, hi, fn(xs))
 
 
 @dataclass(frozen=True)
@@ -128,18 +113,10 @@ class MonotoneStepFn:
     values: np.ndarray
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if knots.ndim != 1 or knots.size < 1 or knots.shape != values.shape:
-            raise ValueError("knots and values must be 1-d of equal nonzero length")
-        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
-            raise ValueError("knots and values must be finite")
-        if np.any(knots[1:] <= knots[:-1]):
-            raise ValueError("knots must be strictly increasing")
-        if knots[0] < 0.0 or knots[-1] > 1.0:
-            raise ValueError("knots must lie in [0, 1]")
-        if np.any(values[1:] < values[:-1]):
-            raise ValueError("values must be nondecreasing")
+        knots = check_array(self.knots, "knots", order="increasing", within=(0.0, 1.0))
+        values = check_array(self.values, "values", order="nondecreasing")
+        if knots.shape != values.shape:
+            raise ValueError("values must have the length of knots, %d, got %d" % (knots.size, values.size))
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
 

@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_array, check_integer, check_real
 from .deconv import estimate_cdf
 from .dist1d import TabulatedDistribution, w1_tabulated
 from .regress import fit_shuffled, fit_unlinked
 from .synth import LinkSpec, NoiseSpec, derive_seed, link_cdf, parse_spec, rng_stream, sample_dataset
-from .synth import _link_values, _spec_params, check_integer, check_real
+from .synth import _link_values, _spec_params
 
 __all__ = [
     "DEFAULT_SEED",
@@ -240,9 +241,7 @@ def conjecture_sweep(cfg, workers=1):
 
 def risk_empirical(mhat, m0, xs):
     """(1/n) sum |mhat(x_i) - m0(x_i)| over the design points."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        raise ValueError("xs must hold one or more design points")
+    xs = check_array(xs, "xs", within=(0.0, 1.0))
     return float(np.mean(np.abs(mhat(xs) - m0(xs))))
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .csvio import read_columns, write_table
 from .deconv import estimate_cdf
 from .dist1d import MonotoneStepFn, quantile
-from .synth import check_integer, check_real, check_sigma
+from .checks import check_array, check_integer, check_real, check_sigma
 
 __all__ = [
     "MOMENT_BOUND",
@@ -72,13 +72,7 @@ def project_moment(values, bound, p):
     largest threshold tau whose clipped moment meets the bound.  Clipping
     both tails equally keeps the sequence nondecreasing.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 1:
-        raise ValueError("values must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
-    if np.any(values[1:] < values[:-1]):
-        raise ValueError("values must be nondecreasing")
+    values = check_array(values, "values", order="nondecreasing")
     p = check_real(p, "p", above=0.0)
     bound = check_real(bound, "bound", least=0.0)
     powers = np.abs(values) ** p
@@ -115,36 +109,31 @@ def fit_shuffled(x_ordered, y, sigma):
     assignments — projected onto the moment ball.  Returns a
     :class:`FitResult` with slack eta = sigma^2.
     """
-    x = np.asarray(x_ordered, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = check_array(x_ordered, "x_ordered", order="nondecreasing", within=(0.0, 1.0))
+    y = check_array(y, "y")
     if x.shape != y.shape:
-        raise ValueError("x_ordered and y must have equal length")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("x_ordered and y must be finite")
+        raise ValueError("y must have the length of x_ordered, %d, got %d" % (x.size, y.size))
     sigma = check_sigma(sigma)
     return _project_and_extend(x, np.sort(y, kind="stable"), sigma**2)
 
 
-def fit_unlinked(x, y, sigma):
+def fit_unlinked(x_ordered, y, sigma):
     """Monotone fit when x and y are disjoint samples and y is noisy.
 
     Pipeline: deconvolve the y-sample into a latent CDF estimate
     (:func:`monofit.deconv.estimate_cdf`), read off its mid-cell quantiles
-    v_i = quantile((2i - 1) / (2n)) as fitted values on the x order
-    statistics, project onto the moment ball, extend.  Returns a
-    :class:`FitResult` with slack eta = n^{-1/2}.
+    v_i = quantile((2i - 1) / (2n)) as fitted values on the sorted
+    covariates ``x_ordered``, project onto the moment ball, extend.
+    Returns a :class:`FitResult` with slack eta = n^{-1/2}.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("x and y must have equal sample sizes")
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise ValueError("covariates must lie in [0, 1]")
+    x = check_array(x_ordered, "x_ordered", order="nondecreasing", within=(0.0, 1.0))
+    if np.size(y) != x.size:  # y itself is checked by estimate_cdf, once
+        raise ValueError("y must have the length of x_ordered, %d, got %d" % (x.size, np.size(y)))
     n = x.size
     mu, _ = estimate_cdf(y, sigma)
     raw = quantile(mu, (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n))
     np.maximum.accumulate(raw, out=raw)
-    return _project_and_extend(np.sort(x, kind="stable"), raw, 1.0 / math.sqrt(n))
+    return _project_and_extend(x, raw, 1.0 / math.sqrt(n))
 
 
 def stepfn_to_csv(m, path, n, sigma, eta, projected):

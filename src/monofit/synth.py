@@ -21,15 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_array, check_integer, check_real, check_sigma
 from .csvio import read_chunks, write_table
 
 __all__ = [
     "NoiseSpec",
     "LinkSpec",
     "Dataset",
-    "check_sigma",
-    "check_integer",
-    "check_real",
     "parse_spec",
     "rng_stream",
     "derive_seed",
@@ -70,46 +68,6 @@ def derive_seed(seed, *tags):
 @dataclass(frozen=True)
 class NoiseSpec:
     """The standard Gaussian noise; it has no fields, so no other family can be asked for."""
-
-
-def check_sigma(value):
-    """A noise scale: :func:`check_real` with the bound ``least=0``."""
-    return check_real(value, "sigma", least=0.0)
-
-
-def check_integer(value, name, least=None):
-    """``value`` as an int; ValueError naming ``name`` unless it is integral and at least ``least``.
-
-    Integral floats such as 100.0 and numpy integers are taken; 100.7 and
-    all that :func:`check_real` refuses (text, a boolean, None, NaN, inf,
-    10**400) are refused rather than read as an integer.
-    """
-    try:
-        integral = check_real(value, name).is_integer()
-    except ValueError:
-        integral = False
-    if not integral or (least is not None and value < least):
-        bound = "" if least is None else " >= %d" % least
-        raise ValueError("%s must be an integer%s, got %r" % (name, bound, value))
-    return int(value)
-
-
-def check_real(value, name, least=None, above=None):
-    """``value`` as a finite float, at least ``least`` and above ``above`` where given.
-
-    The one check of a scalar from outside: text, a boolean, None, an int
-    past float range, NaN, inf and a value out of bounds are refused with
-    a ValueError whose message starts with ``name``.
-    """
-    try:
-        number = math.nan if isinstance(value, (str, bytes, bool, np.bool_)) else float(value)
-    except (TypeError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number) or (least is not None and number < least) or (above is not None and number <= above):
-        bound = "" if least is None else " >= %g" % least
-        bound += "" if above is None else " > %g" % above
-        raise ValueError("%s must be a finite real number%s, got %r" % (name, bound, value))
-    return number
 
 
 def _float_list(text):
@@ -330,23 +288,14 @@ class Dataset:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError("unknown mode: %r" % (self.mode,))
-        y = np.asarray(self.y, dtype=float)
-        if y.ndim != 1 or y.size < 1:
-            raise ValueError("y must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y must be finite")
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", check_array(self.y, "y"))
         if self.mode == "deconv":
             if self.x_ordered is not None:
                 raise ValueError("deconv mode carries no covariates")
         else:
-            x = np.asarray(self.x_ordered, dtype=float)
-            if x.shape != y.shape:
-                raise ValueError("x and y must have equal length")
-            if np.any(x[1:] < x[:-1]):
-                raise ValueError("x_ordered must be sorted")
-            if not np.all((x >= 0.0) & (x <= 1.0)):
-                raise ValueError("covariates must lie in [0, 1]")
+            x = check_array(self.x_ordered, "x_ordered", order="nondecreasing", within=(0.0, 1.0))
+            if x.size != self.n:
+                raise ValueError("y must have the length of x_ordered, %d, got %d" % (x.size, self.n))
             object.__setattr__(self, "x_ordered", x)
         object.__setattr__(self, "sigma", check_sigma(self.sigma))
 
@@ -402,9 +351,9 @@ def dataset_from_csv(path, sigma=0.0):
 
     The file does not store sigma, so the caller supplies it.  Refused with
     a ValueError naming ``path``: a file whose rows do not all carry the
-    same mode, a blank or NaN x outside deconv mode, and any value that
-    :class:`Dataset` refuses (x unsorted or outside [0, 1], a non-finite
-    y, a sigma below 0).  The file is read a chunk at a time and only x and
+    same mode, and any value that :class:`Dataset` refuses (an x that is
+    blank outside deconv mode, NaN, unsorted or outside [0, 1], a
+    non-finite y, a sigma below 0).  The file is read a chunk at a time and only x and
     y are kept, x not at all in deconv mode; the index column is not read back.
     """
     chunks = read_chunks(path, _CSV_COLUMNS, converters={"x": _x_cell})
@@ -424,8 +373,6 @@ def dataset_from_csv(path, sigma=0.0):
         raise ValueError("%s: expected a single mode, found %s" % (path, sorted(modes)))
     x = None if mode == "deconv" else np.concatenate(xs)
     del xs  # its parts, before y is joined
-    if x is not None and np.any(np.isnan(x)):
-        raise ValueError("%s: x column incomplete for mode %s: blank or NaN cells" % (path, mode))
     try:
         return Dataset(mode, x, np.concatenate(ys), sigma)
     except ValueError as exc:

@@ -4,8 +4,9 @@ Every exported name resolves, every subcommand runs with scipy unimportable,
 every function the benchmark tracer wraps still exists where the tracer
 looks for it, so a refactor cannot silently zero a per-layer metric, every
 argument the tracer reads from a call is still a parameter of its target,
-every name the benchmark imports from monofit still resolves, and a scalar
-is tested for finiteness in one place only.
+every name the benchmark imports from monofit still resolves, a scalar
+is tested for finiteness in one place only, an array likewise except at
+named sites, and the module of those checks imports no other.
 """
 
 import ast
@@ -215,16 +216,24 @@ def test_benchmark_imports_resolve():
 
 
 def _callers(tree, target):
-    """Name of the innermost function around each call of ``target`` in ``tree`` (None at module level)."""
+    """Qualified name of the innermost function around each call of ``target`` in ``tree`` (None at module level)."""
+    return [owner for node, owner in _walk(tree) if isinstance(node, ast.Call) and ast.unparse(node.func) == target]
+
+
+def _walk(tree):
+    """Each node of ``tree`` with the qualified name of the function around it (None at module level)."""
     out = []
 
-    def visit(node, owner):
+    def visit(node, owner, prefix):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and ast.unparse(child.func) == target:
-                out.append(owner)
-            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+            out.append((child, owner))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qual = prefix + child.name
+                visit(child, owner if isinstance(child, ast.ClassDef) else qual, qual + ".")
+            else:
+                visit(child, owner, prefix)
 
-    visit(tree, None)
+    visit(tree, None, "")
     return out
 
 
@@ -237,4 +246,57 @@ def test_only_check_real_tests_a_scalar_for_finiteness():
         for path in sorted(SRC.glob("*.py"))
         for owner in _callers(ast.parse(path.read_text()), "math.isfinite")
     ]
-    assert found == [("synth", "check_real")]
+    assert found == [("checks", "check_real")]
+
+
+# the array refusals left by hand, each for a reason check_array cannot serve
+HAND_WRITTEN_ARRAY_REFUSALS = {
+    # an n = 10^6 int64 occupancy draw would cost 8 MB per worker as float64
+    ("experiments", "conjecture_product"),
+    # a CDF takes -inf and inf, so only NaN is refused
+    ("synth", "link_cdf"),
+    # quantile levels lie in an open interval
+    ("dist1d", "EmpiricalMeasure.quantile"),
+    ("dist1d", "quantile"),
+    # evaluation points in the domain [0, 1]
+    ("dist1d", "MonotoneStepFn.__call__"),
+    ("synth", "LinkSpec.__call__"),
+}
+
+
+def _array_tests(tree):
+    """Owners of each array finiteness, order or range test in ``tree`` that can refuse.
+
+    That is a call of np.isfinite or np.isnan, a neighbour compare or an
+    np.diff under a comparison, and an np.all or np.any in the test of an
+    ``if`` whose body raises.
+    """
+    for node, owner in _walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.isfinite", "np.isnan"):
+            yield owner
+        elif isinstance(node, ast.Compare) and re.search(r"\[1:\]|\[:-1\]|np\.diff\(", ast.unparse(node)):
+            yield owner
+        elif isinstance(node, ast.If) and any(isinstance(n, ast.Raise) for b in node.body for n in ast.walk(b)):
+            if re.search(r"\bnp\.(all|any)\(", ast.unparse(node.test)):
+                yield owner
+
+
+def test_array_refusals_are_check_array_calls():
+    # a finiteness, order or range test of an array from outside is
+    # written once, in check_array; the few left by hand are listed above
+    found = {
+        (path.stem, owner) for path in sorted(SRC.glob("*.py")) for owner in _array_tests(ast.parse(path.read_text()))
+    }
+    assert found == HAND_WRITTEN_ARRAY_REFUSALS | {("checks", "check_array")}
+
+
+def test_checks_is_the_bottom_layer():
+    # every module may import monofit.checks because it imports no module of monofit
+    tree = ast.parse((SRC / "checks.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"math", "numpy"}

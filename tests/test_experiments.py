@@ -434,7 +434,7 @@ class TestRisks:
         assert risk_empirical(exact, m0, x) == 0.0
         shifted = MonotoneStepFn(x, x + 0.3)
         assert risk_empirical(shifted, m0, x) == pytest.approx(0.3, rel=1e-12)
-        with pytest.raises(ValueError, match="^xs must hold one or more design points"):
+        with pytest.raises(ValueError, match="^xs must be a 1-d array of 1 or more .*, got 0 entries$"):
             risk_empirical(exact, m0, [])
 
     def test_population_zero_vs_identity(self):

@@ -1,22 +1,34 @@
-"""The refusal table: each scalar argument bounded by ``synth.check_real`` or
-``synth.check_integer``, the values it must refuse and the edge values it
-must still take.
+"""The refusal table: each argument checked by ``monofit.checks``, the values
+it must refuse and the edge values it must still take.
 
 A row is one argument: a call with every other argument valid, the name its
 refusal starts with, the values it refuses and the values it takes.  Every
 number-valued argument refuses NaN, inf, a boolean, text and None
-(``NOT_NUMBERS``), then the first values past its bound.
+(``NOT_NUMBERS``), then the first values past its bound.  Every
+array-valued argument refuses the arrays ``not_arrays`` makes from one it
+takes (NaN or ±inf inside, empty, 2-d, text, booleans), then the arrays out
+of its order or range.
+
+Every callable a module exports has a row here or a reason in ``EXEMPT``.
 """
 
+import importlib
 import math
+import pkgutil
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from monofit.deconv import GridSpec, auto_grid, deconvolve_cdf, select_bandwidth
-from monofit.dist1d import EmpiricalMeasure, TabulatedDistribution
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import monofit
+from monofit.checks import check_array, check_integer, check_real, check_sigma
+from monofit.deconv import GridSpec, auto_grid, deconvolve_cdf, estimate_cdf, isotonize_cdf, select_bandwidth
+from monofit.dist1d import EmpiricalMeasure, MonotoneStepFn, TabulatedDistribution
 from monofit.experiments import (
     ConjectureConfig,
     SigmaRule,
@@ -24,15 +36,23 @@ from monofit.experiments import (
     conjecture_sweep,
     fit_loglog_slope,
     rate_sweep,
+    risk_empirical,
 )
-from monofit.regress import project_moment, stepfn_from_csv
-from monofit.synth import Dataset, LinkSpec, NoiseSpec, check_sigma, sample_dataset
+from monofit.regress import fit_shuffled, fit_unlinked, project_moment, stepfn_from_csv
+from monofit.synth import Dataset, LinkSpec, NoiseSpec, affine_link, derive_seed, rng_stream, sample_dataset
 
 NOT_NUMBERS = [math.nan, math.inf, True, "1", None]
 BELOW_ZERO = -5e-324  # the first float below a bound of 0
 YS = EmpiricalMeasure(np.array([0.0, 1.0]))
 GRID = auto_grid(YS, 0.0)
 SMALL = ConjectureConfig(n_min=100, n_max=100, grid_points=1, reps=1, C_list=(1.0,))
+STEP = MonotoneStepFn([0.5, 1.0], [0.0, 1.0])
+X3 = [0.1, 0.5, 0.9]  # three sorted covariates
+
+
+def UNIFORM(xs):
+    """The Uniform[0, 1] CDF at ``xs``."""
+    return np.clip(xs, 0.0, 1.0)
 
 
 def _stepfn_meta(key):
@@ -54,7 +74,12 @@ def _stepfn_meta(key):
 
 # (argument, call with the value in its place, name the refusal starts with, refused, taken)
 ARGS = [
+    ("check_real.value", lambda v: check_real(v, "value"), "value", NOT_NUMBERS, [0.0]),
+    ("check_integer.value", lambda v: check_integer(v, "value"), "value", NOT_NUMBERS + [2.5], [2.0]),
     ("check_sigma", check_sigma, "sigma", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
+    ("rng_stream.seed", lambda v: rng_stream(v, "x"), "seed", NOT_NUMBERS + [2.5], [-1]),
+    ("derive_seed.seed", lambda v: derive_seed(v, "x"), "seed", NOT_NUMBERS + [2.5], [-1]),
+    ("affine_link.slope", lambda v: affine_link(v, 0.0), "slope", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
     ("Dataset.sigma", lambda v: Dataset("deconv", None, [1.0, 2.0], v), "sigma", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
     ("sample_dataset.n", lambda v: sample_dataset("deconv", v, LinkSpec("identity"), NoiseSpec(), 0.1, 1), "n",
      NOT_NUMBERS + [0, 2.5], [1]),
@@ -77,6 +102,8 @@ ARGS = [
     ("GridSpec.points", lambda v: GridSpec(0.0, 1.0, v), "points", NOT_NUMBERS + [1, 2.5], [2]),
     ("select_bandwidth.n", lambda v: select_bandwidth(v, 0.0), "n", NOT_NUMBERS + [1, 2.5], [2]),
     ("select_bandwidth.sigma", lambda v: select_bandwidth(100, v), "sigma", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
+    ("auto_grid.sigma", lambda v: auto_grid(YS, v), "sigma", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
+    ("auto_grid.points", lambda v: auto_grid(YS, 0.0, v), "points", NOT_NUMBERS + [1, 2.5], [2]),
     ("deconvolve_cdf.h", lambda v: deconvolve_cdf(YS, 0.0, v, GRID), "h", NOT_NUMBERS + [0.0, 1.0000000000000002],
      [1.0]),
     ("deconvolve_cdf.freq_points", lambda v: deconvolve_cdf(YS, 0.0, 0.5, GRID, freq_points=v), "freq_points",
@@ -86,6 +113,8 @@ ARGS = [
      NOT_NUMBERS + ["-1"], []),
     ("TabulatedDistribution.grid_hi", lambda v: TabulatedDistribution(0.0, v, [0.0, 1.0]), "grid_hi", NOT_NUMBERS,
      []),
+    ("TabulatedDistribution.from_callable.points", lambda v: TabulatedDistribution.from_callable(UNIFORM, 0, 1, v),
+     "points", NOT_NUMBERS + [1, 2.5], [2]),
     ("project_moment.p", lambda v: project_moment([1.0, 2.0], 10.0, v), "p", NOT_NUMBERS + [0.0, "3"], []),
     ("project_moment.bound", lambda v: project_moment([1.0, 2.0], v, 3.0), "bound", NOT_NUMBERS + [BELOW_ZERO, "10"],
      [0.0]),
@@ -131,3 +160,154 @@ def test_refused_by_name(call, name, value):
 )
 def test_edge_value_taken(call, value):
     call(value)
+
+
+def not_arrays(taken):
+    """The arrays every array-valued argument refuses, made from one it takes (three entries or more)."""
+    out = []
+    for bad in (math.nan, math.inf, -math.inf):
+        inside = list(taken)
+        inside[1] = bad
+        out.append(inside)
+    return out + [[], [list(taken)], [str(v) for v in taken], [True] * len(taken)]
+
+
+# (argument, call with the array in its place, name the refusal starts with,
+# an array it takes, the arrays out of its order or range)
+ARRAYS = [
+    ("check_array.value", lambda v: check_array(v, "value"), "value", [2.0, 1.0, 3.0], [[[1.0], [1.0, 2.0]]]),
+    ("EmpiricalMeasure.atoms", EmpiricalMeasure, "atoms", [0.0, 1.0, 1.0], [[1.0, 0.0, 2.0]]),
+    ("TabulatedDistribution.cdf", lambda v: TabulatedDistribution(0.0, 1.0, v), "cdf", [0.0, 0.5, 1.0],
+     [[0.0], [0.0, 0.6, 0.5, 1.0], [-5e-324, 0.5, 1.0], [0.0, 0.5, 1.0000000000000002]]),
+    ("MonotoneStepFn.knots", lambda v: MonotoneStepFn(v, [0.0, 1.0, 2.0]), "knots", [0.0, 0.5, 1.0],
+     [[0.0, 0.5, 0.5], [0.5, 0.0, 1.0], [-5e-324, 0.5, 1.0], [0.0, 0.5, 1.0000000000000002]]),
+    ("MonotoneStepFn.values", lambda v: MonotoneStepFn([0.25, 0.5, 1.0], v), "values", [-1.0, 2.0, 2.0],
+     [[2.0, -1.0, 2.0], [-1.0, 2.0]]),
+    ("isotonize_cdf.raw", isotonize_cdf, "raw", [0.2, 0.1, 0.9], []),
+    ("project_moment.values", lambda v: project_moment(v, 10.0, 3.0), "values", [1.0, 2.0, 2.0], [[2.0, 1.0, 3.0]]),
+    ("fit_shuffled.x_ordered", lambda v: fit_shuffled(v, [1.0, 3.0, 2.0], 0.1), "x_ordered", X3,
+     [[0.5, 0.1, 0.9], [-5e-324, 0.5, 0.9], [0.1, 0.5, 1.0000000000000002]]),
+    ("fit_shuffled.y", lambda v: fit_shuffled(X3, v, 0.1), "y", [1.0, 3.0, 2.0], [[1.0, 2.0]]),
+    ("fit_unlinked.x_ordered", lambda v: fit_unlinked(v, [1.0, 3.0, 2.0], 0.1), "x_ordered", X3,
+     [[0.5, 0.1, 0.9], [-5e-324, 0.5, 0.9], [0.1, 0.5, 1.0000000000000002]]),
+    ("fit_unlinked.y", lambda v: fit_unlinked(X3, v, 0.1), "y", [1.0, 3.0, 2.0], [[1.0, 2.0]]),
+    ("estimate_cdf.y", lambda v: estimate_cdf(v, 0.1), "y", [1.0, 3.0, 2.0], []),
+    ("Dataset.x_ordered", lambda v: Dataset("shuffled", v, [1.0, 3.0, 2.0], 0.1), "x_ordered", X3,
+     [[0.5, 0.1, 0.9], [-5e-324, 0.5, 0.9], [0.1, 0.5, 1.0000000000000002]]),
+    ("Dataset.y", lambda v: Dataset("unlinked", X3, v, 0.1), "y", [1.0, 3.0, 2.0], [[1.0, 2.0]]),
+    ("risk_empirical.xs", lambda v: risk_empirical(STEP, LinkSpec("identity"), v), "xs", [0.9, 0.1, 0.5],
+     [[-5e-324, 0.5], [0.5, 1.0000000000000002]]),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        pytest.param(call, name, v, id="%s=%r" % (arg, v))
+        for arg, call, name, taken, refused in ARRAYS
+        for v in not_arrays(taken) + refused
+    ],
+)
+def test_array_refused_by_name(call, name, value):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value).startswith(name + " "), str(info.value)
+    try:
+        array = np.array(value)
+    except ValueError:  # a ragged nesting has no array form
+        return
+    if array.dtype == np.float64:  # a float64 array from outside is refused alike
+        with pytest.raises(ValueError) as info:
+            call(array)
+        assert str(info.value).startswith(name + " "), str(info.value)
+
+
+@pytest.mark.parametrize("call, value", [pytest.param(call, v, id=arg) for arg, call, _, v, _ in ARRAYS])
+def test_array_taken(call, value):
+    call(value)
+    call(np.array(value))
+
+
+def _oracle_refuses(a, ndim, least_size, order, within):
+    """Whether ``check_array`` must refuse ``a``, read off numpy directly."""
+    if a.dtype.kind not in "iuf" or a.ndim != ndim or a.size < least_size:
+        return True
+    f = a.astype(float)
+    if not np.isfinite(f).all():
+        return True
+    if order is not None and a.ndim == 1:
+        steps = np.diff(f)
+        if np.any(steps < 0) or (order == "increasing" and np.any(steps == 0)):
+            return True
+    if within is not None and f.size:
+        ends = f[[0, -1]] if order is not None else f
+        return bool(np.any(ends < within[0]) or np.any(ends > within[1]))
+    return False
+
+
+_DTYPES = st.sampled_from([np.float64, np.float32, np.int64, np.uint8, np.bool_, np.complex128, "U3", object])
+
+
+@given(
+    dtype=_DTYPES,
+    shape=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5),
+    ndim=st.integers(1, 2),
+    least_size=st.integers(0, 3),
+    order=st.sampled_from([None, "nondecreasing", "increasing"]),
+    within=st.sampled_from([None, (0.0, 1.0), (-2.0, 2.0)]),
+    data=st.data(),
+)
+def test_check_array_refuses_exactly_what_numpy_says(dtype, shape, ndim, least_size, order, within, data):
+    if dtype is object:
+        a = np.full(shape, None, dtype=object)
+    else:
+        elements = st.floats(-3.0, 3.0) | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0])
+        a = data.draw(hnp.arrays(dtype, shape, elements=elements if np.dtype(dtype).kind in "fc" else None))
+    if order is not None and ndim == 2:
+        order = None  # an order is a property of a 1-d array
+    refused = _oracle_refuses(a, ndim, least_size, order, within)
+    try:
+        out = check_array(a, "a", ndim=ndim, least_size=least_size, order=order, within=within)
+    except ValueError as exc:
+        assert refused and str(exc).startswith("a must be a %d-d array" % ndim), str(exc)
+    else:
+        assert not refused and out.dtype == np.float64 and np.array_equal(out, a)
+        assert (out is a) == (a.dtype == np.float64)  # float64 comes back uncopied
+
+
+# why each exported callable without a row above needs none
+EXEMPT = {
+    "NoiseSpec": "takes no arguments",
+    "FitResult": "a record the fits build from checked values",
+    "ConjectureRow": "a record conjecture_sweep builds",
+    "RiskRecord": "a record rate_sweep builds from checked values",
+    "w1_empirical": "takes two EmpiricalMeasure, checked when built",
+    "w1_cdf_area": "takes two EmpiricalMeasure, checked when built",
+    "w2_empirical": "takes two EmpiricalMeasure, checked when built",
+    "w1_tabulated": "takes two TabulatedDistribution, checked when built",
+    "quantile": "levels lie in the open (0, 1), checked by hand (tests/test_dist1d.py)",
+    "noise_charfn": "defined at every real t, the infinities included",
+    "link_cdf": "a CDF takes ±inf, so only NaN is refused, by hand (tests/test_synth.py)",
+    "parse_spec": "a refusal quotes the text, then the class's own row",
+    "risk_population": "takes a fit and a LinkSpec, both checked when built",
+    "dataset_to_csv": "writes a Dataset, checked when built",
+    "dataset_from_csv": "a refusal names the file, then Dataset's row (tests/test_synth.py)",
+    "stepfn_to_csv": "writes what a fit returned",
+    "write_table": "a refusal names the file (tests/test_csvio.py)",
+    "read_chunks": "a refusal names the file and line (tests/test_csvio.py)",
+    "read_columns": "a refusal names the file and line (tests/test_csvio.py)",
+    "main": "the command line, whose options reach the rows above (tests/test_cli.py)",
+    "run": "the command line, whose options reach the rows above (tests/test_cli.py)",
+    "write_records": "writes records built from checked values",
+    "render_plot": "draws records built from checked values",
+}
+
+
+def test_every_exported_callable_has_a_row_or_a_reason():
+    rows = {arg.split(".")[0] for arg, *_ in ARGS + ARRAYS}
+    exported = set()
+    for info in pkgutil.iter_modules(monofit.__path__):
+        mod = importlib.import_module("monofit." + info.name)
+        exported |= {name for name in mod.__all__ if callable(getattr(mod, name))}
+    assert sorted(exported - rows - set(EXEMPT)) == []
+    assert sorted(set(EXEMPT) - exported) == [] and sorted(set(EXEMPT) & rows) == []

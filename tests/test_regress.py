@@ -40,6 +40,7 @@ from monofit.regress import (
 from monofit.synth import LinkSpec, NoiseSpec, derive_seed, rng_stream, sample_dataset
 
 from links import link_catalog
+from memory import traced_peak
 
 NOISE = NoiseSpec()
 
@@ -56,7 +57,7 @@ class TestFitResult:
     def test_eta_schedule(self):
         rng = rng_stream(20, "eta")
         assert fit_shuffled(np.sort(rng.random(100)), rng.normal(size=100), 0.5).eta == 0.25
-        assert fit_unlinked(rng.random(400), rng.normal(size=400), 0.5).eta == 0.05
+        assert fit_unlinked(np.sort(rng.random(400)), rng.normal(size=400), 0.5).eta == 0.05
 
     def test_frozen(self):
         res = fit_shuffled(np.array([0.2, 0.7]), np.array([1.0, 0.0]), 0.1)
@@ -343,7 +344,7 @@ class TestFitUnlinked:
         n = 200
         rng = rng_stream(25, "track")
         y = rng.random(n)
-        x = rng.random(n)
+        x = np.sort(rng.random(n))
         ys = EmpiricalMeasure.from_sample(y)
         m = fit_unlinked(x, y, 0.0).fit
         est, h = estimate_cdf(y, 0.0)
@@ -369,7 +370,7 @@ class TestFitUnlinked:
         n = 100_000
         rng = rng_stream(25, "large-n")
         y = rng.random(n)
-        m = fit_unlinked(rng.random(n), y, 0.0).fit
+        m = fit_unlinked(np.sort(rng.random(n)), y, 0.0).fit
         est, h = estimate_cdf(y, 0.0)
         assert h == 1.0 / math.sqrt(n) and est.cdf.size == 2**15
         levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
@@ -379,7 +380,7 @@ class TestFitUnlinked:
     def test_values_nondecreasing(self):
         rng = rng_stream(26, "mono")
         y = rng.normal(0.5, 0.7, 150)
-        x = rng.random(150)
+        x = np.sort(rng.random(150))
         m = fit_unlinked(x, y, 0.2).fit
         assert np.all(np.diff(m.values) >= 0)
         assert np.mean(np.abs(m.values) ** 3) <= 10.0 * (1 + 1e-12)
@@ -397,7 +398,7 @@ class TestFitUnlinked:
         n = 100
         rng = rng_stream(33, "unl")
         y = rng.random(n)
-        x = rng.random(n)
+        x = np.sort(rng.random(n))
         res = fit_unlinked(x, y, 0.0)
         est, h = estimate_cdf(y, 0.0)
         grid = GridSpec(est.grid_lo, est.grid_hi, est.cdf.size)
@@ -421,6 +422,15 @@ class TestFitUnlinked:
             best = min(best, contrast(v))
         assert achieved <= best + res.eta
 
+    def test_fit_within_a_memory_budget(self):
+        # the fit keeps the caller's sorted x_ordered as its knots, with no
+        # n-length copy of it; fit_shuffled traces 3.0 x 8n bytes here
+        n = 100_000
+        ds = sample_dataset("unlinked", n, LinkSpec("affine", (8.0, -4.0)), NOISE, 0.1, seed=601)
+        res, peak = traced_peak(fit_unlinked, ds.x_ordered, ds.y, 0.1)
+        assert res.fit.knots is ds.x_ordered
+        assert peak < 4 * 8 * n, "peak %.2f x 8n bytes" % (peak / (8 * n))
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             fit_unlinked(np.array([0.1, 0.2]), np.array([1.0]), 0.0)
@@ -436,7 +446,7 @@ class TestFitUnlinked:
         y = rng.random(500)
         y[17] = 1e9
         with pytest.raises(ValueError, match="grid too coarse"):
-            fit_unlinked(rng.random(500), y, 0.05)
+            fit_unlinked(np.sort(rng.random(500)), y, 0.05)
 
 
 class TestStepfnCsv:
@@ -494,4 +504,5 @@ class TestStepfnCsv:
         path.write_text("# n=1\n# sigma=0\n# eta=0\n# projected=0\nknot,value\nnan,0\n")
         with pytest.raises(ValueError) as refused:
             stepfn_from_csv(path)
-        assert str(refused.value) == "%s: knots and values must be finite" % path
+        why = "knots must be a 1-d array of 1 or more finite real numbers, increasing, in [0, 1], got nan at index 0"
+        assert str(refused.value) == "%s: %s" % (path, why)

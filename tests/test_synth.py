@@ -9,12 +9,11 @@ import pytest
 from scipy.stats import ks_2samp
 
 from monofit import csvio
+from monofit.checks import check_integer, check_real
 from monofit.synth import (
     Dataset,
     LinkSpec,
     NoiseSpec,
-    check_integer,
-    check_real,
     dataset_from_csv,
     dataset_to_csv,
     derive_seed,
@@ -26,6 +25,10 @@ from monofit.synth import (
 
 from links import link_catalog
 from memory import traced_peak
+
+# the refusals of Dataset's x_ordered and y, up to what was found in them
+X_REFUSED = "x_ordered must be a 1-d array of 1 or more finite real numbers, nondecreasing, in [0, 1], got "
+Y_REFUSED = "y must be a 1-d array of 1 or more finite real numbers, got "
 
 
 class TestNoiseSpec:
@@ -403,15 +406,15 @@ class TestDatasetCsv:
             ("unlinked,0,0.25,1\r\nunlinked,1,0.5\r\n", "line 3: expected 4 cells, found 3: 'unlinked,1,0.5'"),
             ("unlinked,0,0.25,1,7\r\n", "line 2: expected 4 cells, found 5: 'unlinked,0,0.25,1,7'"),
             ("unlinked,0,0.25,abc\r\n", "line 2: could not convert string to float: 'abc': 'unlinked,0,0.25,abc'"),
-            ("unlinked,0,0.25,1\r\nunlinked,1,,2\r\n", "x column incomplete for mode unlinked: blank or NaN cells"),
-            ("shuffled,0,0.25,1\r\nshuffled,1,nan,2\r\n", "x column incomplete for mode shuffled: blank or NaN cells"),
+            ("unlinked,0,0.25,1\r\nunlinked,1,,2\r\n", X_REFUSED + "nan at index 1"),
+            ("shuffled,0,0.25,1\r\nshuffled,1,nan,2\r\n", X_REFUSED + "nan at index 1"),
             ("shuffled,0,0.25,1\r\ndeconv,1,,2\r\n", "expected a single mode, found ['deconv', 'shuffled']"),
             ("", "expected a single mode, found []"),
             ("shuffledx,0,0.25,1\r\n", "unknown mode: 'shuffledx'"),
             ("unlinkedxyz,0,0.25,1\r\n", "unknown mode: 'unlinkedx'"),
-            ("unlinked,0,0.25,1\r\nunlinked,1,inf,2\r\n", "covariates must lie in [0, 1]"),
-            ("shuffled,0,0.25,nan\r\n", "y must be finite"),
-            ("deconv,0,,-inf\r\n", "y must be finite"),
+            ("unlinked,0,0.25,1\r\nunlinked,1,inf,2\r\n", X_REFUSED + "inf at index 1"),
+            ("shuffled,0,0.25,nan\r\n", Y_REFUSED + "nan at index 0"),
+            ("deconv,0,,-inf\r\n", Y_REFUSED + "-inf at index 0"),
         ],
         ids=["ragged", "extra-field", "text", "blank-x", "nan-x", "two-modes", "header-only", "long-mode",
              "longer-mode", "inf-x", "nan-y", "inf-y"],
@@ -494,7 +497,7 @@ class TestDatasetCsv:
             Dataset("deconv", np.array([0.5]), np.array([1.0]), 0.1)
         with pytest.raises(ValueError):
             Dataset("shuffled", np.array([0.9, 0.1]), np.array([1.0, 2.0]), 0.1)
-        with pytest.raises(ValueError, match="covariates"):
+        with pytest.raises(ValueError, match="^x_ordered must be .*, got nan at index 1$"):
             Dataset("shuffled", np.array([0.1, np.nan]), np.array([1.0, 2.0]), 0.1)
         with pytest.raises(ValueError, match="sigma"):
             Dataset("deconv", None, np.array([1.0]), math.nan)
