@@ -55,23 +55,25 @@ def check_real(value, name, least=None, above=None):
 _BROKEN_ORDER = {"nondecreasing": np.less, "increasing": np.less_equal}
 
 
-def check_array(value, name, *, ndim=1, least_size=1, order=None, within=None):
-    """``value`` as a float64 array of ``ndim`` dimensions; ValueError naming ``name`` unless it is fit.
+def check_array(value, name, *, least_size=1, order=None, within=None):
+    """``value`` as a 1-d float64 array; ValueError naming ``name`` unless it is fit.
 
     The one check of an array from outside.  Refused are text, bytes,
     booleans and objects (never read as numbers), a ragged nesting, another
-    number of dimensions, fewer than ``least_size`` entries, NaN or ±inf, a
-    1-d array out of ``order`` ("nondecreasing" or "increasing"), and an
-    entry outside the closed interval ``within``; given an order, only the
-    two end entries are held to it.  A float64 array is returned uncopied.
+    number of dimensions, fewer than ``least_size`` entries, NaN or ±inf, an
+    array out of ``order`` ("nondecreasing" or "increasing"), and, given
+    with an order, an array whose end entries leave the closed interval
+    ``within``.  A float64 array is returned uncopied.
     """
+    if within is not None and order is None:
+        raise TypeError("within is held to the end entries, so it needs an order")
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged nesting: numpy holds it only as objects
         array = np.array(None)
     if array.dtype.kind not in "iuf":
         got = "dtype %s" % array.dtype
-    elif array.ndim != ndim:
+    elif array.ndim != 1:
         got = "%d dimensions" % array.ndim
     elif array.size < least_size:
         got = "%d entries" % array.size
@@ -84,12 +86,11 @@ def check_array(value, name, *, ndim=1, least_size=1, order=None, within=None):
             broken = _BROKEN_ORDER[order](array[1:], array[:-1])
             bad = np.argmax(broken) + 1 if broken.any() else None
         if bad is None and within is not None and array.size:
-            ends = (0, array.size - 1) if order is not None else (array.argmin(), array.argmax())
-            bad = next((i for i in ends if not within[0] <= array.flat[i] <= within[1]), None)
+            bad = next((i for i in (0, array.size - 1) if not within[0] <= array[i] <= within[1]), None)
         if bad is None:
             return array
-        got = "%r at index %d" % (float(array.flat[bad]), bad)
+        got = "%r at index %d" % (float(array[bad]), bad)
     bound = "" if order is None else ", " + order
     bound += "" if within is None else ", in [%g, %g]" % tuple(within)
-    msg = "%s must be a %d-d array of %d or more finite real numbers%s, got %s"
-    raise ValueError(msg % (name, ndim, least_size, bound, got))
+    msg = "%s must be a 1-d array of %d or more finite real numbers%s, got %s"
+    raise ValueError(msg % (name, least_size, bound, got))

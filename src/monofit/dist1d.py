@@ -43,8 +43,10 @@ class EmpiricalMeasure:
 
     @classmethod
     def from_sample(cls, values):
-        """Build a measure from an unsorted sample (stable sort)."""
-        return cls(np.sort(values, kind="stable"))
+        """Build a measure from an unsorted sample, checked once and then stably sorted."""
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "atoms", np.sort(check_array(values, "values"), kind="stable"))
+        return measure
 
     @property
     def n(self):

@@ -376,4 +376,5 @@ def dataset_from_csv(path, sigma=0.0):
     try:
         return Dataset(mode, x, np.concatenate(ys), sigma)
     except ValueError as exc:
-        raise ValueError("%s: %s" % (path, exc)) from None
+        where = " (the index counts data rows from 0; a blank cell reads as nan)" if " at index " in str(exc) else ""
+        raise ValueError("%s: %s%s" % (path, exc, where)) from None

@@ -436,6 +436,9 @@ class TestRisks:
         assert risk_empirical(shifted, m0, x) == pytest.approx(0.3, rel=1e-12)
         with pytest.raises(ValueError, match="^xs must be a 1-d array of 1 or more .*, got 0 entries$"):
             risk_empirical(exact, m0, [])
+        for outside in ([0.5, -5e-324], [1.0000000000000002, 0.5]):
+            with pytest.raises(ValueError, match="^step function domain is \\[0, 1\\]$"):
+                risk_empirical(exact, m0, outside)
 
     def test_population_zero_vs_identity(self):
         mzero = MonotoneStepFn(np.array([1.0]), np.array([0.0]))

@@ -177,6 +177,8 @@ def not_arrays(taken):
 ARRAYS = [
     ("check_array.value", lambda v: check_array(v, "value"), "value", [2.0, 1.0, 3.0], [[[1.0], [1.0, 2.0]]]),
     ("EmpiricalMeasure.atoms", EmpiricalMeasure, "atoms", [0.0, 1.0, 1.0], [[1.0, 0.0, 2.0]]),
+    ("EmpiricalMeasure.from_sample.values", EmpiricalMeasure.from_sample, "values", [1.0, 0.0, 1.0],
+     [[1.0, None, 2.0]]),
     ("TabulatedDistribution.cdf", lambda v: TabulatedDistribution(0.0, 1.0, v), "cdf", [0.0, 0.5, 1.0],
      [[0.0], [0.0, 0.6, 0.5, 1.0], [-5e-324, 0.5, 1.0], [0.0, 0.5, 1.0000000000000002]]),
     ("MonotoneStepFn.knots", lambda v: MonotoneStepFn(v, [0.0, 1.0, 2.0]), "knots", [0.0, 0.5, 1.0],
@@ -185,8 +187,8 @@ ARRAYS = [
      [[2.0, -1.0, 2.0], [-1.0, 2.0]]),
     ("isotonize_cdf.raw", isotonize_cdf, "raw", [0.2, 0.1, 0.9], []),
     ("project_moment.values", lambda v: project_moment(v, 10.0, 3.0), "values", [1.0, 2.0, 2.0], [[2.0, 1.0, 3.0]]),
-    ("fit_shuffled.x_ordered", lambda v: fit_shuffled(v, [1.0, 3.0, 2.0], 0.1), "x_ordered", X3,
-     [[0.5, 0.1, 0.9], [-5e-324, 0.5, 0.9], [0.1, 0.5, 1.0000000000000002]]),
+    # an x_ordered out of order or range is refused as the fit's knots (tests/test_regress.py)
+    ("fit_shuffled.x_ordered", lambda v: fit_shuffled(v, [1.0, 3.0, 2.0], 0.1), "x_ordered", X3, []),
     ("fit_shuffled.y", lambda v: fit_shuffled(X3, v, 0.1), "y", [1.0, 3.0, 2.0], [[1.0, 2.0]]),
     ("fit_unlinked.x_ordered", lambda v: fit_unlinked(v, [1.0, 3.0, 2.0], 0.1), "x_ordered", X3,
      [[0.5, 0.1, 0.9], [-5e-324, 0.5, 0.9], [0.1, 0.5, 1.0000000000000002]]),
@@ -195,8 +197,8 @@ ARRAYS = [
     ("Dataset.x_ordered", lambda v: Dataset("shuffled", v, [1.0, 3.0, 2.0], 0.1), "x_ordered", X3,
      [[0.5, 0.1, 0.9], [-5e-324, 0.5, 0.9], [0.1, 0.5, 1.0000000000000002]]),
     ("Dataset.y", lambda v: Dataset("unlinked", X3, v, 0.1), "y", [1.0, 3.0, 2.0], [[1.0, 2.0]]),
-    ("risk_empirical.xs", lambda v: risk_empirical(STEP, LinkSpec("identity"), v), "xs", [0.9, 0.1, 0.5],
-     [[-5e-324, 0.5], [0.5, 1.0000000000000002]]),
+    # a point outside [0, 1] is refused by mhat and m0 (tests/test_experiments.py)
+    ("risk_empirical.xs", lambda v: risk_empirical(STEP, LinkSpec("identity"), v), "xs", [0.9, 0.1, 0.5], []),
 ]
 
 
@@ -228,20 +230,19 @@ def test_array_taken(call, value):
     call(np.array(value))
 
 
-def _oracle_refuses(a, ndim, least_size, order, within):
+def _oracle_refuses(a, least_size, order, within):
     """Whether ``check_array`` must refuse ``a``, read off numpy directly."""
-    if a.dtype.kind not in "iuf" or a.ndim != ndim or a.size < least_size:
+    if a.dtype.kind not in "iuf" or a.ndim != 1 or a.size < least_size:
         return True
     f = a.astype(float)
     if not np.isfinite(f).all():
         return True
-    if order is not None and a.ndim == 1:
+    if order is not None:
         steps = np.diff(f)
         if np.any(steps < 0) or (order == "increasing" and np.any(steps == 0)):
             return True
     if within is not None and f.size:
-        ends = f[[0, -1]] if order is not None else f
-        return bool(np.any(ends < within[0]) or np.any(ends > within[1]))
+        return bool(np.any(f[[0, -1]] < within[0]) or np.any(f[[0, -1]] > within[1]))
     return False
 
 
@@ -251,28 +252,32 @@ _DTYPES = st.sampled_from([np.float64, np.float32, np.int64, np.uint8, np.bool_,
 @given(
     dtype=_DTYPES,
     shape=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5),
-    ndim=st.integers(1, 2),
     least_size=st.integers(0, 3),
     order=st.sampled_from([None, "nondecreasing", "increasing"]),
     within=st.sampled_from([None, (0.0, 1.0), (-2.0, 2.0)]),
     data=st.data(),
 )
-def test_check_array_refuses_exactly_what_numpy_says(dtype, shape, ndim, least_size, order, within, data):
+def test_check_array_refuses_exactly_what_numpy_says(dtype, shape, least_size, order, within, data):
     if dtype is object:
         a = np.full(shape, None, dtype=object)
     else:
         elements = st.floats(-3.0, 3.0) | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0])
         a = data.draw(hnp.arrays(dtype, shape, elements=elements if np.dtype(dtype).kind in "fc" else None))
-    if order is not None and ndim == 2:
-        order = None  # an order is a property of a 1-d array
-    refused = _oracle_refuses(a, ndim, least_size, order, within)
+    if order is None:
+        within = None  # a range is held to the end entries of an ordered array
+    refused = _oracle_refuses(a, least_size, order, within)
     try:
-        out = check_array(a, "a", ndim=ndim, least_size=least_size, order=order, within=within)
+        out = check_array(a, "a", least_size=least_size, order=order, within=within)
     except ValueError as exc:
-        assert refused and str(exc).startswith("a must be a %d-d array" % ndim), str(exc)
+        assert refused and str(exc).startswith("a must be a 1-d array"), str(exc)
     else:
         assert not refused and out.dtype == np.float64 and np.array_equal(out, a)
         assert (out is a) == (a.dtype == np.float64)  # float64 comes back uncopied
+
+
+def test_check_array_range_needs_an_order():
+    with pytest.raises(TypeError, match="^within is held to the end entries, so it needs an order$"):
+        check_array([0.5], "a", within=(0.0, 1.0))
 
 
 # why each exported callable without a row above needs none

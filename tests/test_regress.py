@@ -272,6 +272,11 @@ class TestFitShuffled:
                     rhs = 4.0 * sig**2 * np.mean(delta**2) + 2.0 * sig**2
                     assert lhs <= rhs
 
+    @pytest.mark.parametrize("x", [[0.5, 0.1, 0.9], [-5e-324, 0.5, 0.9], [0.1, 0.5, 1.0000000000000002]])
+    def test_unsorted_or_outside_covariates_refused_as_the_knots(self, x):
+        with pytest.raises(ValueError, match="^knots must be a 1-d array .*, increasing, in \\[0, 1\\], got "):
+            fit_shuffled(x, [1.0, 3.0, 2.0], 0.1)
+
     def test_permutation_invariance(self):
         rng = rng_stream(23, "perm")
         x = np.sort(rng.random(50))

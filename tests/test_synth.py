@@ -29,6 +29,7 @@ from memory import traced_peak
 # the refusals of Dataset's x_ordered and y, up to what was found in them
 X_REFUSED = "x_ordered must be a 1-d array of 1 or more finite real numbers, nondecreasing, in [0, 1], got "
 Y_REFUSED = "y must be a 1-d array of 1 or more finite real numbers, got "
+ROWS_NOTE = " (the index counts data rows from 0; a blank cell reads as nan)"
 
 
 class TestNoiseSpec:
@@ -406,15 +407,15 @@ class TestDatasetCsv:
             ("unlinked,0,0.25,1\r\nunlinked,1,0.5\r\n", "line 3: expected 4 cells, found 3: 'unlinked,1,0.5'"),
             ("unlinked,0,0.25,1,7\r\n", "line 2: expected 4 cells, found 5: 'unlinked,0,0.25,1,7'"),
             ("unlinked,0,0.25,abc\r\n", "line 2: could not convert string to float: 'abc': 'unlinked,0,0.25,abc'"),
-            ("unlinked,0,0.25,1\r\nunlinked,1,,2\r\n", X_REFUSED + "nan at index 1"),
-            ("shuffled,0,0.25,1\r\nshuffled,1,nan,2\r\n", X_REFUSED + "nan at index 1"),
+            ("unlinked,0,0.25,1\r\nunlinked,1,,2\r\n", X_REFUSED + "nan at index 1" + ROWS_NOTE),
+            ("shuffled,0,0.25,1\r\nshuffled,1,nan,2\r\n", X_REFUSED + "nan at index 1" + ROWS_NOTE),
             ("shuffled,0,0.25,1\r\ndeconv,1,,2\r\n", "expected a single mode, found ['deconv', 'shuffled']"),
             ("", "expected a single mode, found []"),
             ("shuffledx,0,0.25,1\r\n", "unknown mode: 'shuffledx'"),
             ("unlinkedxyz,0,0.25,1\r\n", "unknown mode: 'unlinkedx'"),
-            ("unlinked,0,0.25,1\r\nunlinked,1,inf,2\r\n", X_REFUSED + "inf at index 1"),
-            ("shuffled,0,0.25,nan\r\n", Y_REFUSED + "nan at index 0"),
-            ("deconv,0,,-inf\r\n", Y_REFUSED + "-inf at index 0"),
+            ("unlinked,0,0.25,1\r\nunlinked,1,inf,2\r\n", X_REFUSED + "inf at index 1" + ROWS_NOTE),
+            ("shuffled,0,0.25,nan\r\n", Y_REFUSED + "nan at index 0" + ROWS_NOTE),
+            ("deconv,0,,-inf\r\n", Y_REFUSED + "-inf at index 0" + ROWS_NOTE),
         ],
         ids=["ragged", "extra-field", "text", "blank-x", "nan-x", "two-modes", "header-only", "long-mode",
              "longer-mode", "inf-x", "nan-y", "inf-y"],
