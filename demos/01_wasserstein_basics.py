@@ -32,8 +32,8 @@ c = EmpiricalMeasure.from_sample(rng.normal(0.5, 1.2, 200))
 print("W2(a, c)  equal sizes       :", w2_empirical(a, c))
 
 # Quantiles come from the left-continuous inverse of the CDF.
-print("median of a                 :", a.quantile(0.5))
-print("90th percentile of b        :", b.quantile(0.9))
+print("median of a                 :", np.quantile(a.atoms, 0.5, method="inverted_cdf"))
+print("90th percentile of b        :", np.quantile(b.atoms, 0.9, method="inverted_cdf"))
 
 # Smooth laws are handled through tabulated CDFs on a grid.  A Gaussian
 # against its shift: the distance equals the shift exactly.

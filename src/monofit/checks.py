@@ -1,4 +1,4 @@
-"""The checks of a number or an array from outside, the package's bottom layer.
+"""The checks of a number, an array or points from outside, the package's bottom layer.
 
 A check returns the value or raises a ValueError that starts with the
 argument's name, says what it must be, and ends with ``got`` and what it was.
@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-__all__ = ["check_sigma", "check_integer", "check_real", "check_array"]
+__all__ = ["check_sigma", "check_integer", "check_real", "check_array", "check_points"]
 
 
 def check_sigma(value):
@@ -55,6 +55,15 @@ def check_real(value, name, least=None, above=None):
 _BROKEN_ORDER = {"nondecreasing": np.less, "increasing": np.less_equal}
 
 
+def _float_array(value):
+    """``value`` as a float64 array, uncopied if it is one; text, bytes, booleans and objects keep their dtype."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting: numpy holds it only as objects
+        return np.array(None)
+    return array.astype(float, copy=False) if array.dtype.kind in "iuf" else array
+
+
 def check_array(value, name, *, least_size=1, order=None, within=None):
     """``value`` as a 1-d float64 array; ValueError naming ``name`` unless it is fit.
 
@@ -67,18 +76,14 @@ def check_array(value, name, *, least_size=1, order=None, within=None):
     """
     if within is not None and order is None:
         raise TypeError("within is held to the end entries, so it needs an order")
-    try:
-        array = np.asarray(value)
-    except ValueError:  # a ragged nesting: numpy holds it only as objects
-        array = np.array(None)
-    if array.dtype.kind not in "iuf":
+    array = _float_array(value)
+    if array.dtype != np.float64:
         got = "dtype %s" % array.dtype
     elif array.ndim != 1:
         got = "%d dimensions" % array.ndim
     elif array.size < least_size:
         got = "%d entries" % array.size
     else:
-        array = array.astype(float, copy=False)
         bad = None
         if not np.isfinite(array).all():
             bad = np.argmin(np.isfinite(array))
@@ -94,3 +99,24 @@ def check_array(value, name, *, least_size=1, order=None, within=None):
     bound += "" if within is None else ", in [%g, %g]" % tuple(within)
     msg = "%s must be a 1-d array of %d or more finite real numbers%s, got %s"
     raise ValueError(msg % (name, least_size, bound, got))
+
+
+def check_points(value, name, within, *, open=False):
+    """``value`` as a float64 array of its own shape, 0-d for a scalar; ValueError naming ``name`` unless fit.
+
+    The one check of evaluation points: refused are what :func:`check_array`
+    reads as no numbers and an entry outside the closed interval ``within``
+    (the open one if ``open``); NaN lies in none.  Float64 comes back uncopied.
+    """
+    lo, hi = within
+    above, below = (np.greater, np.less) if open else (np.greater_equal, np.less_equal)
+    array = _float_array(value)
+    if array.dtype != np.float64:
+        got = "dtype %s" % array.dtype
+    elif not array.size or (above(array.min(), lo) and below(array.max(), hi)):  # a NaN fails both
+        return array
+    else:
+        bad = np.argmin(above(array, lo) & below(array, hi))
+        got = "%r at index %d" % (float(array.flat[bad]), bad)
+    interval = ("(%g, %g)" if open else "[%g, %g]") % (lo, hi)
+    raise ValueError("%s must be real numbers in %s, got %s" % (name, interval, got))

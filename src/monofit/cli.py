@@ -49,10 +49,7 @@ def write_records(path, records, fields):
 
     ``fields`` names the attributes to write, in column order.
     """
-    try:
-        write_table(path, fields, [[getattr(rec, f) for rec in records] for f in fields])
-    except OSError as exc:
-        raise RuntimeError("failed writing %s: %s" % (path, exc))
+    write_table(path, fields, [[getattr(rec, f) for rec in records] for f in fields])
 
 
 _COLOR = "#1f6f8b"
@@ -147,11 +144,8 @@ def render_plot(table, path):
         % (_SVG_W - _MARGIN_R - 70, _MARGIN_T + 16, _COLOR, cs[0])
     )
     out.append("</svg>")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(out) + "\n")
-    except OSError as exc:
-        raise RuntimeError("failed writing %s: %s" % (path, exc))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(out) + "\n")
 
 
 class _Option(NamedTuple):

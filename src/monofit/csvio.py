@@ -144,14 +144,14 @@ def read_chunks(path, dtypes, converters=None):
                 yield table
 
 
-def read_columns(path, dtypes, converters=None):
+def read_columns(path, dtypes):
     """Read a whole table by :func:`read_chunks` as one array per column.
 
-    Takes the arguments of :func:`read_chunks` and refuses what it refuses.
+    Takes the path and dtypes of :func:`read_chunks` and refuses what it refuses.
     Returns ``(preamble, columns)``: the preamble dict and a dict of
     contiguous 1-d arrays by name, empty for a table with no data rows.
     """
-    chunks = read_chunks(path, dtypes, converters)
+    chunks = read_chunks(path, dtypes)
     preamble = next(chunks)
     # each chunk's columns copied out, so no chunk stays alive as a whole
     parts = {name: [np.empty(0, dtype)] for name, dtype in dtypes.items()}

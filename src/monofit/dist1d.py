@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_array, check_integer, check_real
+from .checks import check_array, check_integer, check_points, check_real
 
 __all__ = [
     "EmpiricalMeasure",
@@ -52,15 +52,6 @@ class EmpiricalMeasure:
     def n(self):
         return self.atoms.size
 
-    def quantile(self, u):
-        """Atom at level u: ``atoms[i-1]`` for u in ((i-1)/n, i/n], 1-based i."""
-        u_arr = np.asarray(u, dtype=float)
-        if not np.all((u_arr > 0.0) & (u_arr <= 1.0)):
-            raise ValueError("quantile level must lie in (0, 1]")
-        idx = np.ceil(u_arr * self.n).astype(int) - 1
-        out = self.atoms[np.clip(idx, 0, self.n - 1)]
-        return out if np.ndim(u) else float(out)
-
 
 @dataclass(frozen=True)
 class TabulatedDistribution:
@@ -98,7 +89,7 @@ class TabulatedDistribution:
     @classmethod
     def from_callable(cls, fn, lo, hi, points):
         """Tabulate a CDF callable on a uniform grid of ``points`` values."""
-        xs = np.linspace(lo, hi, check_integer(points, "points", least=2))
+        xs = np.linspace(check_real(lo, "lo"), check_real(hi, "hi"), check_integer(points, "points", least=2))
         return cls(lo, hi, fn(xs))
 
 
@@ -123,15 +114,13 @@ class MonotoneStepFn:
         object.__setattr__(self, "values", values)
 
     def __call__(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
-            raise ValueError("step function domain is [0, 1]")
+        x_arr = check_points(x, "x", (0.0, 1.0))
         # side="left": first knot >= x, which indexes the half-open cell
         # (knots[i-1], knots[i]] containing x; this is what makes the
         # evaluation left-continuous.
         idx = np.searchsorted(self.knots, x_arr, side="left")
         out = self.values[np.minimum(idx, self.knots.size - 1)]
-        return out if np.ndim(x) else float(out)
+        return out if x_arr.ndim else float(out)
 
 
 def w1_empirical(a, b):
@@ -197,9 +186,7 @@ def quantile(d, u):
     The levels are read ``QUANTILE_BLOCK`` at a time, so the temporaries
     stay that size whatever the number of levels.
     """
-    u_arr = np.asarray(u, dtype=float)
-    if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
-        raise ValueError("quantile level must lie strictly inside (0, 1)")
+    u_arr = check_points(u, "u", (0.0, 1.0), open=True)
     xs = d.grid
     cdf = d.cdf
     out = np.empty(u_arr.shape)
@@ -214,4 +201,4 @@ def quantile(d, u):
         interp = xs[jm - 1] + (v - c0) / denom * (xs[jm] - xs[jm - 1])
         # outside the tabulated cdf range, clamp to the grid ends
         flat_out[start : start + QUANTILE_BLOCK] = np.where(j == 0, xs[0], np.where(j == cdf.size, xs[-1], interp))
-    return out if np.ndim(u) else float(out)
+    return out if u_arr.ndim else float(out)

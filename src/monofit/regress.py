@@ -136,37 +136,40 @@ def fit_unlinked(x_ordered, y, sigma):
     return _project_and_extend(x, raw, 1.0 / math.sqrt(n))
 
 
+def _fit_meta(n, sigma, eta, projected):
+    """A fit CSV's preamble, checked as written and read: an integer n >= 1, sigma and eta >= 0, a bool projected."""
+    if not isinstance(projected, (bool, np.bool_)):
+        raise ValueError("projected must be a bool, got %r" % (projected,))
+    sigma, eta = check_real(sigma, "sigma", least=0.0), check_real(eta, "eta", least=0.0)
+    return {"n": check_integer(n, "n", least=1), "sigma": sigma, "eta": eta, "projected": projected}
+
+
 def stepfn_to_csv(m, path, n, sigma, eta, projected):
     """Write a fitted step function as CSV with a metadata preamble.
 
-    Four preamble lines record the fit context (sample size, noise scale,
-    contrast slack, whether the moment projection activated), then a
-    (knot, value) table.
+    Four preamble lines, checked before the file is opened, record the fit
+    context (sample size, noise scale, contrast slack, whether the moment
+    projection activated), then a (knot, value) table.
     """
-    preamble = {"n": int(n), "sigma": float(sigma), "eta": float(eta), "projected": bool(projected)}
-    write_table(path, ("knot", "value"), (m.knots, m.values), preamble)
+    write_table(path, ("knot", "value"), (m.knots, m.values), _fit_meta(n, sigma, eta, projected))
 
 
 def stepfn_from_csv(path):
     """Read a step function written by :func:`stepfn_to_csv`.
 
     Returns (MonotoneStepFn, metadata dict with keys n, sigma, eta,
-    projected).  Refused with a ValueError naming ``path``: an n below 1
-    or not integral, a sigma or eta below 0 or not finite, a projected
-    other than 0 or 1, and knots or values that :class:`MonotoneStepFn`
-    refuses (a NaN among them).
+    projected).  Refused with a ValueError naming ``path``: a preamble that
+    :func:`stepfn_to_csv` refuses or a projected other than 0 or 1, and
+    knots or values that :class:`MonotoneStepFn` refuses (a NaN among them).
     """
     meta, cols = read_columns(path, {"knot": float, "value": float})
     for key in ("n", "sigma", "eta", "projected"):
         if key not in meta:
             raise ValueError("%s: missing metadata line %r" % (path, key))
     try:
-        out = {"n": check_integer(float(meta["n"]), "n", least=1)}
-        for key in ("sigma", "eta"):
-            out[key] = check_real(float(meta[key]), key, least=0.0)
         if meta["projected"] not in ("0", "1"):
             raise ValueError("projected must be 0 or 1, got %r" % (meta["projected"],))
-        out["projected"] = meta["projected"] == "1"
+        out = _fit_meta(*(float(meta[key]) for key in ("n", "sigma", "eta")), meta["projected"] == "1")
         return MonotoneStepFn(cols["knot"], cols["value"]), out
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_array, check_integer, check_real, check_sigma
+from .checks import check_array, check_integer, check_points, check_real, check_sigma
 from .csvio import read_chunks, write_table
 
 __all__ = [
@@ -88,9 +88,9 @@ def parse_spec(cls, text):
 
 def noise_charfn(t):
     """Characteristic function exp(-t^2/2) of the Gaussian noise at t."""
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = check_points(t, "t", (-math.inf, math.inf))
     out = np.exp(-0.5 * t_arr * t_arr)
-    return out if np.ndim(t) else float(out)
+    return out if t_arr.ndim else float(out)
 
 
 # each link kind's parameters, in the order ``LinkSpec.params`` holds them,
@@ -164,11 +164,9 @@ class LinkSpec:
 
     def __call__(self, x):
         """The link at x in [0, 1]; nondecreasing in x."""
-        x_arr = np.asarray(x, dtype=float)
-        if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
-            raise ValueError("link domain is [0, 1]")
+        x_arr = check_points(x, "x", (0.0, 1.0))
         out = _link_values(self, x_arr, np.empty_like(x_arr))
-        return out if np.ndim(x) else float(out)
+        return out if x_arr.ndim else float(out)
 
     @property
     def cut(self):
@@ -227,10 +225,8 @@ def _link_values(spec, x, out):
 
 
 def link_cdf(spec, z):
-    """CDF of m(X) for X ~ Uniform[0, 1]: Leb{x : m(x) <= z}; a NaN z is refused."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(np.isnan(z_arr)):
-        raise ValueError("z must not be NaN")
+    """CDF of m(X) for X ~ Uniform[0, 1]: Leb{x : m(x) <= z}; z may be ±inf, not NaN."""
+    z_arr = np.atleast_1d(check_points(z, "z", (-math.inf, math.inf)))
     if spec.kind == "identity":
         out = np.clip(z_arr, 0.0, 1.0)
     elif spec.kind == "affine":

@@ -6,7 +6,8 @@ looks for it, so a refactor cannot silently zero a per-layer metric, every
 argument the tracer reads from a call is still a parameter of its target,
 every name the benchmark imports from monofit still resolves, a scalar
 is tested for finiteness in one place only, an array likewise except at
-named sites, and the module of those checks imports no other.
+one named site, a parameter is made an array only there and in the
+checks, and the module of those checks imports no other.
 """
 
 import ast
@@ -253,14 +254,6 @@ def test_only_check_real_tests_a_scalar_for_finiteness():
 HAND_WRITTEN_ARRAY_REFUSALS = {
     # an n = 10^6 int64 occupancy draw would cost 8 MB per worker as float64
     ("experiments", "conjecture_product"),
-    # a CDF takes -inf and inf, so only NaN is refused
-    ("synth", "link_cdf"),
-    # quantile levels lie in an open interval
-    ("dist1d", "EmpiricalMeasure.quantile"),
-    ("dist1d", "quantile"),
-    # evaluation points in the domain [0, 1]
-    ("dist1d", "MonotoneStepFn.__call__"),
-    ("synth", "LinkSpec.__call__"),
 }
 
 
@@ -300,3 +293,28 @@ def test_checks_is_the_bottom_layer():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert imported == {"math", "numpy"}
+
+
+def _parameter_conversions(tree):
+    """Owner of each np.asarray, np.array or np.atleast_1d call in ``tree`` on a parameter of that owner."""
+    nodes = _walk(tree)
+    params = {}
+    for node, owner in nodes:
+        if isinstance(node, ast.arg):
+            params.setdefault(owner, set()).add(node.arg)
+    for node, owner in nodes:
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.asarray", "np.array", "np.atleast_1d"):
+            if node.args and isinstance(node.args[0], ast.Name) and node.args[0].id in params.get(owner, ()):
+                yield owner
+
+
+def test_parameters_become_arrays_only_in_the_checks():
+    # an argument from outside is made an array by check_array or
+    # check_points, which refuse what is not numbers; a bare conversion
+    # elsewhere would read text and booleans as numbers
+    found = {
+        (path.stem, owner)
+        for path in sorted(SRC.glob("*.py"))
+        for owner in _parameter_conversions(ast.parse(path.read_text()))
+    }
+    assert found == HAND_WRITTEN_ARRAY_REFUSALS | {("checks", "_float_array")}

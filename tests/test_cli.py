@@ -86,6 +86,31 @@ class TestExitCodes:
         assert calls == []
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--reps", "1", "--C-list", "1"],
+             "conjecture.csv"),
+            (["conjecture", "--grid-points", "1", "--n-min", "100", "--n-max", "100", "--reps", "1", "--C-list", "1"],
+             "conjecture_C1.svg"),
+            (["rates", "--n-grid", "100", "--reps", "1"], "risks.csv"),
+            (["estimate", "--data", "{data}", "--sigma", "0.05"], "fit.csv"),
+            (["estimate", "--data", "{deconv}", "--sigma", "0.05"], "cdf.csv"),
+        ],
+    )
+    def test_failed_write_exits_one_naming_the_path(self, argv, name, tmp_path, capsys):
+        # an output whose name is taken by a directory cannot be opened
+        data = {}
+        for mode in ("shuffled", "deconv"):
+            data[mode] = tmp_path / (mode + ".csv")
+            dataset_to_csv(sample_dataset(mode, 25, LinkSpec("identity"), NoiseSpec(), 0.05, seed=3), data[mode])
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        argv = [a.format(data=data["shuffled"], deconv=data["deconv"]) for a in argv]
+        assert run([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out / name) in err, err
+
     def test_non_monotone_tail_link_refused(self, tmp_path, capsys):
         # a cut past e^{-(1+eps)} would make the tail link decrease
         argv = ["rates", "--link", "unbounded-tail:0.5,1,0.5,2", "--n-grid", "100", "--reps", "1"]
@@ -315,7 +340,7 @@ class TestWriteRecords:
 
     def test_io_error_mentions_path(self, tmp_path):
         bad = tmp_path / "no_dir" / "x.csv"
-        with pytest.raises(RuntimeError, match="no_dir"):
+        with pytest.raises(OSError, match="no_dir"):
             write_records(bad, [_Pair(1, 0.5)], fields=("a",))
 
 

@@ -7,7 +7,9 @@ number-valued argument refuses NaN, inf, a boolean, text and None
 (``NOT_NUMBERS``), then the first values past its bound.  Every
 array-valued argument refuses the arrays ``not_arrays`` makes from one it
 takes (NaN or ±inf inside, empty, 2-d, text, booleans), then the arrays out
-of its order or range.
+of its order or range.  Every evaluation-point argument refuses text, a
+boolean, None, NaN and a ragged nesting (``NOT_POINTS``), then the first
+points past its interval, and takes points of any shape (``POINTS``).
 
 Every callable a module exports has a row here or a reason in ``EXEMPT``.
 """
@@ -26,9 +28,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import monofit
-from monofit.checks import check_array, check_integer, check_real, check_sigma
+from monofit.checks import check_array, check_integer, check_points, check_real, check_sigma
 from monofit.deconv import GridSpec, auto_grid, deconvolve_cdf, estimate_cdf, isotonize_cdf, select_bandwidth
-from monofit.dist1d import EmpiricalMeasure, MonotoneStepFn, TabulatedDistribution
+from monofit.dist1d import EmpiricalMeasure, MonotoneStepFn, TabulatedDistribution, quantile
 from monofit.experiments import (
     ConjectureConfig,
     SigmaRule,
@@ -38,16 +40,32 @@ from monofit.experiments import (
     rate_sweep,
     risk_empirical,
 )
-from monofit.regress import fit_shuffled, fit_unlinked, project_moment, stepfn_from_csv
-from monofit.synth import Dataset, LinkSpec, NoiseSpec, affine_link, derive_seed, rng_stream, sample_dataset
+from monofit.regress import fit_shuffled, fit_unlinked, project_moment, stepfn_from_csv, stepfn_to_csv
+from monofit.synth import (
+    Dataset,
+    LinkSpec,
+    NoiseSpec,
+    affine_link,
+    derive_seed,
+    link_cdf,
+    noise_charfn,
+    rng_stream,
+    sample_dataset,
+)
 
 NOT_NUMBERS = [math.nan, math.inf, True, "1", None]
 BELOW_ZERO = -5e-324  # the first float below a bound of 0
+ABOVE_ONE = 1.0000000000000002  # the first float above a bound of 1
+NOT_POINTS = ["0.5", True, None, math.nan, [0.2, "0.3"], [[0.2], [0.2, 0.3]]]
+POINTS = [np.array(0.5), [[0.25, 0.5], [0.5, 0.75]], []]  # 0-d, 2-d and empty, inside (0, 1)
 YS = EmpiricalMeasure(np.array([0.0, 1.0]))
 GRID = auto_grid(YS, 0.0)
 SMALL = ConjectureConfig(n_min=100, n_max=100, grid_points=1, reps=1, C_list=(1.0,))
 STEP = MonotoneStepFn([0.5, 1.0], [0.0, 1.0])
 X3 = [0.1, 0.5, 0.9]  # three sorted covariates
+TAIL = LinkSpec("unbounded-tail", (0.5, 1.0, 0.1, 100))
+HALVES = TabulatedDistribution(0.0, 1.0, [0.0, 0.5, 1.0])
+FIT_META = {"n": 3, "sigma": 0.25, "eta": 0.0625, "projected": True}
 
 
 def UNIFORM(xs):
@@ -68,6 +86,16 @@ def _stepfn_meta(key):
             except ValueError as exc:
                 assert str(exc).startswith("%s: " % path)
                 raise ValueError(str(exc)[len("%s: " % path) :]) from None
+
+    return call
+
+
+def _stepfn_written(key):
+    """stepfn_to_csv of STEP with the preamble value ``key`` in its place, into a fresh directory."""
+
+    def call(value):
+        with tempfile.TemporaryDirectory() as tmp:
+            stepfn_to_csv(STEP, Path(tmp) / "fit.csv", **{**FIT_META, key: value})
 
     return call
 
@@ -113,11 +141,20 @@ ARGS = [
      NOT_NUMBERS + ["-1"], []),
     ("TabulatedDistribution.grid_hi", lambda v: TabulatedDistribution(0.0, v, [0.0, 1.0]), "grid_hi", NOT_NUMBERS,
      []),
+    ("TabulatedDistribution.from_callable.lo", lambda v: TabulatedDistribution.from_callable(UNIFORM, v, 1, 3), "lo",
+     NOT_NUMBERS, []),
+    ("TabulatedDistribution.from_callable.hi", lambda v: TabulatedDistribution.from_callable(UNIFORM, 0, v, 3), "hi",
+     NOT_NUMBERS, []),
     ("TabulatedDistribution.from_callable.points", lambda v: TabulatedDistribution.from_callable(UNIFORM, 0, 1, v),
      "points", NOT_NUMBERS + [1, 2.5], [2]),
     ("project_moment.p", lambda v: project_moment([1.0, 2.0], 10.0, v), "p", NOT_NUMBERS + [0.0, "3"], []),
     ("project_moment.bound", lambda v: project_moment([1.0, 2.0], v, 3.0), "bound", NOT_NUMBERS + [BELOW_ZERO, "10"],
      [0.0]),
+    ("stepfn_to_csv.n", _stepfn_written("n"), "n", NOT_NUMBERS + [0, 2.5], [1]),
+    ("stepfn_to_csv.sigma", _stepfn_written("sigma"), "sigma", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
+    ("stepfn_to_csv.eta", _stepfn_written("eta"), "eta", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
+    ("stepfn_to_csv.projected", _stepfn_written("projected"), "projected", [1, 0, "1", None, math.nan],
+     [False, np.True_]),
     ("stepfn_from_csv.n", _stepfn_meta("n"), "n", ["nan", "inf", "0", "2.5"], ["1"]),
     ("stepfn_from_csv.sigma", _stepfn_meta("sigma"), "sigma", ["nan", "inf", "-5e-324"], ["0"]),
     ("stepfn_from_csv.eta", _stepfn_meta("eta"), "eta", ["nan", "inf", "-5e-324"], ["0"]),
@@ -142,6 +179,14 @@ ARGS = [
     ("fit_loglog_slope.n", lambda v: fit_loglog_slope([(v, 1.0), (10, 2.0)]), "n", NOT_NUMBERS + [0.0], []),
     ("fit_loglog_slope.value", lambda v: fit_loglog_slope([(1, v), (10, 2.0)]), "value", NOT_NUMBERS + [0.0],
      [5e-324]),
+    # evaluation points: the closed [0, 1], the open (0, 1) and the closed [-inf, inf]
+    ("check_points.value", lambda v: check_points(v, "value", (0.0, 1.0)), "value",
+     NOT_POINTS + [BELOW_ZERO, ABOVE_ONE], POINTS + [0.0, 1.0]),
+    ("MonotoneStepFn.__call__.x", STEP, "x", NOT_POINTS + [BELOW_ZERO, ABOVE_ONE], POINTS + [0.0, 1.0]),
+    ("LinkSpec.__call__.x", TAIL, "x", NOT_POINTS + [BELOW_ZERO, ABOVE_ONE], POINTS + [0.0, 1.0]),
+    ("quantile.u", lambda v: quantile(HALVES, v), "u", NOT_POINTS + [0.0, 1.0], POINTS + [5e-324, 1.0 - 2**-53]),
+    ("link_cdf.z", lambda v: link_cdf(TAIL, v), "z", NOT_POINTS, POINTS + [-math.inf, math.inf]),
+    ("noise_charfn.t", noise_charfn, "t", NOT_POINTS, POINTS + [-math.inf, math.inf]),
 ]
 
 
@@ -275,6 +320,49 @@ def test_check_array_refuses_exactly_what_numpy_says(dtype, shape, least_size, o
         assert (out is a) == (a.dtype == np.float64)  # float64 comes back uncopied
 
 
+def test_refused_stepfn_to_csv_leaves_no_file(tmp_path):
+    # each preamble value is checked before the file is opened
+    for key, bad in (("n", 2.5), ("sigma", math.nan), ("eta", -1.0), ("projected", 1)):
+        with pytest.raises(ValueError, match="^%s " % key):
+            stepfn_to_csv(STEP, tmp_path / "fit.csv", **{**FIT_META, key: bad})
+    assert list(tmp_path.iterdir()) == []
+
+
+def _points_oracle(a, within, open):
+    """What ``check_points`` must say it got when it refuses ``a``, or None if it takes it, entry by entry in Python."""
+    if a.dtype.kind not in "iuf":
+        return "dtype %s" % a.dtype
+    lo, hi = within
+    for i, v in enumerate(map(float, a.flat)):
+        if not (lo < v < hi if open else lo <= v <= hi):
+            return "%r at index %d" % (v, i)
+    return None
+
+
+@given(
+    dtype=_DTYPES,
+    shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    within=st.sampled_from([(0.0, 1.0), (-2.0, 2.0), (-math.inf, math.inf), (0.0, math.inf)]),
+    open=st.booleans(),
+    data=st.data(),
+)
+def test_check_points_refuses_exactly_each_entry_out_of_its_interval(dtype, shape, within, open, data):
+    if dtype is object:
+        a = np.full(shape, None, dtype=object)
+    else:
+        elements = st.floats(-3.0, 3.0) | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0])
+        a = data.draw(hnp.arrays(dtype, shape, elements=elements if np.dtype(dtype).kind in "fc" else None))
+    got = _points_oracle(a, within, open)
+    interval = ("(%g, %g)" if open else "[%g, %g]") % within
+    try:
+        out = check_points(a, "a", within, open=open)
+    except ValueError as exc:
+        assert str(exc) == "a must be real numbers in %s, got %s" % (interval, got)
+    else:
+        assert got is None and out.dtype == np.float64 and out.shape == a.shape and np.array_equal(out, a)
+        assert (out is a) == (a.dtype == np.float64)  # float64 comes back uncopied
+
+
 def test_check_array_range_needs_an_order():
     with pytest.raises(TypeError, match="^within is held to the end entries, so it needs an order$"):
         check_array([0.5], "a", within=(0.0, 1.0))
@@ -290,14 +378,10 @@ EXEMPT = {
     "w1_cdf_area": "takes two EmpiricalMeasure, checked when built",
     "w2_empirical": "takes two EmpiricalMeasure, checked when built",
     "w1_tabulated": "takes two TabulatedDistribution, checked when built",
-    "quantile": "levels lie in the open (0, 1), checked by hand (tests/test_dist1d.py)",
-    "noise_charfn": "defined at every real t, the infinities included",
-    "link_cdf": "a CDF takes ±inf, so only NaN is refused, by hand (tests/test_synth.py)",
     "parse_spec": "a refusal quotes the text, then the class's own row",
     "risk_population": "takes a fit and a LinkSpec, both checked when built",
     "dataset_to_csv": "writes a Dataset, checked when built",
     "dataset_from_csv": "a refusal names the file, then Dataset's row (tests/test_synth.py)",
-    "stepfn_to_csv": "writes what a fit returned",
     "write_table": "a refusal names the file (tests/test_csvio.py)",
     "read_chunks": "a refusal names the file and line (tests/test_csvio.py)",
     "read_columns": "a refusal names the file and line (tests/test_csvio.py)",

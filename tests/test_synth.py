@@ -120,10 +120,10 @@ class TestLinkSpec:
     @pytest.mark.parametrize("x", [-1e-300, -0.5, np.nextafter(1.0, 2.0), 1.2, np.inf, np.nan])
     def test_domain_error_scalar_and_array(self, name, x):
         link = link_catalog(1000)[name]
-        with pytest.raises(ValueError, match="domain"):
-            link(x)
-        with pytest.raises(ValueError, match="domain"):
-            link(np.array([0.0, 0.5, x, 1.0]))
+        for points, index in ((x, 0), (np.array([0.0, 0.5, x, 1.0]), 2)):
+            with pytest.raises(ValueError) as info:
+                link(points)
+            assert str(info.value) == "x must be real numbers in [0, 1], got %r at index %d" % (float(x), index)
 
     def test_step_left_continuous(self):
         link = LinkSpec("step", (0.0, 1.0))
@@ -173,9 +173,10 @@ class TestLinkCdf:
     @pytest.mark.parametrize("name", sorted(link_catalog(50)))
     def test_nan_refused(self, name):
         link = link_catalog(50)[name]
-        for z in (math.nan, [0.5, math.nan]):
-            with pytest.raises(ValueError, match="^z must not be NaN$"):
+        for z, index in ((math.nan, 0), ([0.5, math.nan], 1)):
+            with pytest.raises(ValueError) as info:
                 link_cdf(link, z)
+            assert str(info.value) == "z must be real numbers in [-inf, inf], got nan at index %d" % index
         assert link_cdf(link, math.inf) == 1.0 and link_cdf(link, -math.inf) == 0.0
 
     def test_identity_affine_cube(self):
