@@ -11,6 +11,7 @@ from scipy.stats import norm
 
 from monofit.dist1d import (
     EmpiricalMeasure,
+    GridSpec,
     TabulatedDistribution,
     w1_cdf_area,
     w1_empirical,
@@ -37,6 +38,7 @@ print("90th percentile of b        :", np.quantile(b.atoms, 0.9, method="inverte
 
 # Smooth laws are handled through tabulated CDFs on a grid.  A Gaussian
 # against its shift: the distance equals the shift exactly.
-base = TabulatedDistribution.from_callable(norm.cdf, -8.0, 8.3, 2**14)
-shifted = TabulatedDistribution.from_callable(lambda x: norm.cdf(x - 0.3), -8.0, 8.3, 2**14)
+grid = GridSpec(-8.0, 8.3, 2**14)
+base = TabulatedDistribution.from_callable(norm.cdf, grid)
+shifted = TabulatedDistribution.from_callable(lambda x: norm.cdf(x - 0.3), grid)
 print("W1(N(0,1), N(0.3,1))        :", w1_tabulated(base, shifted), "(exact 0.3)")

@@ -27,15 +27,11 @@ est, h = estimate_cdf(y, sigma)
 print("n = %d, sigma = %.2f  ->  bandwidth h = %.4f" % (n, sigma, h))
 
 # Compare with the truth.
-truth = TabulatedDistribution.from_callable(
-    lambda x: np.clip((x + 1.0) / 2.0, 0.0, 1.0), est.grid_lo, est.grid_hi, est.grid.size
-)
+truth = TabulatedDistribution.from_callable(lambda x: np.clip((x + 1.0) / 2.0, 0.0, 1.0), est.grid)
 print("W1(estimate, truth)        :", w1_tabulated(est, truth))
 
 # The same pipeline with less noise gets closer, holding n fixed.
 for s in (0.15, 0.05, 0.0):
     ee, hh = estimate_cdf(z + s * rng.normal(size=n), s)
-    tt = TabulatedDistribution.from_callable(
-        lambda x: np.clip((x + 1.0) / 2.0, 0.0, 1.0), ee.grid_lo, ee.grid_hi, ee.grid.size
-    )
+    tt = TabulatedDistribution.from_callable(lambda x: np.clip((x + 1.0) / 2.0, 0.0, 1.0), ee.grid)
     print("sigma = %.2f  h = %.4f  W1 = %.4f" % (s, hh, w1_tabulated(ee, tt)))

@@ -293,18 +293,18 @@ def _cmd_rates(opts):
 def _cmd_estimate(opts):
     if not opts["data"]:
         raise RuntimeError("estimate needs --data (or data= in the config file)")
-    ds = dataset_from_csv(opts["data"], sigma=opts["sigma"])
+    ds = dataset_from_csv(opts["data"])
     if ds.mode == "deconv":
-        est, h = estimate_cdf(ds.y, ds.sigma)
+        est, h = estimate_cdf(ds.y, opts["sigma"])
         opts["out"].mkdir(parents=True, exist_ok=True)
         out_path = opts["out"] / "cdf.csv"
-        write_table(out_path, ("x", "cdf"), (est.grid, est.cdf))
+        write_table(out_path, ("x", "cdf"), (est.grid.xs, est.cdf))
         print("wrote %s (bandwidth %.6g)" % (out_path, h))
         return 0
-    res = (fit_shuffled if ds.mode == "shuffled" else fit_unlinked)(ds.x_ordered, ds.y, ds.sigma)
+    res = (fit_shuffled if ds.mode == "shuffled" else fit_unlinked)(ds.x_ordered, ds.y, opts["sigma"])
     opts["out"].mkdir(parents=True, exist_ok=True)
     out_path = opts["out"] / "fit.csv"
-    stepfn_to_csv(res.fit, out_path, n=ds.n, sigma=ds.sigma, eta=res.eta, projected=res.projected)
+    stepfn_to_csv(res.fit, out_path, n=ds.n, sigma=opts["sigma"], eta=res.eta, projected=res.projected)
     print("wrote %s (%d knots)" % (out_path, res.fit.knots.size))
     return 0
 

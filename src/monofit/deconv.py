@@ -19,16 +19,14 @@ sample size.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dist1d import EmpiricalMeasure, TabulatedDistribution
+from .dist1d import EmpiricalMeasure, GridSpec, TabulatedDistribution
 from .checks import check_array, check_integer, check_real, check_sigma
 from .synth import noise_charfn
 
 __all__ = [
-    "GridSpec",
     "select_bandwidth",
     "deconvolve_cdf",
     "isotonize_cdf",
@@ -40,31 +38,6 @@ DEFAULT_FREQ_POINTS = 2**12
 MAX_GRID_POINTS = 2**20
 ECF_BLOCK_CELLS = 2**15  # 512 KB of complex128: a block of ECF rows stays in cache
 BANDWIDTH_C = 0.1  # the rule's constant C, which must lie in (0, 1/2)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform evaluation grid: ``points`` values spanning [lo, hi]."""
-
-    lo: float
-    hi: float
-    points: int
-
-    def __post_init__(self):
-        if not check_real(self.lo, "lo") < check_real(self.hi, "hi"):
-            raise ValueError("grid needs lo < hi")
-        p = check_integer(self.points, "points", least=2)
-        if p & (p - 1) != 0:
-            raise ValueError("points must be a power of two, got %d" % p)
-        object.__setattr__(self, "points", p)
-
-    @property
-    def xs(self):
-        return np.linspace(self.lo, self.hi, self.points)
-
-    @property
-    def step(self):
-        return (self.hi - self.lo) / (self.points - 1)
 
 
 def select_bandwidth(n, sigma):
@@ -203,14 +176,21 @@ def isotonize_cdf(raw):
     return np.clip(np.maximum.accumulate(check_array(raw, "raw")), 0.0, 1.0)
 
 
-def auto_grid(ys, sigma, points=2**14):
-    """Grid covering the sample with the required coverage pad plus slack.
+def auto_grid(ys, sigma, h):
+    """The deconvolution grid for the sample ``ys`` at bandwidth ``h``: the one grid policy.
 
-    The deconvolution estimator demands the observed range padded by at
-    least 6 (1 + sigma) on each side; two extra units absorb kernel tails.
+    The estimator demands the observed range padded by at least
+    6 (1 + sigma) on each side; two extra units absorb kernel tails.  The
+    points are the smallest power of two from 2^14 whose step is at most
+    h/4, or ``MAX_GRID_POINTS`` if none below it is.
     """
+    h = check_real(h, "h", above=0.0)
     pad = 6.0 * (1.0 + check_sigma(sigma)) + 2.0
-    return GridSpec(float(ys.atoms[0]) - pad, float(ys.atoms[-1]) + pad, points)
+    lo, hi = float(ys.atoms[0]) - pad, float(ys.atoms[-1]) + pad
+    points = 2**14
+    while (hi - lo) / (points - 1) > h / 4.0 and points < MAX_GRID_POINTS:
+        points *= 2
+    return GridSpec(lo, hi, points)
 
 
 def deconvolve_cdf(ys, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
@@ -270,21 +250,16 @@ def deconvolve_cdf(ys, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
     xs = grid.xs
     dens = _fourier_at(g * weights, ts, xs).real / (2.0 * math.pi)
     cdf = isotonize_cdf(_running_trapezoid(dens, grid.step))
-    return TabulatedDistribution(grid.lo, grid.hi, cdf)
+    return TabulatedDistribution(grid, cdf)
 
 
 def estimate_cdf(y, sigma):
     """Latent CDF behind the noisy sample ``y``: the one estimation policy.
 
-    Chooses the bandwidth by :func:`select_bandwidth` at n = len(y), the
-    :func:`auto_grid` grid with the fewest points, a power of two from 2^14
-    to ``MAX_GRID_POINTS``, whose step is at most h/4, and inverts with
-    :func:`deconvolve_cdf`, which refuses too spread a sample.
-    Returns ``(TabulatedDistribution, h)``.
+    Chooses the bandwidth by :func:`select_bandwidth` at n = len(y) and the
+    grid by :func:`auto_grid`, and inverts with :func:`deconvolve_cdf`,
+    which refuses too spread a sample.  Returns ``(TabulatedDistribution, h)``.
     """
-    ys = EmpiricalMeasure.from_sample(check_array(y, "y"))
+    ys = EmpiricalMeasure.from_sample(y)
     h = select_bandwidth(ys.n, sigma)
-    grid = auto_grid(ys, sigma)
-    while grid.step > h / 4.0 and grid.points < MAX_GRID_POINTS:
-        grid = auto_grid(ys, sigma, points=2 * grid.points)
-    return deconvolve_cdf(ys, sigma, h, grid), h
+    return deconvolve_cdf(ys, sigma, h, auto_grid(ys, sigma, h)), h

@@ -13,6 +13,7 @@ from .checks import check_array, check_integer, check_points, check_real
 
 __all__ = [
     "EmpiricalMeasure",
+    "GridSpec",
     "TabulatedDistribution",
     "MonotoneStepFn",
     "w1_empirical",
@@ -42,10 +43,10 @@ class EmpiricalMeasure:
         object.__setattr__(self, "atoms", check_array(self.atoms, "atoms", order="nondecreasing"))
 
     @classmethod
-    def from_sample(cls, values):
+    def from_sample(cls, y):
         """Build a measure from an unsorted sample, checked once and then stably sorted."""
         measure = object.__new__(cls)
-        object.__setattr__(measure, "atoms", np.sort(check_array(values, "values"), kind="stable"))
+        object.__setattr__(measure, "atoms", np.sort(check_array(y, "y"), kind="stable"))
         return measure
 
     @property
@@ -54,43 +55,58 @@ class EmpiricalMeasure:
 
 
 @dataclass(frozen=True)
-class TabulatedDistribution:
-    """CDF values on a uniform grid over ``[grid_lo, grid_hi]``.
+class GridSpec:
+    """Uniform grid: ``points`` values, two or more, spanning [lo, hi] with lo < hi."""
 
-    Construction enforces monotonicity, range [0, 1], and a coverage check:
-    the grid must start where at most 1% of the mass sits below and end
-    where at least 99% sits at or below, so that quantiles and Wasserstein
-    integrals read off the table are trustworthy.
+    lo: float
+    hi: float
+    points: int
+
+    def __post_init__(self):
+        if not check_real(self.lo, "lo") < check_real(self.hi, "hi"):
+            raise ValueError("grid needs lo < hi")
+        object.__setattr__(self, "points", check_integer(self.points, "points", least=2))
+
+    @property
+    def xs(self):
+        return np.linspace(self.lo, self.hi, self.points)
+
+    @property
+    def step(self):
+        return (self.hi - self.lo) / (self.points - 1)
+
+
+@dataclass(frozen=True)
+class TabulatedDistribution:
+    """CDF values at the points of a uniform :class:`GridSpec`.
+
+    Construction enforces one value per grid point, monotonicity, range
+    [0, 1], and a coverage check: the grid must start where at most 1% of
+    the mass sits below and end where at least 99% sits at or below, so
+    that quantiles and Wasserstein integrals read off the table are
+    trustworthy.
     """
 
-    grid_lo: float
-    grid_hi: float
+    grid: GridSpec
     cdf: np.ndarray
 
     def __post_init__(self):
-        lo = check_real(self.grid_lo, "grid_lo")
-        hi = check_real(self.grid_hi, "grid_hi")
-        if not lo < hi:
-            raise ValueError("degenerate grid: grid_lo must be < grid_hi")
-        cdf = check_array(self.cdf, "cdf", least_size=2, order="nondecreasing", within=(0.0, 1.0))
+        if not isinstance(self.grid, GridSpec):
+            raise ValueError("grid must be a GridSpec, got %r" % (self.grid,))
+        cdf = check_array(self.cdf, "cdf", order="nondecreasing", within=(0.0, 1.0))
+        if cdf.size != self.grid.points:
+            raise ValueError("cdf must have one entry per grid point, %d, got %d" % (self.grid.points, cdf.size))
         if cdf[0] > 0.01 or cdf[-1] < 0.99:
             raise ValueError(
                 "grid too narrow: cdf spans [%.4g, %.4g], need cdf[0] <= 0.01 and cdf[-1] >= 0.99"
                 % (cdf[0], cdf[-1])
             )
-        object.__setattr__(self, "grid_lo", lo)
-        object.__setattr__(self, "grid_hi", hi)
         object.__setattr__(self, "cdf", cdf)
 
-    @property
-    def grid(self):
-        return np.linspace(self.grid_lo, self.grid_hi, self.cdf.size)
-
     @classmethod
-    def from_callable(cls, fn, lo, hi, points):
-        """Tabulate a CDF callable on a uniform grid of ``points`` values."""
-        xs = np.linspace(check_real(lo, "lo"), check_real(hi, "hi"), check_integer(points, "points", least=2))
-        return cls(lo, hi, fn(xs))
+    def from_callable(cls, fn, grid):
+        """Tabulate a CDF callable at the points of ``grid``."""
+        return cls(grid, fn(grid.xs))
 
 
 @dataclass(frozen=True)
@@ -169,9 +185,10 @@ def w1_tabulated(a, b):
     each CDF is linearly interpolated inside its own grid and extended by
     its end values outside.
     """
-    xs = np.union1d(a.grid, b.grid)
-    fa = np.interp(xs, a.grid, a.cdf)
-    fb = np.interp(xs, b.grid, b.cdf)
+    xa, xb = a.grid.xs, b.grid.xs
+    xs = np.union1d(xa, xb)
+    fa = np.interp(xs, xa, a.cdf)
+    fb = np.interp(xs, xb, b.cdf)
     return float(np.trapezoid(np.abs(fa - fb), xs))
 
 
@@ -187,7 +204,7 @@ def quantile(d, u):
     stay that size whatever the number of levels.
     """
     u_arr = check_points(u, "u", (0.0, 1.0), open=True)
-    xs = d.grid
+    xs = d.grid.xs
     cdf = d.cdf
     out = np.empty(u_arr.shape)
     flat_u, flat_out = u_arr.reshape(-1), out.reshape(-1)

@@ -345,19 +345,17 @@ class SigmaRule:
                 raise ValueError(msg % (self.kind, n, s, lo, hi))
 
 
-def _measure_risks(problem, ds, link, kinds):
+def _measure_risks(problem, ds, sigma, link, kinds):
     out = {}
     if problem == "deconv":
-        est, _ = estimate_cdf(ds.y, ds.sigma)
-        truth = TabulatedDistribution.from_callable(
-            lambda z: link_cdf(link, z), est.grid_lo, est.grid_hi, est.cdf.size
-        )
+        est, _ = estimate_cdf(ds.y, sigma)
+        truth = TabulatedDistribution.from_callable(lambda z: link_cdf(link, z), est.grid)
         out["W1_measure"] = w1_tabulated(est, truth)
         return out
     if problem == "shuffled":
-        mhat = fit_shuffled(ds.x_ordered, ds.y, ds.sigma).fit
+        mhat = fit_shuffled(ds.x_ordered, ds.y, sigma).fit
     else:
-        mhat = fit_unlinked(ds.x_ordered, ds.y, ds.sigma).fit
+        mhat = fit_unlinked(ds.x_ordered, ds.y, sigma).fit
     for kind in kinds:
         if kind == "empirical_L1":
             out[kind] = risk_empirical(mhat, link, ds.x_ordered)
@@ -396,7 +394,7 @@ def rate_sweep(problem, n_grid, sigma_rule, reps, seed, link=None, risk_kinds=No
         for rep in range(reps):
             child = derive_seed(seed, problem, n, rep)
             ds = sample_dataset(problem, n, link, NoiseSpec(), sig, seed=child)
-            risks = _measure_risks(problem, ds, link, kinds)
+            risks = _measure_risks(problem, ds, sig, link, kinds)
             for kind in kinds:
                 records.append(
                     RiskRecord(problem=problem, n=n, sigma=sig, seed=child, risk_kind=kind, value=risks[kind])

@@ -279,7 +279,6 @@ class Dataset:
     mode: str
     x_ordered: np.ndarray
     y: np.ndarray
-    sigma: float
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -293,7 +292,6 @@ class Dataset:
             if x.size != self.n:
                 raise ValueError("y must have the length of x_ordered, %d, got %d" % (x.size, self.n))
             object.__setattr__(self, "x_ordered", x)
-        object.__setattr__(self, "sigma", check_sigma(self.sigma))
 
     @property
     def n(self):
@@ -323,7 +321,7 @@ def sample_dataset(mode, n, link, noise, sigma, seed):
     y = link(x_latent) + sigma * rng_stream(seed, "noise").standard_normal(n)
     if mode == "shuffled":
         y = y[rng_stream(seed, "perm").permutation(n)]
-    return Dataset(mode, x, y, sigma)
+    return Dataset(mode, x, y)
 
 
 def dataset_to_csv(ds, path):
@@ -342,15 +340,14 @@ def _x_cell(text):
 _CSV_COLUMNS = {"mode": "U%d" % (max(map(len, _MODES)) + 1), "index": "U1", "x": float, "y": float}
 
 
-def dataset_from_csv(path, sigma=0.0):
+def dataset_from_csv(path):
     """Read a dataset written by :func:`dataset_to_csv`.
 
-    The file does not store sigma, so the caller supplies it.  Refused with
-    a ValueError naming ``path``: a file whose rows do not all carry the
-    same mode, and any value that :class:`Dataset` refuses (an x that is
-    blank outside deconv mode, NaN, unsorted or outside [0, 1], a
-    non-finite y, a sigma below 0).  The file is read a chunk at a time and only x and
-    y are kept, x not at all in deconv mode; the index column is not read back.
+    Refused with a ValueError naming ``path``: a file whose rows do not all
+    carry the same mode, and any value that :class:`Dataset` refuses (an x
+    that is blank outside deconv mode, NaN, unsorted or outside [0, 1], a
+    non-finite y).  The file is read a chunk at a time and only x and y are
+    kept, x not at all in deconv mode; the index column is not read back.
     """
     chunks = read_chunks(path, _CSV_COLUMNS, converters={"x": _x_cell})
     next(chunks)  # no preamble is written
@@ -370,7 +367,7 @@ def dataset_from_csv(path, sigma=0.0):
     x = None if mode == "deconv" else np.concatenate(xs)
     del xs  # its parts, before y is joined
     try:
-        return Dataset(mode, x, np.concatenate(ys), sigma)
+        return Dataset(mode, x, np.concatenate(ys))
     except ValueError as exc:
         where = " (the index counts data rows from 0; a blank cell reads as nan)" if " at index " in str(exc) else ""
         raise ValueError("%s: %s%s" % (path, exc, where)) from None

@@ -15,6 +15,7 @@ from scipy import stats
 
 from monofit.dist1d import (
     EmpiricalMeasure,
+    GridSpec,
     TabulatedDistribution,
     w1_cdf_area,
     w1_empirical,
@@ -203,13 +204,11 @@ def test_06_w1_dual_formulas_agree():
 
 def test_07_mean_shift_identity():
     """Distance between a Gaussian and its shift equals the shift."""
-    lo, hi, pts = -8.0, 8.3, 2**14
-    base = TabulatedDistribution.from_callable(stats.norm.cdf, lo, hi, pts)
+    grid = GridSpec(-8.0, 8.3, 2**14)
+    base = TabulatedDistribution.from_callable(stats.norm.cdf, grid)
     worst = 0.0
     for shift in (0.01, 0.1, 0.3):
-        other = TabulatedDistribution.from_callable(
-            lambda x, s=shift: stats.norm.cdf(x - s), lo, hi, pts
-        )
+        other = TabulatedDistribution.from_callable(lambda x, s=shift: stats.norm.cdf(x - s), grid)
         worst = max(worst, abs(w1_tabulated(base, other) - shift))
     ok = worst <= 1e-3
     _verdict(7, ok, "max |W1 - shift| = %.2e over shifts {0.01, 0.1, 0.3}" % worst)

@@ -4,7 +4,7 @@ Every exported name resolves, every subcommand runs with scipy unimportable,
 every function the benchmark tracer wraps still exists where the tracer
 looks for it, so a refactor cannot silently zero a per-layer metric, every
 argument the tracer reads from a call is still a parameter of its target,
-every name the benchmark imports from monofit still resolves, a scalar
+every capture of the tracer runs on a real call, every name the benchmark imports from monofit still resolves, a scalar
 is tested for finiteness in one place only, an array likewise except at
 one named site, a parameter is made an array only there and in the
 checks, and the module of those checks imports no other.
@@ -134,10 +134,16 @@ def _bindings():
     return out
 
 
-def test_tracer_targets_resolve_and_restore():
+def _load_tracer():
+    """The benchmark's tracer module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("monofit_bench_tracer", TRACER)
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
+    return tracer_mod
+
+
+def test_tracer_targets_resolve_and_restore():
+    tracer_mod = _load_tracer()
     for mod_name, _ in tracer_mod.TARGETS:
         importlib.import_module("monofit." + mod_name)
     before = _bindings()
@@ -179,6 +185,27 @@ def test_tracer_captures_read_parameters_of_their_targets():
                 read.append((key.value, node.slice.value))
                 assert node.slice.value in params, "%s has no parameter %r" % (key.value, node.slice.value)
     assert ("experiments.risk_population", "mhat") in read and ("deconv.deconvolve_cdf", "ys") in read
+
+
+def test_tracer_captures_run_on_real_calls(tmp_path, capsys):
+    # a capture also reads attributes of what it is given (a grid's step, a
+    # sample's size, a fit's knots, a dataset's n); a renamed attribute
+    # would pass the parameter guard above and fail only in a traced run
+    from monofit import cli, experiments, synth
+
+    tracer_mod = _load_tracer()
+    for mode in ("deconv", "shuffled"):
+        ds = synth.sample_dataset(mode, 50, synth.LinkSpec("identity"), synth.NoiseSpec(), 0.1, seed=3)
+        synth.dataset_to_csv(ds, tmp_path / (mode + ".csv"))
+    tracer = tracer_mod.Tracer()
+    with tracer:
+        for mode in ("deconv", "shuffled"):
+            argv = ["estimate", "--data", str(tmp_path / (mode + ".csv")), "--sigma", "0.1", "--out", str(tmp_path)]
+            assert cli.run(argv) == 0
+        experiments.rate_sweep("shuffled", (100,), "below-root", 1, 5, risk_kinds=("population_L1",))
+    tracer.settle()
+    captured = {span[0] for span in tracer.spans if span[5] is not None}
+    assert sorted(set(tracer_mod._CAPTURE) - captured) == []
 
 
 def _monofit_imports(tree):

@@ -244,7 +244,7 @@ class TestEstimateCommand:
             assert rows[0] == ["x", "cdf"]
             table = np.array(rows[1:], dtype=float)
             est, _ = estimate_cdf(ds.y, 0.05)
-            assert np.array_equal(table[:, 0], est.grid)
+            assert np.array_equal(table[:, 0], est.grid.xs)
             assert np.array_equal(table[:, 1], est.cdf)
             return
         m, meta = stepfn_from_csv(out / "fit.csv")
@@ -253,11 +253,21 @@ class TestEstimateCommand:
         assert np.array_equal(m.values, direct.fit.values)
         assert meta == {"n": 25, "sigma": 0.05, "eta": direct.eta, "projected": False}
 
+    @pytest.mark.parametrize("mode", ["shuffled", "unlinked", "deconv"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.25"])
+    def test_bad_sigma_refused_without_the_data_path(self, mode, sigma, tmp_path, capsys):
+        # the data file stores no sigma, so the refusal names no file
+        data = tmp_path / "data.csv"
+        dataset_to_csv(sample_dataset(mode, 25, LinkSpec("identity"), NoiseSpec(), 0.05, seed=3), data)
+        assert run(["estimate", "--data", str(data), "--sigma", sigma, "--out", str(tmp_path / "fit")]) == 1
+        assert capsys.readouterr().err == "error: sigma must be a finite real number >= 0, got %r\n" % float(sigma)
+        assert not (tmp_path / "fit").exists()
+
     def test_grid_too_coarse_exits_one(self, tmp_path, capsys):
         rng = rng_stream(8, "outlier")
         y = rng.random(500)
         y[17] = 1e9
-        ds = Dataset("unlinked", np.sort(rng.random(500)), y, 0.05)
+        ds = Dataset("unlinked", np.sort(rng.random(500)), y)
         data = tmp_path / "data.csv"
         dataset_to_csv(ds, data)
         assert run(["estimate", "--data", str(data), "--sigma", "0.05", "--out", str(tmp_path / "fit")]) == 1

@@ -22,7 +22,7 @@ from scipy.special import jv
 
 from monofit.deconv import (
     DEFAULT_FREQ_POINTS,
-    GridSpec,
+    MAX_GRID_POINTS,
     auto_grid,
     deconvolve_cdf,
     estimate_cdf,
@@ -30,8 +30,9 @@ from monofit.deconv import (
     select_bandwidth,
 )
 import monofit.deconv as deconv_mod
+import monofit.dist1d as dist1d_mod
 from monofit.deconv import _ecf, _fourier_at, _next_fast_len
-from monofit.dist1d import EmpiricalMeasure, TabulatedDistribution, quantile, w1_tabulated
+from monofit.dist1d import EmpiricalMeasure, GridSpec, TabulatedDistribution, quantile, w1_tabulated
 from monofit.synth import NoiseSpec, rng_stream, sample_dataset
 
 from links import link_catalog
@@ -63,13 +64,19 @@ def ecf_loop(ys, ts):
     return out
 
 
+def auto_ends(ys, sigma, h, points):
+    """:func:`auto_grid`'s ends with ``points`` points: a coarser grid than it picks."""
+    g = auto_grid(ys, sigma, h)
+    return GridSpec(g.lo, g.hi, points)
+
+
 def smoothed_empirical_oracle(ys, h, grid):
     """Kernel-smoothed empirical CDF computed straight from the closed form."""
     xs = grid.xs
     dens = kernel_oracle((xs[:, None] - ys.atoms[None, :]) / h).mean(axis=1) / h
     from scipy.integrate import cumulative_trapezoid
 
-    return TabulatedDistribution(grid.lo, grid.hi, isotonize_cdf(cumulative_trapezoid(dens, dx=grid.step, initial=0.0)))
+    return TabulatedDistribution(grid, isotonize_cdf(cumulative_trapezoid(dens, dx=grid.step, initial=0.0)))
 
 
 def long_double_cdf(ys, sigma, h, grid, freq_points):
@@ -184,9 +191,9 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(1.0, 1.0, 16)
         with pytest.raises(ValueError):
-            GridSpec(0.0, 1.0, 12)  # not a power of two
-        with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 1)
+        # any count from 2 is a grid; powers of two are auto_grid's policy
+        assert GridSpec(0.0, 1.0, 12).xs.size == 12
 
     def test_fractional_points_refused(self):
         with pytest.raises(ValueError, match="points must be an integer >= 2, got 16.9"):
@@ -201,7 +208,7 @@ class TestGridSpec:
 
     def test_auto_grid_pad(self):
         ys = EmpiricalMeasure(np.array([-1.0, 0.0, 3.0]))
-        g = auto_grid(ys, 0.5)
+        g = auto_grid(ys, 0.5, 0.3)
         pad = 6.0 * 1.5 + 2.0
         assert g.lo == -1.0 - pad and g.hi == 3.0 + pad
         assert g.points == 2**14
@@ -211,7 +218,34 @@ class TestGridSpec:
         # sigma -5 would pad by -22 and leave the sample's ends off the grid
         ys = EmpiricalMeasure(np.linspace(-100.0, 100.0, 50))
         with pytest.raises(ValueError, match="sigma must be a finite real number >= 0"):
-            auto_grid(ys, sigma)
+            auto_grid(ys, sigma, 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=20),
+        st.floats(0.0, 5.0),
+        st.floats(1e-7, 1.0),
+    )
+    def test_auto_grid_is_the_coarsest_power_of_two_resolving_h(self, y, sigma, h):
+        ys = EmpiricalMeasure.from_sample(y)
+        g = auto_grid(ys, sigma, h)
+        pad = 6.0 * (1.0 + sigma) + 2.0
+        assert g.lo == ys.atoms[0] - pad and g.hi == ys.atoms[-1] + pad
+        assert 2**14 <= g.points <= MAX_GRID_POINTS and g.points & (g.points - 1) == 0
+        assert g.step <= h / 4.0 or g.points == MAX_GRID_POINTS
+        assert g.points == 2**14 or GridSpec(g.lo, g.hi, g.points // 2).step > h / 4.0
+
+    def test_a_grid_of_any_count_gives_the_same_table(self):
+        # 2 * 2^14 - 1 points halve the step and hold every point of the
+        # 2^14-point grid; the tables agree there to the trapezoid error
+        ys = EmpiricalMeasure.from_sample(rng_stream(19, "odd").normal(size=400))
+        h = select_bandwidth(400, 0.1)
+        g = auto_grid(ys, 0.1, h)
+        base = deconvolve_cdf(ys, 0.1, h, g)
+        odd = deconvolve_cdf(ys, 0.1, h, GridSpec(g.lo, g.hi, 2 * g.points - 1))
+        assert odd.grid.points == 2**15 - 1
+        assert np.array_equal(odd.grid.xs[::2], g.xs)
+        assert np.max(np.abs(odd.cdf[::2] - base.cdf)) < 1e-7
 
 
 class TestIsotonize:
@@ -365,7 +399,7 @@ class TestDeconvolveCdf:
         rng = rng_stream(11, "oracle")
         ys = EmpiricalMeasure.from_sample(rng.normal(0.0, 1.0, 40))
         h = 0.25
-        grid = auto_grid(ys, 0.0, points=2**13)
+        grid = auto_ends(ys, 0.0, h, 2**13)
         est = deconvolve_cdf(ys, 0.0, h, grid)
         oracle = smoothed_empirical_oracle(ys, h, grid)
         assert w1_tabulated(est, oracle) < 1e-6
@@ -374,7 +408,7 @@ class TestDeconvolveCdf:
     def test_point_mass_recenters(self):
         # all observations equal: the estimate is one kernel bump at that point
         ys = EmpiricalMeasure(np.full(5, 0.7))
-        grid = auto_grid(ys, 0.0, points=2**13)
+        grid = auto_ends(ys, 0.0, 0.2, 2**13)
         est = deconvolve_cdf(ys, 0.0, 0.2, grid)
         assert abs(quantile(est, 0.5) - 0.7) < 2.0 * 0.2
 
@@ -385,18 +419,18 @@ class TestDeconvolveCdf:
             rng = rng_stream(77, "ratio", rep)
             ys = EmpiricalMeasure.from_sample(rng.normal(0.0, 1.0, 60))
             h = 0.05 + 0.3 * rng.random()
-            grid = auto_grid(ys, 0.0, points=2**13)
+            grid = auto_ends(ys, 0.0, h, 2**13)
             est = deconvolve_cdf(ys, 0.0, h, grid)
             emp = TabulatedDistribution.from_callable(
-                lambda xs: np.searchsorted(ys.atoms, xs, side="right") / ys.n, grid.lo, grid.hi, grid.points
+                lambda xs: np.searchsorted(ys.atoms, xs, side="right") / ys.n, grid
             )
             assert w1_tabulated(est, emp) < 1.5 * h
 
     def test_quadrature_resolution_converged(self):
         rng = rng_stream(12, "freq")
         ys = EmpiricalMeasure.from_sample(rng.normal(0.0, 1.0, 200) + 0.3 * rng.random(200))
-        grid = auto_grid(ys, 0.3, points=2**13)
         h = select_bandwidth(200, 0.3)
+        grid = auto_ends(ys, 0.3, h, 2**13)
         coarse = deconvolve_cdf(ys, 0.3, h, grid, freq_points=DEFAULT_FREQ_POINTS)
         fine = deconvolve_cdf(ys, 0.3, h, grid, freq_points=2 * DEFAULT_FREQ_POINTS)
         assert w1_tabulated(coarse, fine) < 1e-3
@@ -413,11 +447,9 @@ class TestDeconvolveCdf:
             for rep in range(8):
                 rng = rng_stream(13, "risk", n, rep)
                 ys = EmpiricalMeasure.from_sample(rng.random(n) + sig * rng.standard_normal(n))
-                grid = auto_grid(ys, sig, points=2**13)
+                grid = auto_ends(ys, sig, h, 2**13)
                 est = deconvolve_cdf(ys, sig, h, grid)
-                truth = TabulatedDistribution.from_callable(
-                    lambda x: np.clip(x, 0.0, 1.0), grid.lo, grid.hi, grid.points
-                )
+                truth = TabulatedDistribution.from_callable(lambda x: np.clip(x, 0.0, 1.0), grid)
                 vals.append(w1_tabulated(est, truth))
             means.append(np.mean(vals))
         assert means[1] < means[0]
@@ -425,7 +457,7 @@ class TestDeconvolveCdf:
     def test_output_is_valid_table(self):
         rng = rng_stream(14, "valid")
         ys = EmpiricalMeasure.from_sample(rng.random(100))
-        grid = auto_grid(ys, 0.1)
+        grid = auto_grid(ys, 0.1, 0.3)
         est = deconvolve_cdf(ys, 0.1, 0.3, grid)
         assert isinstance(est, TabulatedDistribution)
         assert np.all(np.diff(est.cdf) >= 0)
@@ -450,13 +482,13 @@ class TestDeconvolveCdf:
         # [-8, b + 8] once b + 8 reaches that period
         for b, refused in ((80.0, False), (95.0, True)):
             ys = EmpiricalMeasure(np.array([0.0, b]))
-            grid = auto_grid(ys, 0.0, points=2**10)
+            grid = auto_ends(ys, 0.0, 0.5, 2**10)
             if refused:
                 with pytest.raises(ValueError, match="grid too wide"):
                     deconvolve_cdf(ys, 0.0, 0.5, grid, freq_points=64)
             else:
                 est = deconvolve_cdf(ys, 0.0, 0.5, grid, freq_points=64)
-                assert abs(est.cdf[np.searchsorted(est.grid, b / 2.0)] - 0.5) < 0.01
+                assert abs(est.cdf[np.searchsorted(est.grid.xs, b / 2.0)] - 0.5) < 0.01
 
     def test_running_integral_is_scipy_trapezoid(self, monkeypatch):
         # the running trapezoid is written out in numpy; scipy's
@@ -470,7 +502,7 @@ class TestDeconvolveCdf:
         for k, sigma in enumerate((0.0, 0.05, 0.4)):
             seen.clear()
             ys = EmpiricalMeasure.from_sample(rng_stream(16, "trapz", k).normal(size=60))
-            grid = auto_grid(ys, sigma, points=2**12)
+            grid = auto_ends(ys, sigma, 0.3, 2**12)
             deconvolve_cdf(ys, sigma, 0.3, grid)
             dens = seen["S"].real / (2.0 * math.pi)
             assert np.array_equal(seen["raw"], cumulative_trapezoid(dens, dx=grid.step, initial=0.0))
@@ -493,7 +525,7 @@ class TestDeconvolveCdf:
         ds = sample_dataset("deconv", n, link_catalog(n)[link], NoiseSpec(), sigma, seed=7)
         ys = EmpiricalMeasure.from_sample(ds.y)
         h = select_bandwidth(n, sigma)
-        grid = auto_grid(ys, sigma, points=points)
+        grid = auto_ends(ys, sigma, h, points)
         est = deconvolve_cdf(ys, sigma, h, grid, freq_points=freq_points)
         assert np.max(np.abs(est.cdf - long_double_cdf(ys, sigma, h, grid, freq_points))) <= 1e-9
 
@@ -501,16 +533,16 @@ class TestDeconvolveCdf:
     def test_rejects_fewer_than_two_freq_points(self, freq_points):
         ys = EmpiricalMeasure(np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="freq_points must be an integer >= 2"):
-            deconvolve_cdf(ys, 0.0, 0.5, auto_grid(ys, 0.0), freq_points=freq_points)
+            deconvolve_cdf(ys, 0.0, 0.5, auto_grid(ys, 0.0, 0.5), freq_points=freq_points)
 
     def test_rejects_fractional_freq_points(self):
         ys = EmpiricalMeasure(np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="freq_points must be an integer >= 2, got 4096.5"):
-            deconvolve_cdf(ys, 0.0, 0.5, auto_grid(ys, 0.0), freq_points=4096.5)
+            deconvolve_cdf(ys, 0.0, 0.5, auto_grid(ys, 0.0, 0.5), freq_points=4096.5)
 
     def test_rejects_bad_bandwidth_and_sigma(self):
         ys = EmpiricalMeasure(np.array([0.0, 1.0]))
-        grid = auto_grid(ys, 0.0)
+        grid = auto_grid(ys, 0.0, 0.5)
         with pytest.raises(ValueError):
             deconvolve_cdf(ys, 0.0, 0.0, grid)
         with pytest.raises(ValueError):
@@ -528,9 +560,21 @@ class TestEstimateCdf:
         est, h = estimate_cdf(y, 0.2)
         ys = EmpiricalMeasure.from_sample(y)
         assert h == select_bandwidth(300, 0.2)
-        ref = deconvolve_cdf(ys, 0.2, h, auto_grid(ys, 0.2))
-        assert (est.grid_lo, est.grid_hi) == (ref.grid_lo, ref.grid_hi)
+        ref = deconvolve_cdf(ys, 0.2, h, auto_grid(ys, 0.2, h))
+        assert est.grid == ref.grid
         assert np.array_equal(est.cdf, ref.cdf)
+
+    def test_sample_checked_once(self, monkeypatch):
+        # the sample is checked where it becomes a measure, and not before
+        y = rng_stream(17, "once").normal(size=50)
+        checked = []
+        for mod in (deconv_mod, dist1d_mod):
+            check = mod.check_array
+            monkeypatch.setattr(
+                mod, "check_array", lambda v, *a, _check=check, **k: _check(checked.append(v) or v, *a, **k)
+            )
+        estimate_cdf(y, 0.1)
+        assert sum(v is y for v in checked) == 1
 
     def test_grid_refined_to_quarter_bandwidth(self):
         # at n = 1e5 and sigma = 0, h = n^(-1/2) needs more than 2^14 points
@@ -539,7 +583,7 @@ class TestEstimateCdf:
         est, h = estimate_cdf(y, 0.0)
         assert h == 1.0 / math.sqrt(100_000)
         assert est.cdf.size == 2**15
-        assert (est.grid_hi - est.grid_lo) / (est.cdf.size - 1) <= h / 4.0
+        assert est.grid.step <= h / 4.0
         assert est.cdf[0] <= 1e-3 and est.cdf[-1] >= 1.0 - 1e-3
 
     def test_outlier_refused(self):
@@ -567,12 +611,11 @@ class TestEstimateCdf:
             except ValueError as exc:
                 assert "grid too coarse" in str(exc) or "grid too wide" in str(exc)
                 return
-        step = (est.grid_hi - est.grid_lo) / (est.cdf.size - 1)
-        assert 0.0 < h <= 1.0 and step <= h / 4.0
-        coarser = (est.grid_hi - est.grid_lo) / (est.cdf.size // 2 - 1)
-        assert est.cdf.size == 2**14 or coarser > h / 4.0
+        assert 0.0 < h <= 1.0 and est.grid.step <= h / 4.0
+        g = est.grid
+        assert g.points == 2**14 or GridSpec(g.lo, g.hi, g.points // 2).step > h / 4.0
         pad = 6.0 * (1.0 + sigma)
-        assert est.grid_lo <= y.min() - pad and est.grid_hi >= y.max() + pad
+        assert g.lo <= y.min() - pad and g.hi >= y.max() + pad
         assert np.all(np.isfinite(est.cdf)) and np.all(np.diff(est.cdf) >= 0)
         assert 0.0 <= est.cdf[0] <= 0.01 and 0.99 <= est.cdf[-1] <= 1.0
 

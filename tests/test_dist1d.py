@@ -17,6 +17,7 @@ from scipy.stats import norm
 from monofit.dist1d import (
     QUANTILE_BLOCK,
     EmpiricalMeasure,
+    GridSpec,
     MonotoneStepFn,
     TabulatedDistribution,
     quantile,
@@ -32,7 +33,7 @@ from memory import traced_peak
 def quantile_oracle(d, u):
     """``quantile`` with every level in one pass: the reference for its blocks."""
     u_arr = np.asarray(u, dtype=float)
-    xs, cdf = d.grid, d.cdf
+    xs, cdf = d.grid.xs, d.cdf
     j = np.searchsorted(cdf, u_arr, side="left")
     jm = np.clip(j, 1, cdf.size - 1)
     c0, c1 = cdf[jm - 1], cdf[jm]
@@ -212,20 +213,25 @@ class TestW2Empirical:
         assert w2_empirical(a, b) >= w1_empirical(a, b) - 1e-12
 
 
+def table(lo, hi, cdf):
+    """The table of ``cdf`` on the uniform grid of its length over [lo, hi]."""
+    return TabulatedDistribution(GridSpec(lo, hi, len(cdf)), cdf)
+
+
 class TestTabulatedDistribution:
     def test_degenerate_grid_rejected(self):
-        with pytest.raises(ValueError):
-            TabulatedDistribution(1.0, 1.0, [0.0, 1.0])
+        with pytest.raises(ValueError, match="grid needs lo < hi"):
+            table(1.0, 1.0, [0.0, 1.0])
 
     def test_coverage_check(self):
         with pytest.raises(ValueError):
-            TabulatedDistribution(0.0, 1.0, [0.3, 0.9, 1.0])
+            table(0.0, 1.0, [0.3, 0.9, 1.0])
         with pytest.raises(ValueError):
-            TabulatedDistribution(0.0, 1.0, [0.0, 0.5, 0.95])
+            table(0.0, 1.0, [0.0, 0.5, 0.95])
 
     def test_monotone_check(self):
         with pytest.raises(ValueError):
-            TabulatedDistribution(0.0, 1.0, [0.0, 0.6, 0.5, 1.0])
+            table(0.0, 1.0, [0.0, 0.6, 0.5, 1.0])
 
     @pytest.mark.parametrize(
         "lo, hi, cdf",
@@ -238,62 +244,60 @@ class TestTabulatedDistribution:
     )
     def test_non_finite_refused(self, lo, hi, cdf):
         with pytest.raises(ValueError, match="NaN|finite"):
-            TabulatedDistribution(lo, hi, cdf)
+            table(lo, hi, cdf)
 
 
 class TestW1Tabulated:
     def test_identical(self):
-        d = TabulatedDistribution.from_callable(lambda x: np.clip(x, 0, 1), -1.0, 2.0, 1024)
+        d = TabulatedDistribution.from_callable(lambda x: np.clip(x, 0, 1), GridSpec(-1.0, 2.0, 1024))
         assert w1_tabulated(d, d) == 0.0
 
     def test_mean_shift_gaussians(self):
-        lo, hi, pts = -8.0, 8.3, 2**14
-        base = TabulatedDistribution.from_callable(norm.cdf, lo, hi, pts)
+        grid = GridSpec(-8.0, 8.3, 2**14)
+        base = TabulatedDistribution.from_callable(norm.cdf, grid)
         for shift in (0.01, 0.1, 0.3):
-            other = TabulatedDistribution.from_callable(
-                lambda x, s=shift: norm.cdf(x - s), lo, hi, pts
-            )
+            other = TabulatedDistribution.from_callable(lambda x, s=shift: norm.cdf(x - s), grid)
             assert w1_tabulated(base, other) == pytest.approx(shift, abs=1e-3)
 
     def test_uniforms_closed_form(self):
         # area between the U[0,1] and U[0,2] CDFs is exactly 1/2
-        u1 = TabulatedDistribution.from_callable(lambda x: np.clip(x, 0, 1), -1.0, 3.0, 4097)
-        u2 = TabulatedDistribution.from_callable(lambda x: np.clip(x / 2, 0, 1), -1.0, 3.0, 4097)
+        grid = GridSpec(-1.0, 3.0, 4097)
+        u1 = TabulatedDistribution.from_callable(lambda x: np.clip(x, 0, 1), grid)
+        u2 = TabulatedDistribution.from_callable(lambda x: np.clip(x / 2, 0, 1), grid)
         assert w1_tabulated(u1, u2) == pytest.approx(0.5, abs=1e-6)
 
     def test_disjoint_grids(self):
         # point mass near 0 vs point mass near 5, tabulated on disjoint grids
         steep = lambda c: (lambda x: np.clip((x - c) * 1e4, 0.0, 1.0))
-        a = TabulatedDistribution.from_callable(steep(0.0), -1.0, 1.0, 4097)
-        b = TabulatedDistribution.from_callable(steep(5.0), 4.0, 6.0, 4097)
+        a = TabulatedDistribution.from_callable(steep(0.0), GridSpec(-1.0, 1.0, 4097))
+        b = TabulatedDistribution.from_callable(steep(5.0), GridSpec(4.0, 6.0, 4097))
         assert w1_tabulated(a, b) == pytest.approx(5.0, abs=1e-3)
 
 
 class TestQuantile:
     def test_uniform(self):
-        d = TabulatedDistribution.from_callable(lambda x: np.clip(x, 0, 1), -0.5, 1.5, 2049)
+        d = TabulatedDistribution.from_callable(lambda x: np.clip(x, 0, 1), GridSpec(-0.5, 1.5, 2049))
         assert quantile(d, 0.25) == pytest.approx(0.25, abs=1e-3)
 
     def test_normal_median(self):
-        d = TabulatedDistribution.from_callable(norm.cdf, -8.0, 8.0, 2**13)
+        d = TabulatedDistribution.from_callable(norm.cdf, GridSpec(-8.0, 8.0, 2**13))
         assert quantile(d, 0.5) == pytest.approx(0.0, abs=1e-2)
 
     def test_jump_cdf(self):
         def cdf(x):
             return np.where(x < 1.0, 0.2 * np.clip(x, 0, None), 0.8 + 0.2 * np.clip(x - 1, 0, 1))
 
-        d = TabulatedDistribution(-0.5, 2.0, cdf(np.linspace(-0.5, 2.0, 2001)))
-        step = 2.5 / 2000
-        assert abs(quantile(d, 0.5) - 1.0) <= step + 1e-12
+        d = TabulatedDistribution.from_callable(cdf, GridSpec(-0.5, 2.0, 2001))
+        assert abs(quantile(d, 0.5) - 1.0) <= d.grid.step + 1e-12
 
     def test_rejects_out_of_range(self):
-        d = TabulatedDistribution.from_callable(lambda x: np.clip(x, 0, 1), -0.5, 1.5, 64)
+        d = TabulatedDistribution.from_callable(lambda x: np.clip(x, 0, 1), GridSpec(-0.5, 1.5, 64))
         for u in (0.0, 1.0, -0.2, 1.3, np.nan, [0.5, np.nan]):
             with pytest.raises(ValueError):
                 quantile(d, u)
 
     def test_monotone_in_level(self):
-        d = TabulatedDistribution.from_callable(norm.cdf, -8.0, 8.0, 4097)
+        d = TabulatedDistribution.from_callable(norm.cdf, GridSpec(-8.0, 8.0, 4097))
         us = np.linspace(0.01, 0.99, 200)
         qs = quantile(d, us)
         assert np.all(np.diff(qs) >= 0)
@@ -303,7 +307,7 @@ class TestQuantile:
         # levels on a flat stretch (equal cdf values) and past both table ends
         cdf = np.linspace(0.005, 0.995, 4097)
         cdf[1000:1200] = cdf[1000]
-        d = TabulatedDistribution(-3.0, 5.0, cdf)
+        d = TabulatedDistribution(GridSpec(-3.0, 5.0, cdf.size), cdf)
         us = np.random.default_rng(size).uniform(5e-324, 1.0, size)
         us[:: max(1, size // 7)] = cdf[1000]
         us[[0, -1]] = 0.001, 0.999
@@ -315,7 +319,7 @@ class TestQuantile:
 
     def test_levels_read_within_a_memory_budget(self):
         n = 100_000
-        d = TabulatedDistribution.from_callable(norm.cdf, -8.0, 8.0, 2**14)
+        d = TabulatedDistribution.from_callable(norm.cdf, GridSpec(-8.0, 8.0, 2**14))
         levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
         _, peak = traced_peak(quantile, d, levels)
         # the result, the level check's masks and one block's temporaries

@@ -663,7 +663,7 @@ class TestRateSweep:
         recs = rate_sweep("shuffled", [80], "constant:0.2", reps=2, seed=11)
         r = recs[1]
         ds = sample_dataset("shuffled", r.n, LinkSpec("identity"), NoiseSpec(), r.sigma, seed=r.seed)
-        again = _measure_risks("shuffled", ds, LinkSpec("identity"), (r.risk_kind,))
+        again = _measure_risks("shuffled", ds, r.sigma, LinkSpec("identity"), (r.risk_kind,))
         assert again[r.risk_kind] == r.value
 
     def test_incompatible_risk_kind(self):

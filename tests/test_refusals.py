@@ -29,8 +29,8 @@ from hypothesis.extra import numpy as hnp
 
 import monofit
 from monofit.checks import check_array, check_integer, check_points, check_real, check_sigma
-from monofit.deconv import GridSpec, auto_grid, deconvolve_cdf, estimate_cdf, isotonize_cdf, select_bandwidth
-from monofit.dist1d import EmpiricalMeasure, MonotoneStepFn, TabulatedDistribution, quantile
+from monofit.deconv import auto_grid, deconvolve_cdf, estimate_cdf, isotonize_cdf, select_bandwidth
+from monofit.dist1d import EmpiricalMeasure, GridSpec, MonotoneStepFn, TabulatedDistribution, quantile
 from monofit.experiments import (
     ConjectureConfig,
     SigmaRule,
@@ -59,18 +59,14 @@ ABOVE_ONE = 1.0000000000000002  # the first float above a bound of 1
 NOT_POINTS = ["0.5", True, None, math.nan, [0.2, "0.3"], [[0.2], [0.2, 0.3]]]
 POINTS = [np.array(0.5), [[0.25, 0.5], [0.5, 0.75]], []]  # 0-d, 2-d and empty, inside (0, 1)
 YS = EmpiricalMeasure(np.array([0.0, 1.0]))
-GRID = auto_grid(YS, 0.0)
+GRID = auto_grid(YS, 0.0, 0.5)
+GRID3 = GridSpec(0.0, 1.0, 3)
 SMALL = ConjectureConfig(n_min=100, n_max=100, grid_points=1, reps=1, C_list=(1.0,))
 STEP = MonotoneStepFn([0.5, 1.0], [0.0, 1.0])
 X3 = [0.1, 0.5, 0.9]  # three sorted covariates
 TAIL = LinkSpec("unbounded-tail", (0.5, 1.0, 0.1, 100))
-HALVES = TabulatedDistribution(0.0, 1.0, [0.0, 0.5, 1.0])
+HALVES = TabulatedDistribution(GRID3, [0.0, 0.5, 1.0])
 FIT_META = {"n": 3, "sigma": 0.25, "eta": 0.0625, "projected": True}
-
-
-def UNIFORM(xs):
-    """The Uniform[0, 1] CDF at ``xs``."""
-    return np.clip(xs, 0.0, 1.0)
 
 
 def _stepfn_meta(key):
@@ -108,7 +104,6 @@ ARGS = [
     ("rng_stream.seed", lambda v: rng_stream(v, "x"), "seed", NOT_NUMBERS + [2.5], [-1]),
     ("derive_seed.seed", lambda v: derive_seed(v, "x"), "seed", NOT_NUMBERS + [2.5], [-1]),
     ("affine_link.slope", lambda v: affine_link(v, 0.0), "slope", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
-    ("Dataset.sigma", lambda v: Dataset("deconv", None, [1.0, 2.0], v), "sigma", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
     ("sample_dataset.n", lambda v: sample_dataset("deconv", v, LinkSpec("identity"), NoiseSpec(), 0.1, 1), "n",
      NOT_NUMBERS + [0, 2.5], [1]),
     ("sample_dataset.sigma", lambda v: sample_dataset("deconv", 10, LinkSpec("identity"), NoiseSpec(), v, 1),
@@ -127,26 +122,22 @@ ARGS = [
     ("SigmaRule.power", lambda v: SigmaRule("power", (v,)), "power rule parameter", NOT_NUMBERS + [0.0], []),
     ("GridSpec.lo", lambda v: GridSpec(v, 2.0, 4), "lo", NOT_NUMBERS, []),
     ("GridSpec.hi", lambda v: GridSpec(0.0, v, 4), "hi", NOT_NUMBERS, []),
-    ("GridSpec.points", lambda v: GridSpec(0.0, 1.0, v), "points", NOT_NUMBERS + [1, 2.5], [2]),
+    ("GridSpec.points", lambda v: GridSpec(0.0, 1.0, v), "points", NOT_NUMBERS + [1, 2.5], [2, 12]),
     ("select_bandwidth.n", lambda v: select_bandwidth(v, 0.0), "n", NOT_NUMBERS + [1, 2.5], [2]),
     ("select_bandwidth.sigma", lambda v: select_bandwidth(100, v), "sigma", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
-    ("auto_grid.sigma", lambda v: auto_grid(YS, v), "sigma", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
-    ("auto_grid.points", lambda v: auto_grid(YS, 0.0, v), "points", NOT_NUMBERS + [1, 2.5], [2]),
+    ("auto_grid.sigma", lambda v: auto_grid(YS, v, 0.5), "sigma", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
+    ("auto_grid.h", lambda v: auto_grid(YS, 0.0, v), "h", NOT_NUMBERS + [0.0, BELOW_ZERO], [5e-324]),
     ("deconvolve_cdf.h", lambda v: deconvolve_cdf(YS, 0.0, v, GRID), "h", NOT_NUMBERS + [0.0, 1.0000000000000002],
      [1.0]),
     ("deconvolve_cdf.freq_points", lambda v: deconvolve_cdf(YS, 0.0, 0.5, GRID, freq_points=v), "freq_points",
      NOT_NUMBERS + [1, 4096.5], []),
     ("deconvolve_cdf.sigma", lambda v: deconvolve_cdf(YS, v, 0.5, GRID), "sigma", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
-    ("TabulatedDistribution.grid_lo", lambda v: TabulatedDistribution(v, 1.0, [0.0, 1.0]), "grid_lo",
-     NOT_NUMBERS + ["-1"], []),
-    ("TabulatedDistribution.grid_hi", lambda v: TabulatedDistribution(0.0, v, [0.0, 1.0]), "grid_hi", NOT_NUMBERS,
-     []),
-    ("TabulatedDistribution.from_callable.lo", lambda v: TabulatedDistribution.from_callable(UNIFORM, v, 1, 3), "lo",
-     NOT_NUMBERS, []),
-    ("TabulatedDistribution.from_callable.hi", lambda v: TabulatedDistribution.from_callable(UNIFORM, 0, v, 3), "hi",
-     NOT_NUMBERS, []),
-    ("TabulatedDistribution.from_callable.points", lambda v: TabulatedDistribution.from_callable(UNIFORM, 0, 1, v),
-     "points", NOT_NUMBERS + [1, 2.5], [2]),
+    ("TabulatedDistribution.grid", lambda v: TabulatedDistribution(v, [0.0, 0.5, 1.0]), "grid",
+     [None, (0, 1, 3), "0,1,3"], [GRID3]),
+    # the estimators' sigma, the one check of `monofit estimate --sigma`
+    ("fit_shuffled.sigma", lambda v: fit_shuffled(X3, [1.0, 3.0, 2.0], v), "sigma", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
+    ("fit_unlinked.sigma", lambda v: fit_unlinked(X3, [1.0, 3.0, 2.0], v), "sigma", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
+    ("estimate_cdf.sigma", lambda v: estimate_cdf([1.0, 3.0, 2.0], v), "sigma", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
     ("project_moment.p", lambda v: project_moment([1.0, 2.0], 10.0, v), "p", NOT_NUMBERS + [0.0, "3"], []),
     ("project_moment.bound", lambda v: project_moment([1.0, 2.0], v, 3.0), "bound", NOT_NUMBERS + [BELOW_ZERO, "10"],
      [0.0]),
@@ -222,10 +213,11 @@ def not_arrays(taken):
 ARRAYS = [
     ("check_array.value", lambda v: check_array(v, "value"), "value", [2.0, 1.0, 3.0], [[[1.0], [1.0, 2.0]]]),
     ("EmpiricalMeasure.atoms", EmpiricalMeasure, "atoms", [0.0, 1.0, 1.0], [[1.0, 0.0, 2.0]]),
-    ("EmpiricalMeasure.from_sample.values", EmpiricalMeasure.from_sample, "values", [1.0, 0.0, 1.0],
-     [[1.0, None, 2.0]]),
-    ("TabulatedDistribution.cdf", lambda v: TabulatedDistribution(0.0, 1.0, v), "cdf", [0.0, 0.5, 1.0],
-     [[0.0], [0.0, 0.6, 0.5, 1.0], [-5e-324, 0.5, 1.0], [0.0, 0.5, 1.0000000000000002]]),
+    ("EmpiricalMeasure.from_sample.y", EmpiricalMeasure.from_sample, "y", [1.0, 0.0, 1.0], [[1.0, None, 2.0]]),
+    # one entry per point of the 3-point grid
+    ("TabulatedDistribution.cdf", lambda v: TabulatedDistribution(GRID3, v), "cdf", [0.0, 0.5, 1.0],
+     [[0.0], [0.0, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0, 0.6, 0.5, 1.0], [-5e-324, 0.5, 1.0],
+      [0.0, 0.5, 1.0000000000000002]]),
     ("MonotoneStepFn.knots", lambda v: MonotoneStepFn(v, [0.0, 1.0, 2.0]), "knots", [0.0, 0.5, 1.0],
      [[0.0, 0.5, 0.5], [0.5, 0.0, 1.0], [-5e-324, 0.5, 1.0], [0.0, 0.5, 1.0000000000000002]]),
     ("MonotoneStepFn.values", lambda v: MonotoneStepFn([0.25, 0.5, 1.0], v), "values", [-1.0, 2.0, 2.0],
@@ -239,9 +231,9 @@ ARRAYS = [
      [[0.5, 0.1, 0.9], [-5e-324, 0.5, 0.9], [0.1, 0.5, 1.0000000000000002]]),
     ("fit_unlinked.y", lambda v: fit_unlinked(X3, v, 0.1), "y", [1.0, 3.0, 2.0], [[1.0, 2.0]]),
     ("estimate_cdf.y", lambda v: estimate_cdf(v, 0.1), "y", [1.0, 3.0, 2.0], []),
-    ("Dataset.x_ordered", lambda v: Dataset("shuffled", v, [1.0, 3.0, 2.0], 0.1), "x_ordered", X3,
+    ("Dataset.x_ordered", lambda v: Dataset("shuffled", v, [1.0, 3.0, 2.0]), "x_ordered", X3,
      [[0.5, 0.1, 0.9], [-5e-324, 0.5, 0.9], [0.1, 0.5, 1.0000000000000002]]),
-    ("Dataset.y", lambda v: Dataset("unlinked", X3, v, 0.1), "y", [1.0, 3.0, 2.0], [[1.0, 2.0]]),
+    ("Dataset.y", lambda v: Dataset("unlinked", X3, v), "y", [1.0, 3.0, 2.0], [[1.0, 2.0]]),
     # a point outside [0, 1] is refused by mhat and m0 (tests/test_experiments.py)
     ("risk_empirical.xs", lambda v: risk_empirical(STEP, LinkSpec("identity"), v), "xs", [0.9, 0.1, 0.5], []),
 ]

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from monofit.deconv import GridSpec, deconvolve_cdf, estimate_cdf
+from monofit.deconv import deconvolve_cdf, estimate_cdf
 from monofit.dist1d import (
     EmpiricalMeasure,
     MonotoneStepFn,
@@ -359,10 +359,10 @@ class TestFitUnlinked:
             u = np.where(np.abs(u) < 1e-8, 1e-8, np.abs(u))
             return (3.0 / math.sqrt(math.pi)) * (2.0 / u) ** 3.5 * jv(3.5, u)
 
-        xs = est.grid
+        xs = est.grid.xs
         dens = kernel((xs[:, None] - ys.atoms[None, :]) / h).mean(axis=1) / h
-        cdf = isotonize_cdf(cumulative_trapezoid(dens, dx=xs[1] - xs[0], initial=0.0))
-        oracle = TabulatedDistribution(est.grid_lo, est.grid_hi, cdf)
+        cdf = isotonize_cdf(cumulative_trapezoid(dens, dx=est.grid.step, initial=0.0))
+        oracle = TabulatedDistribution(est.grid, cdf)
         levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
         ref = tab_quantile(oracle, levels)
         assert np.max(np.abs(np.asarray(m.values) - ref)) <= 2.0 * h
@@ -406,7 +406,7 @@ class TestFitUnlinked:
         x = np.sort(rng.random(n))
         res = fit_unlinked(x, y, 0.0)
         est, h = estimate_cdf(y, 0.0)
-        grid = GridSpec(est.grid_lo, est.grid_hi, est.cdf.size)
+        grid = est.grid
         ys = EmpiricalMeasure.from_sample(y)
         muZ = deconvolve_cdf(ys, 0.0, h, grid)
         assert np.array_equal(muZ.cdf, est.cdf)
@@ -414,7 +414,7 @@ class TestFitUnlinked:
         def contrast(vals):
             emp = EmpiricalMeasure.from_sample(vals)
             tab = TabulatedDistribution.from_callable(
-                lambda xs: np.searchsorted(emp.atoms, xs, side="right") / emp.n, grid.lo, grid.hi, grid.points
+                lambda xs: np.searchsorted(emp.atoms, xs, side="right") / emp.n, grid
             )
             return w1_tabulated(tab, muZ)
 

@@ -382,7 +382,7 @@ class TestDatasetCsv:
         ds = sample_dataset("shuffled", 23, LinkSpec("cube"), NoiseSpec(), 0.2, seed=8)
         path = tmp_path / "ds.csv"
         dataset_to_csv(ds, path)
-        back = dataset_from_csv(path, sigma=0.2)
+        back = dataset_from_csv(path)
         assert back.mode == "shuffled"
         assert np.array_equal(back.x_ordered, ds.x_ordered)
         assert np.array_equal(back.y, ds.y)
@@ -391,7 +391,7 @@ class TestDatasetCsv:
         ds = sample_dataset("deconv", 11, LinkSpec("identity"), NoiseSpec(), 0.4, seed=3)
         path = tmp_path / "ds.csv"
         dataset_to_csv(ds, path)
-        back = dataset_from_csv(path, sigma=0.4)
+        back = dataset_from_csv(path)
         assert back.mode == "deconv"
         assert back.x_ordered is None
         assert np.array_equal(back.y, ds.y)
@@ -428,14 +428,6 @@ class TestDatasetCsv:
             dataset_from_csv(path)
         assert str(refused.value) == "%s: %s" % (path, message)
 
-    @pytest.mark.parametrize("sigma", [-0.25, math.nan, "0.1", True])
-    def test_bad_sigma_refused_naming_the_file(self, tmp_path, sigma):
-        path = tmp_path / "ds.csv"
-        path.write_text("mode,index,x,y\ndeconv,0,,1.5\n")
-        with pytest.raises(ValueError) as refused:
-            dataset_from_csv(path, sigma=sigma)
-        assert str(refused.value) == "%s: sigma must be a finite real number >= 0, got %r" % (path, sigma)
-
     def test_lf_ends_and_blank_lines_accepted(self, tmp_path):
         path = tmp_path / "lf.csv"
         path.write_text("mode,index,x,y\nunlinked,0,0.25,1.5\n\nunlinked,1,0.5,-2\n\n", newline="")
@@ -443,7 +435,7 @@ class TestDatasetCsv:
         for chunk in (1, 2, 3, csvio.CHUNK_ROWS):
             with warnings.catch_warnings(), mock.patch.object(csvio, "CHUNK_ROWS", chunk):
                 warnings.simplefilter("error")
-                back = dataset_from_csv(path, sigma=0.1)
+                back = dataset_from_csv(path)
             assert (back.mode, back.x_ordered.tolist(), back.y.tolist()) == ("unlinked", [0.25, 0.5], [1.5, -2.0])
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5])
@@ -453,7 +445,7 @@ class TestDatasetCsv:
         path = tmp_path / "ds.csv"
         dataset_to_csv(ds, path)
         with mock.patch.object(csvio, "CHUNK_ROWS", chunk):
-            back = dataset_from_csv(path, sigma=0.3)
+            back = dataset_from_csv(path)
         assert back.mode == mode and back.y.tobytes() == ds.y.tobytes()
         assert (back.x_ordered is None) if mode == "deconv" else back.x_ordered.tobytes() == ds.x_ordered.tobytes()
 
@@ -488,7 +480,7 @@ class TestDatasetCsv:
         n = 100_000
         path = tmp_path / "ds.csv"
         dataset_to_csv(sample_dataset(mode, n, LinkSpec("affine", (8.0, -4.0)), NoiseSpec(), 0.1, seed=601), path)
-        ds, peak = traced_peak(dataset_from_csv, path, 0.1)
+        ds, peak = traced_peak(dataset_from_csv, path)
         assert ds.n == n
         # x and y, one of them twice while its chunks are joined, plus one
         # chunk's text and rows
@@ -496,15 +488,8 @@ class TestDatasetCsv:
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            Dataset("deconv", np.array([0.5]), np.array([1.0]), 0.1)
+            Dataset("deconv", np.array([0.5]), np.array([1.0]))
         with pytest.raises(ValueError):
-            Dataset("shuffled", np.array([0.9, 0.1]), np.array([1.0, 2.0]), 0.1)
+            Dataset("shuffled", np.array([0.9, 0.1]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="^x_ordered must be .*, got nan at index 1$"):
-            Dataset("shuffled", np.array([0.1, np.nan]), np.array([1.0, 2.0]), 0.1)
-        with pytest.raises(ValueError, match="sigma"):
-            Dataset("deconv", None, np.array([1.0]), math.nan)
-
-    def test_sigma_stored_as_the_checked_float(self):
-        # the sigma given was once stored as it came: "0.1" stayed text, True stayed True
-        ds = Dataset("deconv", None, [1.0, 2.0], np.float32(0.5))
-        assert ds.sigma == 0.5 and type(ds.sigma) is float
+            Dataset("shuffled", np.array([0.1, np.nan]), np.array([1.0, 2.0]))
