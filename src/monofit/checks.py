@@ -64,15 +64,15 @@ def _float_array(value):
     return array.astype(float, copy=False) if array.dtype.kind in "iuf" else array
 
 
-def check_array(value, name, *, least_size=1, order=None, within=None):
+def check_array(value, name, *, order=None, within=None):
     """``value`` as a 1-d float64 array; ValueError naming ``name`` unless it is fit.
 
     The one check of an array from outside.  Refused are text, bytes,
     booleans and objects (never read as numbers), a ragged nesting, another
-    number of dimensions, fewer than ``least_size`` entries, NaN or ±inf, an
-    array out of ``order`` ("nondecreasing" or "increasing"), and, given
-    with an order, an array whose end entries leave the closed interval
-    ``within``.  A float64 array is returned uncopied.
+    number of dimensions, an empty array, NaN or ±inf, an array out of
+    ``order`` ("nondecreasing" or "increasing"), and, given with an order,
+    an array whose end entries leave the closed interval ``within``.  A
+    float64 array is returned uncopied.
     """
     if within is not None and order is None:
         raise TypeError("within is held to the end entries, so it needs an order")
@@ -81,8 +81,8 @@ def check_array(value, name, *, least_size=1, order=None, within=None):
         got = "dtype %s" % array.dtype
     elif array.ndim != 1:
         got = "%d dimensions" % array.ndim
-    elif array.size < least_size:
-        got = "%d entries" % array.size
+    elif not array.size:
+        got = "0 entries"
     else:
         bad = None
         if not np.isfinite(array).all():
@@ -90,15 +90,14 @@ def check_array(value, name, *, least_size=1, order=None, within=None):
         elif order is not None:
             broken = _BROKEN_ORDER[order](array[1:], array[:-1])
             bad = np.argmax(broken) + 1 if broken.any() else None
-        if bad is None and within is not None and array.size:
+        if bad is None and within is not None:
             bad = next((i for i in (0, array.size - 1) if not within[0] <= array[i] <= within[1]), None)
         if bad is None:
             return array
         got = "%r at index %d" % (float(array[bad]), bad)
     bound = "" if order is None else ", " + order
     bound += "" if within is None else ", in [%g, %g]" % tuple(within)
-    msg = "%s must be a 1-d array of %d or more finite real numbers%s, got %s"
-    raise ValueError(msg % (name, least_size, bound, got))
+    raise ValueError("%s must be a 1-d array of 1 or more finite real numbers%s, got %s" % (name, bound, got))
 
 
 def check_points(value, name, within, *, open=False):

@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .dist1d import EmpiricalMeasure, GridSpec, TabulatedDistribution
+from .dist1d import EmpiricalMeasure, GridSpec, TabulatedDistribution, _check_grid
 from .checks import check_array, check_integer, check_real, check_sigma
 from .synth import noise_charfn
 
@@ -86,20 +86,11 @@ def _ecf(ys, ts):
     ``mean`` does.  Each leaf builds its own part of ``acc`` and ``base``,
     element by element as the loop does, so no n-length complex array is
     held.  Every row comes from the same element-wise SIMD multiply as the
-    loop's in-place ``acc *= base``.  A single observation runs the loop
-    itself: numpy multiplies a one-element array in place by its scalar
-    loop, whose rounding differs from the SIMD loop's.
+    loop's in-place ``acc *= base``.  This needs two observations or more
+    (:func:`deconvolve_cdf` refuses fewer): numpy multiplies a one-element
+    array in place by its scalar loop, whose rounding differs.
     """
-    t0, dt = ts[0], ts[1] - ts[0]
-    if ys.size == 1:
-        acc = np.exp(1j * t0 * ys)
-        base = np.exp(1j * dt * ys)
-        out = np.empty(ts.size, dtype=complex)
-        for j in range(ts.size):
-            out[j] = acc.mean()
-            acc *= base
-        return out
-    return _ecf_sum(ys, t0, dt, ts.size) / ys.size
+    return _ecf_sum(ys, ts[0], ts[1] - ts[0], ts.size) / ys.size
 
 
 def _ecf_sum(ys, t0, dt, freqs):
@@ -199,7 +190,8 @@ def deconvolve_cdf(ys, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
     Parameters
     ----------
     ys : EmpiricalMeasure
-        Observed sample of Y = Z + sigma * delta, delta standard Gaussian.
+        Observed sample of Y = Z + sigma * delta, delta standard Gaussian,
+        of two observations or more.
     sigma : float
         Known noise scale; sigma = 0 reduces the estimator to a
         kernel-smoothed empirical CDF.
@@ -225,6 +217,9 @@ def deconvolve_cdf(ys, sigma, h, grid, freq_points=DEFAULT_FREQ_POINTS):
         raise ValueError("h must lie in (0, 1], got %r" % (h,))
     freq_points = check_integer(freq_points, "freq_points", least=2)
     sigma = check_sigma(sigma)
+    if ys.n < 2:
+        raise ValueError("ys must hold 2 or more observations, got %d" % ys.n)
+    _check_grid(grid)
     pad = 6.0 * (1.0 + sigma)
     if grid.lo > ys.atoms[0] - pad or grid.hi < ys.atoms[-1] + pad:
         raise ValueError(

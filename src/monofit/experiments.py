@@ -135,14 +135,13 @@ class RiskRecord:
 
 
 def conjecture_product(counts, n, C, c):
-    """prod over occupied cells j of (1 - C exp(-c log(n) / n_j))^2.
+    """prod over occupied cells j of (1 - C exp(-c log(n) / n_j))^2 for each C in the 1-d sequence ``C``.
 
-    ``C`` is a scalar, giving a float, or a 1-d sequence, giving an array
-    with one product per entry.  One occupancy histogram serves every C:
-    cells with equal n_j contribute identical factors, so each product is
-    a multiplicity-weighted sum of logs over the distinct occupancies, with
-    an exact zero short-circuit per C so no log(0) is ever taken.  Empty
-    cells contribute no factor.  Natural log throughout.
+    The result holds one product per entry.  One occupancy histogram serves
+    every C: cells with equal n_j contribute identical factors, so each
+    product is a multiplicity-weighted sum of logs over the distinct
+    occupancies, with an exact zero short-circuit per C so no log(0) is
+    ever taken.  Empty cells contribute no factor.  Natural log throughout.
     """
     n = check_integer(n, "n", least=1)
     c = check_real(c, "c", above=0.0)
@@ -160,16 +159,15 @@ def conjecture_product(counts, n, C, c):
     hist = np.bincount(counts)
     if counts.size and int(np.dot(hist, np.arange(hist.size))) != n:
         raise ValueError("counts must be nonnegative and sum to n")
-    if np.ndim(C) > 1:
-        raise ValueError("C must be a scalar or a 1-d sequence, got %r" % (C,))
-    Cs = np.array([check_real(v, "C") for v in (C if np.ndim(C) else [C])])
+    if np.ndim(C) != 1:
+        raise ValueError("C must be a 1-d sequence, got %r" % (C,))
+    Cs = np.array([check_real(v, "C") for v in C])
     occ = np.flatnonzero(hist[1:]) + 1
     mult = hist[occ]
     factors = 1.0 - Cs.reshape(-1, 1) * np.exp(-c * math.log(n) / occ)
     zero = factors == 0.0
     sums = np.sum(mult * np.log(np.abs(np.where(zero, 1.0, factors))), axis=1)
-    out = np.array([0.0 if z else math.exp(2.0 * float(s)) for z, s in zip(zero.any(axis=1), sums)])
-    return float(out[0]) if np.ndim(C) == 0 else out
+    return np.array([0.0 if z else math.exp(2.0 * float(s)) for z, s in zip(zero.any(axis=1), sums)])
 
 
 def _occupancy_counts(rng, n):
@@ -370,7 +368,8 @@ def rate_sweep(problem, n_grid, sigma_rule, reps, seed, link=None, risk_kinds=No
     One :class:`RiskRecord` per (n, replication, risk kind), each rerunning
     exactly from its recorded seed.  ``sigma_rule`` is a :class:`SigmaRule`
     or its text (``below-root``, ``power:0.5``) for ``synth.parse_spec``.
-    An empty ``n_grid``, ``reps`` < 1 and a size < 1 or outside a preset's
+    An empty ``n_grid``, ``reps`` < 1 and a size < 1 (< 2 for ``unlinked``
+    and ``deconv``, whose bandwidth takes log n) or outside a preset's
     regime are refused before any fit.
     """
     if problem not in _COMPATIBLE:
@@ -382,7 +381,7 @@ def rate_sweep(problem, n_grid, sigma_rule, reps, seed, link=None, risk_kinds=No
     for kind in kinds:
         if kind not in _COMPATIBLE[problem]:
             raise ValueError("risk kind %r incompatible with problem %r" % (kind, problem))
-    n_grid = [check_integer(n, "n", least=1) for n in n_grid]
+    n_grid = [check_integer(n, "n", least=1 if problem == "shuffled" else 2) for n in n_grid]
     reps = check_integer(reps, "reps", least=1)
     if not n_grid:
         raise ValueError("n_grid must hold one or more sizes, got []")

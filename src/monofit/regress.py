@@ -64,22 +64,20 @@ class FitResult:
     projected: bool
 
 
-def project_moment(values, bound, p):
-    """Project nondecreasing values onto {(1/n) sum |v_i|^p <= bound}.
+def project_moment(values):
+    """Project nondecreasing values onto the moment ball {(1/n) sum |v_i|^p <= bound}.
 
-    Values already inside the ball are returned unchanged.  Otherwise the
-    values are winsorized symmetrically: clipped to [-tau, tau] with the
-    largest threshold tau whose clipped moment meets the bound.  Clipping
-    both tails equally keeps the sequence nondecreasing.
+    The ball is the fits' own: p = ``MOMENT_ORDER`` and bound =
+    ``MOMENT_BOUND``.  Values already inside it are returned unchanged.
+    Otherwise the values are winsorized symmetrically: clipped to
+    [-tau, tau] with the largest threshold tau whose clipped moment meets
+    the bound.  Clipping both tails equally keeps the sequence nondecreasing.
     """
     values = check_array(values, "values", order="nondecreasing")
-    p = check_real(p, "p", above=0.0)
-    bound = check_real(bound, "bound", least=0.0)
+    p, bound = MOMENT_ORDER, MOMENT_BOUND
     powers = np.abs(values) ** p
     if float(np.mean(powers)) <= bound:
         return values.copy()
-    if bound == 0.0:
-        return np.zeros_like(values)
     # With |v|^p sorted and S_j the sum of the j smallest, clipping at
     # tau in [|v|_(j), |v|_(j+1)] gives n * moment = S_j + (n - j) tau^p,
     # nondecreasing in tau.  The segment is the number j of sorted values
@@ -97,7 +95,7 @@ def project_moment(values, bound, p):
 
 def _project_and_extend(x_ordered, raw, eta):
     """FitResult of the raw fitted values projected onto the moment ball."""
-    vals = project_moment(raw, MOMENT_BOUND, MOMENT_ORDER)
+    vals = project_moment(raw)
     return FitResult(MonotoneStepFn(x_ordered, vals), eta, not np.array_equal(vals, raw))
 
 

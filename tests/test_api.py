@@ -7,7 +7,8 @@ argument the tracer reads from a call is still a parameter of its target,
 every capture of the tracer runs on a real call, every name the benchmark imports from monofit still resolves, a scalar
 is tested for finiteness in one place only, an array likewise except at
 one named site, a parameter is made an array only there and in the
-checks, and the module of those checks imports no other.
+checks, the module of those checks imports no other, and every defaulted
+parameter of an exported function is set by some call in the program.
 """
 
 import ast
@@ -345,3 +346,42 @@ def test_parameters_become_arrays_only_in_the_checks():
         for owner in _parameter_conversions(ast.parse(path.read_text()))
     }
     assert found == HAND_WRITTEN_ARRAY_REFUSALS | {("checks", "_float_array")}
+
+
+# defaulted parameters that no call in src/ or bench/ sets, each with its reason
+UNSET_DEFAULTS = {
+    "deconvolve_cdf.freq_points": "the frequency count stays fixed until it is picked from the reach (ROADMAP item 2)",
+}
+
+
+def _set_arguments(paths):
+    """(callee name, parameter name or position) for each argument a call in ``paths`` passes."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = ast.unparse(node.func).rpartition(".")[2]
+                found |= {(callee, kw.arg) for kw in node.keywords}
+                positions = [isinstance(arg, ast.Starred) for arg in node.args] + [True]
+                found |= {(callee, i) for i in range(positions.index(True))}
+    return found
+
+
+def test_every_default_is_set_by_some_program_call():
+    # a defaulted parameter that only tests set is a second form of the
+    # call that no program path takes; it goes, or it names its reason above
+    passed = _set_arguments(sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")))
+    unset = []
+    for name in MODULES:
+        mod = importlib.import_module(name)
+        for attr in mod.__all__:
+            fn = getattr(mod, attr)
+            if not inspect.isfunction(fn):  # a dataclass's fields are its own
+                continue
+            for i, param in enumerate(inspect.signature(fn).parameters.values()):
+                positional = param.kind is not param.KEYWORD_ONLY
+                if param.default is not param.empty and (attr, param.name) not in passed:
+                    if not (positional and (attr, i) in passed):
+                        unset.append("%s.%s" % (attr, param.name))
+    assert sorted(set(unset) - set(UNSET_DEFAULTS)) == []
+    assert sorted(set(UNSET_DEFAULTS) - set(unset)) == []

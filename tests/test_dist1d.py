@@ -61,33 +61,12 @@ samples = st.lists(
 
 
 class TestEmpiricalMeasure:
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            EmpiricalMeasure([1.0, 0.0])
-
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            EmpiricalMeasure([])
-        with pytest.raises(ValueError):
-            EmpiricalMeasure([0.0, np.inf])
-
     def test_from_sample_sorts(self):
         m = EmpiricalMeasure.from_sample([3.0, 1.0, 2.0])
         assert m.atoms.tolist() == [1.0, 2.0, 3.0]
 
 
 class TestMonotoneStepFn:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MonotoneStepFn([0.5, 0.5], [0.0, 1.0])
-        with pytest.raises(ValueError):
-            MonotoneStepFn([0.2, 0.8], [1.0, 0.0])
-        with pytest.raises(ValueError):
-            MonotoneStepFn([0.2, 1.5], [0.0, 1.0])
-        for knots, values in (([np.nan], [0.0]), ([0.5], [np.nan]), ([0.5, 1.0], [-np.inf, 0.0])):
-            with pytest.raises(ValueError, match="finite"):
-                MonotoneStepFn(knots, values)
-
     def test_left_continuous_evaluation(self):
         m = MonotoneStepFn([0.5, 1.0], [0.0, 1.0])
         assert m(0.0) == 0.0
@@ -98,13 +77,6 @@ class TestMonotoneStepFn:
     def test_extends_past_last_knot(self):
         m = MonotoneStepFn([0.2, 0.4], [1.0, 2.0])
         assert m(0.9) == 2.0
-
-    def test_domain_error(self):
-        m = MonotoneStepFn([0.5], [0.0])
-        with pytest.raises(ValueError):
-            m(1.5)
-        with pytest.raises(ValueError, match=r"^x must be real numbers in \[0, 1\], got nan at index 0$"):
-            m(np.nan)
 
 
 class TestW1Empirical:
@@ -229,22 +201,6 @@ class TestTabulatedDistribution:
         with pytest.raises(ValueError):
             table(0.0, 1.0, [0.0, 0.5, 0.95])
 
-    def test_monotone_check(self):
-        with pytest.raises(ValueError):
-            table(0.0, 1.0, [0.0, 0.6, 0.5, 1.0])
-
-    @pytest.mark.parametrize(
-        "lo, hi, cdf",
-        [
-            (0.0, 1.0, [0.0, math.nan, 1.0]),  # NaN passes the order and range checks
-            (0.0, 1.0, [math.nan, 0.5, 1.0]),
-            (0.0, math.inf, [0.0, 1.0]),
-            (-math.inf, 0.0, [0.0, 1.0]),
-        ],
-    )
-    def test_non_finite_refused(self, lo, hi, cdf):
-        with pytest.raises(ValueError, match="NaN|finite"):
-            table(lo, hi, cdf)
 
 
 class TestW1Tabulated:
@@ -266,13 +222,6 @@ class TestW1Tabulated:
         u2 = TabulatedDistribution.from_callable(lambda x: np.clip(x / 2, 0, 1), grid)
         assert w1_tabulated(u1, u2) == pytest.approx(0.5, abs=1e-6)
 
-    def test_disjoint_grids(self):
-        # point mass near 0 vs point mass near 5, tabulated on disjoint grids
-        steep = lambda c: (lambda x: np.clip((x - c) * 1e4, 0.0, 1.0))
-        a = TabulatedDistribution.from_callable(steep(0.0), GridSpec(-1.0, 1.0, 4097))
-        b = TabulatedDistribution.from_callable(steep(5.0), GridSpec(4.0, 6.0, 4097))
-        assert w1_tabulated(a, b) == pytest.approx(5.0, abs=1e-3)
-
 
 class TestQuantile:
     def test_uniform(self):
@@ -289,12 +238,6 @@ class TestQuantile:
 
         d = TabulatedDistribution.from_callable(cdf, GridSpec(-0.5, 2.0, 2001))
         assert abs(quantile(d, 0.5) - 1.0) <= d.grid.step + 1e-12
-
-    def test_rejects_out_of_range(self):
-        d = TabulatedDistribution.from_callable(lambda x: np.clip(x, 0, 1), GridSpec(-0.5, 1.5, 64))
-        for u in (0.0, 1.0, -0.2, 1.3, np.nan, [0.5, np.nan]):
-            with pytest.raises(ValueError):
-                quantile(d, u)
 
     def test_monotone_in_level(self):
         d = TabulatedDistribution.from_callable(norm.cdf, GridSpec(-8.0, 8.0, 4097))

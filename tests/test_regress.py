@@ -110,83 +110,53 @@ class TestFitResult:
         res = fit_unlinked(ds.x_ordered, ds.y, sigma)
         est, _ = estimate_cdf(ds.y, sigma)
         levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-        want = project_moment(np.maximum.accumulate(quantile(est, levels)), MOMENT_BOUND, MOMENT_ORDER)
+        want = project_moment(np.maximum.accumulate(quantile(est, levels)))
         assert np.array_equal(res.fit.values, want)
         assert res.projected is projected
 
 
 class TestProjectMoment:
+    # the ball is the fits' own: (1/n) sum |v_i|^3 <= 10
     def test_within_bound_unchanged(self):
         v = np.array([-1.0, 0.0, 2.0])
-        assert np.array_equal(project_moment(v, 10.0, 3.0), v)
+        assert np.array_equal(project_moment(v), v)
 
     def test_closed_form_threshold(self):
-        # all values 10, bound 1, p = 2: clipped moment tau^2 = 1 at tau = 1
-        out = project_moment(np.full(7, 10.0), 1.0, 2.0)
-        assert np.allclose(out, 1.0, rtol=1e-12)
+        # all values 10: the clipped moment tau^3 meets 10 at tau = 10^(1/3)
+        out = project_moment(np.full(7, 10.0))
+        assert np.allclose(out, 10.0 ** (1.0 / 3.0), rtol=1e-12)
 
     def test_zeros_unchanged(self):
         z = np.zeros(5)
-        assert np.array_equal(project_moment(z, 1.0, 2.0), z)
-
-    def test_zero_bound(self):
-        assert np.array_equal(project_moment(np.array([-3.0, 4.0]), 0.0, 2.0), np.zeros(2))
+        assert np.array_equal(project_moment(z), z)
 
     def test_active_projection_meets_bound(self):
         rng = rng_stream(21, "proj")
         for _ in range(20):
-            v = np.sort(rng.normal(0.0, 5.0, 50))
-            bound = 0.5 + 2.0 * rng.random()
-            out = project_moment(v, bound, 3.0)
+            v = np.sort(rng.normal(0.0, 0.5 + 4.0 * rng.random(), 50))
+            out = project_moment(v)
             mom = np.mean(np.abs(out) ** 3)
-            assert mom <= bound * (1 + 1e-12)
-            if np.mean(np.abs(v) ** 3) > bound:
-                assert mom == pytest.approx(bound, rel=1e-9)
+            assert mom <= MOMENT_BOUND * (1 + 1e-12)
+            if np.mean(np.abs(v) ** 3) > MOMENT_BOUND:
+                assert mom == pytest.approx(MOMENT_BOUND, rel=1e-9)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            project_moment(np.array([2.0, 1.0]), 1.0, 2.0)  # decreasing
-        with pytest.raises(ValueError):
-            project_moment(np.array([1.0]), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            project_moment(np.array([1.0]), -1.0, 2.0)
-
-    @pytest.mark.parametrize(
-        "values, bound, p",
-        [
-            ([0.0, math.nan, 1.0], 10.0, 3.0),  # NaN passes the order check
-            ([0.0, math.inf], 10.0, 3.0),
-            ([-math.inf, 0.0], 10.0, 3.0),
-            ([0.0, 1.0], math.nan, 3.0),  # would return all NaN
-            ([0.0, 1.0], 10.0, math.nan),
-            ([0.0, 1.0], 10.0, math.inf),
-        ],
-    )
-    def test_non_finite_refused(self, values, bound, p):
-        with pytest.raises(ValueError, match="finite|nonnegative"):
-            project_moment(np.array(values), bound, p)
-
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
-        st.floats(0.0, 100.0),
-        st.sampled_from([1.0, 2.0, 3.0]),
-    )
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30), st.floats(1e-6, 1.0))
     @settings(max_examples=150)
-    def test_projection_properties(self, vals, bound, p):
-        v = np.sort(np.asarray(vals))
-        out = project_moment(v, bound, p)
+    def test_projection_properties(self, vals, scale):
+        v = np.sort(np.asarray(vals)) * scale
+        out = project_moment(v)
         assert np.all(np.diff(out) >= 0)
-        assert np.mean(np.abs(out) ** p) <= bound + 1e-9 * (1.0 + bound)
-        if np.mean(np.abs(v) ** p) <= bound:
+        assert np.mean(np.abs(out) ** MOMENT_ORDER) <= MOMENT_BOUND * (1 + 1e-9)
+        if np.mean(np.abs(v) ** MOMENT_ORDER) <= MOMENT_BOUND:
             assert np.array_equal(out, v)
 
     @staticmethod
-    def assert_largest_feasible(raw, bound, p):
-        out = project_moment(raw, bound, p)
+    def assert_largest_feasible(raw):
+        out = project_moment(raw)
         tau = float(np.max(np.abs(out)))
         assert np.array_equal(out, np.clip(raw, -tau, tau))
-        assert np.mean(np.abs(out) ** p) <= bound * (1 + 1e-12)
-        assert np.mean(np.minimum(np.abs(raw), tau * (1 + 1e-12)) ** p) > bound
+        assert np.mean(np.abs(out) ** MOMENT_ORDER) <= MOMENT_BOUND * (1 + 1e-12)
+        assert np.mean(np.minimum(np.abs(raw), tau * (1 + 1e-12)) ** MOMENT_ORDER) > MOMENT_BOUND
 
     @given(
         st.sampled_from(sorted(link_catalog(3))),
@@ -194,22 +164,22 @@ class TestProjectMoment:
         st.sampled_from([0.0, 0.1, 1.0]),
         st.integers(0, 2**32),
         st.floats(0.01, 0.99),
-        st.sampled_from([1.0, 2.0, 3.0, 3.5]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_threshold_is_largest_feasible_on_catalog_data(self, name, n, sigma, seed, frac, p):
+    def test_threshold_is_largest_feasible_on_catalog_data(self, name, n, sigma, seed, frac):
+        # the sample scaled so that the ball binds at the fraction frac of its moment
         ds = sample_dataset("shuffled", n, link_catalog(max(n, 3))[name], NOISE, sigma, seed=seed)
         raw = np.sort(ds.y)
-        full = np.mean(np.abs(raw) ** p)
+        full = np.mean(np.abs(raw) ** MOMENT_ORDER)
         assume(full > 0.0)
-        self.assert_largest_feasible(raw, frac * full, p)
+        self.assert_largest_feasible(raw * (MOMENT_BOUND / (frac * full)) ** (1.0 / MOMENT_ORDER))
 
     @pytest.mark.parametrize("mode", ["shuffled", "unlinked"])
     def test_threshold_is_largest_feasible_at_1e5(self, mode):
         # n = 1e5 responses like those of the benchmark's estimate
-        # workload, where the default bound M / c_X = 10 at p = 3 binds
+        # workload, where the bound M / c_X = 10 at p = 3 binds
         ds = sample_dataset(mode, 10**5, LinkSpec("affine", (8.0, -4.0)), NOISE, 0.1, seed=derive_seed(5, mode))
-        self.assert_largest_feasible(np.sort(ds.y), 10.0, 3.0)
+        self.assert_largest_feasible(np.sort(ds.y))
 
 
 class TestExtendPiecewise:
@@ -225,9 +195,7 @@ class TestExtendPiecewise:
         assert m(0.95) == 3.0 and m(1.0) == 3.0
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            MonotoneStepFn(np.array([0.2, 0.2]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^values must have the length of knots, 2, got 1$"):
             MonotoneStepFn(np.array([0.2, 0.5]), np.array([1.0]))
 
 
@@ -301,7 +269,7 @@ class TestFitShuffled:
         for k in range(1000):
             crng = rng_stream(32, "cand", k)
             v = np.sort(crng.normal(0.0, 2.0 + 4.0 * crng.random(), n))
-            v = project_moment(v, MOMENT_BOUND, MOMENT_ORDER)
+            v = project_moment(v)
             best = min(best, w2_empirical(a, EmpiricalMeasure(v)))
         assert achieved <= best + res.eta
 
@@ -316,22 +284,6 @@ class TestFitShuffled:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fit_shuffled(np.array([0.1, 0.2]), np.array([1.0]), 0.0)
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_rejects_nonfinite_y(self, bad):
-        x = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-        with pytest.raises(ValueError, match="finite"):
-            fit_shuffled(x, np.array([0.0, 1.0, bad, 2.0, 3.0]), 0.1)
-
-    def test_rejects_nonfinite_x(self):
-        with pytest.raises(ValueError, match="finite"):
-            fit_shuffled(np.array([0.1, np.nan, 0.3]), np.array([0.0, 1.0, 2.0]), 0.1)
-
-    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
-    def test_rejects_nonfinite_sigma(self, sigma):
-        x = np.array([0.1, 0.2, 0.3])
-        with pytest.raises(ValueError, match="sigma"):
-            fit_shuffled(x, np.array([0.0, 1.0, 2.0]), sigma)
 
 
 class TestFitUnlinked:
@@ -423,7 +375,7 @@ class TestFitUnlinked:
         for k in range(1000):
             crng = rng_stream(34, "cand", k)
             v = np.sort(crng.normal(0.5, 0.1 + 0.6 * crng.random(), n))
-            v = project_moment(v, MOMENT_BOUND, MOMENT_ORDER)
+            v = project_moment(v)
             best = min(best, contrast(v))
         assert achieved <= best + res.eta
 
@@ -437,14 +389,8 @@ class TestFitUnlinked:
         assert peak < 4 * 8 * n, "peak %.2f x 8n bytes" % (peak / (8 * n))
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^y must have the length of x_ordered, 2, got 1$"):
             fit_unlinked(np.array([0.1, 0.2]), np.array([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            fit_unlinked(np.array([0.1, 1.2]), np.array([1.0, 2.0]), 0.0)
-        with pytest.raises(ValueError):
-            fit_unlinked(np.array([0.1, np.nan]), np.array([1.0, 2.0]), 0.0)
-        with pytest.raises(ValueError, match="sigma"):
-            fit_unlinked(np.array([0.1, 0.2]), np.array([1.0, 2.0]), np.nan)
         # one far outlier stretches the padded grid past what 2^20 points
         # resolve at a quarter bandwidth
         rng = rng_stream(35, "outlier")
