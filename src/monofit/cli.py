@@ -171,7 +171,7 @@ _OPTIONS = {
         "reps": _Option(int, None, "occupancy draws per sample size"),
         "c": _Option(float, None, "constant c of the occupancy product"),
         "C-list": _Option(_float_list, None, "comma-separated C values, one plot each"),
-        "workers": _Option(int, 1, "process count (default 1)"),
+        "workers": _Option(int, 1, "processes that compute: this one and a pool of workers - 1 (default 1)"),
     },
     "rates": {
         "problem": _Option(str, "shuffled", "estimation problem", tuple(_COMPATIBLE)),
@@ -294,6 +294,9 @@ def _cmd_estimate(opts):
     if not opts["data"]:
         raise RuntimeError("estimate needs --data (or data= in the config file)")
     ds = dataset_from_csv(opts["data"])
+    if ds.mode != "shuffled" and ds.n < 2:
+        # the unlinked and deconv bandwidths take log n
+        raise ValueError("%s: a %s fit needs 2 or more data rows, got %d" % (opts["data"], ds.mode, ds.n))
     if ds.mode == "deconv":
         est, h = estimate_cdf(ds.y, opts["sigma"])
         opts["out"].mkdir(parents=True, exist_ok=True)

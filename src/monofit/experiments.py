@@ -52,7 +52,7 @@ REGIME_ETA = 0.2
 REGIME_BETA = 2.0
 
 DEFAULT_C_LIST = (1.0, 2.0, 5.0, 10.0, 100.0, 200.0, 500.0, 1000.0)
-OCCUPANCY_CHUNK = 2**16  # 512 KB of float64: uniforms binned per step of a draw
+OCCUPANCY_CHUNK = 2**16  # 512 KB of float64 or intp: the uniforms a draw bins, or the counts a product bins, per step
 
 
 @functools.cache
@@ -153,13 +153,20 @@ def conjecture_product(counts, n, C, c):
     )
     if not integral:
         raise ValueError("counts must be integers")
-    counts = counts.astype(np.int64, copy=False)
-    if counts.size and counts.min() < 0:
+    top = int(counts.max(initial=0))
+    if counts.size and (counts.min() < 0 or top > n):
         raise ValueError("counts must be nonnegative and sum to n")
-    hist = np.bincount(counts)
+    # binned a chunk at a time, as np.bincount widens its whole input to intp
+    hist = np.zeros(top + 1, np.int64)
+    for lo in range(0, counts.size, OCCUPANCY_CHUNK):
+        hist += np.bincount(counts[lo : lo + OCCUPANCY_CHUNK].astype(np.intp), minlength=hist.size)
     if counts.size and int(np.dot(hist, np.arange(hist.size))) != n:
         raise ValueError("counts must be nonnegative and sum to n")
-    if np.ndim(C) != 1:
+    try:
+        one_d = np.ndim(C) == 1
+    except ValueError:  # a ragged nesting
+        one_d = False
+    if not one_d:
         raise ValueError("C must be a 1-d sequence, got %r" % (C,))
     Cs = np.array([check_real(v, "C") for v in C])
     occ = np.flatnonzero(hist[1:]) + 1
@@ -174,13 +181,15 @@ def _occupancy_counts(rng, n):
     """Multinomial(n; 1/n, ..., 1/n) by binning n uniforms into n cells.
 
     Cell floor(n u) of each uniform u, clipped at n - 1, gains one ball.
-    The uniforms are drawn and binned ``OCCUPANCY_CHUNK`` at a time, so a
-    draw holds one n-length int64 count array plus two 512 KB buffers:
-    about 9 MB at n = 10^6, where binning all n uniforms at once held
+    A count is at most n, so it is held in ``np.min_scalar_type(n)``, the
+    narrowest unsigned type that holds n (uint32 at n = 10^6).  The
+    uniforms are drawn and binned ``OCCUPANCY_CHUNK`` at a time, so a draw
+    holds one n-length count array plus two 512 KB buffers: about 5 MB at
+    n = 10^6, where int64 counts of all n uniforms binned at once held
     16 MB.  The generator yields the same n doubles in the same order, so
-    the counts match that one-shot binning bit for bit.
+    the counts equal that one-shot binning's.
     """
-    counts = np.zeros(n, np.int64)
+    counts = np.zeros(n, np.min_scalar_type(n))
     uniforms = np.empty(min(n, OCCUPANCY_CHUNK))
     cells = np.empty(uniforms.size, np.int64)
     for lo in range(0, n, OCCUPANCY_CHUNK):
@@ -189,7 +198,7 @@ def _occupancy_counts(rng, n):
         u *= n
         idx[...] = u  # truncates, as astype(np.int64) does
         np.minimum(idx, n - 1, out=idx)
-        np.add.at(counts, idx, 1)
+        np.add.at(counts, idx, counts.dtype.type(1))  # a Python 1 leaves add.at's fast path
     return counts
 
 
@@ -207,10 +216,16 @@ def _sweep_chunk(args):
 def conjecture_sweep(cfg, workers=1):
     """Mean and standard error of the occupancy product per (n, C).
 
+    ``workers`` processes compute: the caller and, above 1, a process pool
+    of ``workers - 1``.  Every chunk is submitted to the pool; the caller
+    then takes chunks back from the end, cancelling each one the pool has
+    not started and computing it itself, until it meets one the pool holds.
+    Chunks are ordered by n, so the caller takes the large draws, the pool
+    the small ones, and the two meet wherever their speeds put them.
     Replications are independent streams keyed by (seed, n, rep), so the
-    result is identical whether chunks run serially (``workers`` 1) or on a
-    process pool of ``workers`` processes: each n's ``min(reps, 2 workers)``
-    chunks are reassembled in replication order before the means are taken.
+    result is identical whoever computes a chunk: each n's
+    ``min(reps, 2 workers)`` chunks are reassembled in replication order
+    before the means are taken.
     """
     workers = check_integer(workers, "workers", least=1)
     n_grid = cfg.n_grid.tolist()
@@ -220,8 +235,19 @@ def conjecture_sweep(cfg, workers=1):
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only by a parallel sweep
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_chunk, tasks))
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            futures = [pool.submit(_sweep_chunk, t) for t in tasks]
+            mine = []  # the caller's chunks, last first
+            try:
+                # the pool starts chunks in submission order, so every chunk
+                # before the first one that cannot be cancelled is the pool's
+                while futures and futures[-1].cancel():
+                    futures.pop()
+                    mine.append(_sweep_chunk(tasks[len(futures)]))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+            results = [f.result() for f in futures] + mine[::-1]
     else:
         results = [_sweep_chunk(t) for t in tasks]
     rows = []
@@ -330,13 +356,14 @@ class SigmaRule:
         object.__setattr__(self, "params", params)
 
     def sigma(self, n):
-        return _RULES[self.kind](check_integer(n, "n"), *self.params)
+        return _RULES[self.kind](check_integer(n, "n", least=1), *self.params)
 
     def check(self, n):
-        """Raise if a preset's sigma falls outside its own regime at n."""
+        """Raise if n < 1, or if a preset's sigma falls outside its own regime at n."""
+        n = check_integer(n, "n", least=1)
         if self.kind in _PRESETS:
             k = _PRESETS.index(self.kind)
-            lo, hi = _regime_edges(check_integer(n, "n"))[k : k + 2]
+            lo, hi = _regime_edges(n)[k : k + 2]
             s = self.sigma(n)
             if not lo < s <= hi:
                 msg = "preset %r out of regime at n=%d: sigma=%g not in (%g, %g]"

@@ -280,7 +280,7 @@ def test_only_check_real_tests_a_scalar_for_finiteness():
 
 # the array refusals left by hand, each for a reason check_array cannot serve
 HAND_WRITTEN_ARRAY_REFUSALS = {
-    # an n = 10^6 int64 occupancy draw would cost 8 MB per worker as float64
+    # an n = 10^6 uint32 occupancy draw would cost 8 MB per worker as float64
     ("experiments", "conjecture_product"),
 }
 

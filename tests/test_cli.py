@@ -263,6 +263,15 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == "error: sigma must be a finite real number >= 0, got %r\n" % float(sigma)
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("mode", ["unlinked", "deconv"])
+    def test_one_row_refused_naming_the_file(self, mode, tmp_path, capsys):
+        # their bandwidths take log n, so a fit needs two rows
+        data = tmp_path / "data.csv"
+        dataset_to_csv(Dataset(mode, None if mode == "deconv" else [0.5], [0.25]), data)
+        assert run(["estimate", "--data", str(data), "--sigma", "0.05", "--out", str(tmp_path / "fit")]) == 1
+        assert capsys.readouterr().err == "error: %s: a %s fit needs 2 or more data rows, got 1\n" % (data, mode)
+        assert not (tmp_path / "fit").exists()
+
     def test_grid_too_coarse_exits_one(self, tmp_path, capsys):
         rng = rng_stream(8, "outlier")
         y = rng.random(500)

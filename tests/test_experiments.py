@@ -7,6 +7,7 @@ root-bracketed crossings, log-substituted at the singular origin) for every
 catalog link.
 """
 
+import concurrent.futures
 import math
 import os
 import re
@@ -34,6 +35,7 @@ from monofit.experiments import (
     risk_population,
 )
 import monofit
+from monofit import experiments
 from monofit.experiments import OCCUPANCY_CHUNK, _gauss_legendre, _occupancy_counts, _regime_edges, _sweep_chunk
 from monofit.synth import LinkSpec, link_cdf, parse_spec, rng_stream
 
@@ -227,12 +229,35 @@ class TestConjectureProduct:
             conjecture_product([2], 1, [1.0], 20.0)
         with pytest.raises(ValueError, match="^counts must be nonnegative and sum to n$"):
             conjecture_product([-1, 2], 1, [1.0], 20.0)
+        with pytest.raises(ValueError, match="^counts must be nonnegative and sum to n$"):
+            conjecture_product([10**12], 1, [1.0], 20.0)  # refused before a histogram of 10^12 + 1 bins
         with pytest.raises(ValueError, match="^counts must be integers$"):
             conjecture_product([49.5, 50.5], 100, [1.0], 20.0)
         with pytest.raises(ValueError, match="^counts must be a 1-d sequence"):
             conjecture_product([[1, 1]], 2, [1.0], 1.0)
         with pytest.raises(ValueError, match="^counts must be a 1-d sequence"):
             conjecture_product(np.int64(1), 1, [1.0], 1.0)
+
+    @given(
+        counts=st.lists(st.integers(0, 255), min_size=1, max_size=40).filter(sum),
+        Cs=st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=4),
+        c=st.floats(0.5, 40.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_products_in_every_count_dtype(self, counts, Cs, c):
+        # a draw counts in the narrowest unsigned type that holds n; the product reads only the values
+        n = sum(counts)
+        dtypes = (np.uint8, np.uint16, np.uint32, np.int64, np.float64)
+        values = [conjecture_product(np.array(counts, dtype), n, Cs, c) for dtype in dtypes]
+        assert all(np.array_equal(v, values[0]) for v in values[1:])
+
+    def test_product_of_a_draw_within_a_memory_budget(self):
+        n = 2**20
+        counts = _occupancy_counts(rng_stream(1729, "budget", n), n)
+        assert counts.dtype == np.uint32
+        _, peak = traced_peak(conjecture_product, counts, n, DEFAULT_C_LIST, 20.0)
+        # one OCCUPANCY_CHUNK of intp at a time; a widened copy of the draw would be 8 MiB
+        assert peak < 2**20, "peak %.2f MiB" % (peak / 2**20)
 
     def test_integral_float_counts_accepted(self):
         as_floats = conjecture_product([50.0, 0.0, 50.0], 100, DEFAULT_C_LIST, 20.0)
@@ -263,21 +288,22 @@ def one_shot_counts(rng, n):
 
 
 class TestOccupancyCounts:
-    @pytest.mark.parametrize("n", [1, 2, OCCUPANCY_CHUNK - 1, OCCUPANCY_CHUNK, OCCUPANCY_CHUNK + 1,
+    # 255 and 256, and 2^16 - 1 and 2^16 (= OCCUPANCY_CHUNK), end one count type and start the next
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, OCCUPANCY_CHUNK - 1, OCCUPANCY_CHUNK, OCCUPANCY_CHUNK + 1,
                                    3 * OCCUPANCY_CHUNK + 5, 10**6])
     @pytest.mark.parametrize("seed", [0, 1729, 2**40 + 3])
     def test_matches_one_shot_binning(self, n, seed):
         rng, twin = rng_stream(seed, "chunked", n), rng_stream(seed, "chunked", n)
         counts, oracle = _occupancy_counts(rng, n), one_shot_counts(twin, n)
-        assert counts.dtype == oracle.dtype and np.array_equal(counts, oracle)
+        assert counts.dtype == np.min_scalar_type(n) and np.array_equal(counts, oracle)
         # the draw takes exactly n doubles, so a generator reused across draws stays in step
         assert rng.random() == twin.random()
 
     def test_sweep_chunk_holds_one_draw_at_a_time(self):
         n = 2**20
         _, peak = traced_peak(_sweep_chunk, (1729, n, 0, 3, DEFAULT_C_LIST, 20.0))
-        # one n-length int64 count array plus 4 MiB; two live draws would need 16 MiB
-        assert peak < 8 * n + 4 * 2**20, "peak %.1f MiB" % (peak / 2**20)
+        # one n-length uint32 count array plus 3 MiB; two live draws would need 8 MiB
+        assert peak < 4 * n + 3 * 2**20, "peak %.1f MiB" % (peak / 2**20)
 
     def test_counts_sum_exactly(self):
         for n in (10, 1000, 10**5):
@@ -331,6 +357,47 @@ class TestConjectureConfig:
         assert type(cfg.c) is float and type(cfg.seed) is int
 
 
+class NoWaitFuture(concurrent.futures.Future):
+    """A future whose result raises TimeoutError at once if it is not done, so a test cannot hang on it."""
+
+    def result(self, timeout=None):
+        return super().result(timeout=0)
+
+
+class StalledPool:
+    """A stand-in process pool: runs its first ``started`` chunks at submission and never starts the rest."""
+
+    def __init__(self):
+        self.started, self.futures, self.shutdowns = 5, [], []
+
+    def __call__(self, max_workers):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def submit(self, fn, task):
+        future = NoWaitFuture()
+        if len(self.futures) < self.started:
+            future.set_running_or_notify_cancel()
+            future.set_result(fn(task))
+        self.futures.append(future)
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        self.shutdowns.append(cancel_futures)
+
+
+@pytest.fixture
+def stalled_pool(monkeypatch):
+    pool = StalledPool()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return pool
+
+
 class TestConjectureSweep:
     CFG = ConjectureConfig(n_min=100, n_max=1000, grid_points=3, reps=30, C_list=(1.0, 100.0), seed=5)
 
@@ -354,6 +421,40 @@ class TestConjectureSweep:
         # min(reps, 2 workers) chunks: one replication to a chunk
         cfg = ConjectureConfig(n_min=100, n_max=1000, grid_points=3, reps=reps, C_list=(1.0, 100.0), seed=5)
         assert conjecture_sweep(cfg, workers=workers) == conjecture_sweep(cfg, workers=1)
+
+    @pytest.mark.parametrize("reps", [30, 3])
+    def test_caller_computes_beside_a_pool_of_workers_minus_one(self, reps, monkeypatch):
+        # reps 3 gives fewer replications than the 2 workers chunks asked for
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = ConjectureConfig(n_min=100, n_max=1000, grid_points=3, reps=reps, C_list=(1.0, 100.0), seed=5)
+        serial = conjecture_sweep(cfg, workers=1)
+        assert sizes == []
+        for workers in (2, 3, 8):
+            assert conjecture_sweep(cfg, workers=workers) == serial
+        assert sizes == [1, 2, 7]
+
+    def test_caller_takes_back_the_chunks_the_pool_has_not_started(self, stalled_pool):
+        rows = conjecture_sweep(self.CFG, workers=2)
+        # 3 sizes of 4 chunks: the caller computed the 7 the pool never started
+        assert [f.cancelled() for f in stalled_pool.futures] == [False] * 5 + [True] * 7
+        assert rows == conjecture_sweep(self.CFG, workers=1)
+
+    def test_caller_failure_cancels_the_pool(self, stalled_pool, monkeypatch):
+        def failing_chunk(task):
+            raise RuntimeError("chunk failed")
+
+        monkeypatch.setattr(experiments, "_sweep_chunk", failing_chunk)
+        stalled_pool.started = 0
+        with pytest.raises(RuntimeError, match="^chunk failed$"):
+            conjecture_sweep(self.CFG, workers=2)
+        assert stalled_pool.shutdowns == [True]
 
     def test_mean_matches_direct_average(self):
         # per-C mean over shared draws == averaging the direct product

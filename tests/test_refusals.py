@@ -132,8 +132,8 @@ ARGS = [
     ("SigmaRule.params", lambda v: SigmaRule("constant", v), "SigmaRule params", NOT_NUMBERS + [0.7], [(0.7,)]),
     ("SigmaRule.constant", lambda v: SigmaRule("constant", (v,)), "constant rule parameter", NOT_NUMBERS + [0.0], []),
     ("SigmaRule.power", lambda v: SigmaRule("power", (v,)), "power rule parameter", NOT_NUMBERS + [0.0], []),
-    ("SigmaRule.sigma.n", SigmaRule("below-root").sigma, "n", NOT_NUMBERS + [100.5], [100.0]),
-    ("SigmaRule.check.n", SigmaRule("below-root").check, "n", NOT_NUMBERS + [100.5], [100.0]),
+    ("SigmaRule.sigma.n", SigmaRule("below-root").sigma, "n", NOT_NUMBERS + [100.5, 0, -4], [100.0]),
+    ("SigmaRule.check.n", SigmaRule("below-root").check, "n", NOT_NUMBERS + [100.5, 0, -4], [100.0]),
     ("GridSpec.lo", lambda v: GridSpec(v, 2.0, 4), "lo", NOT_NUMBERS + [-math.inf], []),
     ("GridSpec.hi", lambda v: GridSpec(0.0, v, 4), "hi", NOT_NUMBERS + [-math.inf], []),
     ("GridSpec.points", lambda v: GridSpec(0.0, 1.0, v), "points", NOT_NUMBERS + [1, 2.5], [2, 12, 16.0]),
@@ -186,7 +186,8 @@ ARGS = [
     ("conjecture_product.c", lambda v: conjecture_product([50, 50], 100, [1.0], v), "c", NOT_NUMBERS + [0.0], []),
     # C is a 1-d sequence, each entry checked on its own; a scalar is refused
     ("conjecture_product.C", lambda v: conjecture_product([50, 50], 100, v, 1.0), "C",
-     NOT_NUMBERS + [-math.inf, [1.0, math.nan], ["2", True], [[1.0]], 1.0, [-math.inf], [None]], [[0.0, 1.0]]),
+     NOT_NUMBERS + [-math.inf, [1.0, math.nan], ["2", True], [[1.0]], [[1.0], [1.0, 2.0]], 1.0, [-math.inf], [None]],
+     [[0.0, 1.0]]),
     ("rate_sweep.n", lambda v: rate_sweep("shuffled", (100, v), "below-root", 1, 1), "n", NOT_NUMBERS + [0, 2.5],
      []),
     # the unlinked and deconv bandwidths take log n
