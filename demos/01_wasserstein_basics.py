@@ -16,21 +16,17 @@ from monofit.dist1d import (
     w1_cdf_area,
     w1_empirical,
     w1_tabulated,
-    w2_empirical,
 )
 from monofit.synth import rng_stream
 
 rng = rng_stream(0, "demo-w1")
 
 # Two small samples.  W1 between empirical measures is the mean absolute
-# difference of matched quantiles, and works for unequal sizes; W2 squares
-# the differences and needs one atom per atom.
+# difference of matched quantiles, and works for unequal sizes.
 a = EmpiricalMeasure.from_sample(rng.normal(0.0, 1.0, 200))
 b = EmpiricalMeasure.from_sample(rng.normal(0.5, 1.2, 300))
 print("W1(a, b)  quantile coupling :", w1_empirical(a, b))
 print("W1(a, b)  CDF area          :", w1_cdf_area(a, b))
-c = EmpiricalMeasure.from_sample(rng.normal(0.5, 1.2, 200))
-print("W2(a, c)  equal sizes       :", w2_empirical(a, c))
 
 # Quantiles come from the left-continuous inverse of the CDF.
 print("median of a                 :", np.quantile(a.atoms, 0.5, method="inverted_cdf"))

@@ -5,7 +5,7 @@ The package groups eight pieces:
 - :mod:`monofit.checks` -- the checks that refuse a bad number or array
   from outside by name; it imports no other module of the package.
 - :mod:`monofit.dist1d` -- empirical measures, tabulated CDFs, monotone step
-  functions, and Wasserstein distances W1/W2.
+  functions, and Wasserstein-1 distances.
 - :mod:`monofit.synth` -- synthetic data generation: a catalog of monotone
   links, a supersmooth noise model, and the three observation schemes
   (shuffled, unlinked, deconv).

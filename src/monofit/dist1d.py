@@ -18,7 +18,6 @@ __all__ = [
     "MonotoneStepFn",
     "w1_empirical",
     "w1_cdf_area",
-    "w2_empirical",
     "w1_tabulated",
     "quantile",
 ]
@@ -56,15 +55,18 @@ class EmpiricalMeasure:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid: ``points`` values, two or more, spanning [lo, hi] with lo < hi."""
+    """Uniform grid: ``points`` values, two or more, spanning [lo, hi] with lo < hi and hi - lo finite."""
 
     lo: float
     hi: float
     points: int
 
     def __post_init__(self):
-        if not check_real(self.lo, "lo") < check_real(self.hi, "hi"):
+        lo, hi = check_real(self.lo, "lo"), check_real(self.hi, "hi")
+        if not lo < hi:
             raise ValueError("grid needs lo < hi")
+        if hi - lo == np.inf:
+            raise ValueError("grid step must be finite, got inf from lo = %r and hi = %r" % (lo, hi))
         object.__setattr__(self, "points", check_integer(self.points, "points", least=2))
 
     @property
@@ -170,18 +172,6 @@ def w1_cdf_area(a, b):
     fa = np.searchsorted(a.atoms, zs, side="right") / a.n
     fb = np.searchsorted(b.atoms, zs, side="right") / b.n
     return float(np.sum(np.abs(fa[:-1] - fb[:-1]) * np.diff(zs)))
-
-
-def w2_empirical(a, b):
-    """Wasserstein-2 distance ``sqrt((1/n) sum (a_(i) - b_(i))^2)``.
-
-    Requires equal sample sizes; the sorted matching is again optimal.
-    Always >= :func:`w1_empirical` on the same pair (Jensen).
-    """
-    if a.n != b.n:
-        raise ValueError("w2_empirical needs equal sample sizes, got %d and %d" % (a.n, b.n))
-    d = a.atoms - b.atoms
-    return float(np.sqrt(np.mean(d * d)))
 
 
 def w1_tabulated(a, b):

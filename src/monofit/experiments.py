@@ -29,7 +29,7 @@ from .deconv import estimate_cdf
 from .dist1d import TabulatedDistribution, w1_tabulated
 from .regress import fit_shuffled, fit_unlinked
 from .synth import LinkSpec, NoiseSpec, derive_seed, link_cdf, parse_spec, rng_stream, sample_dataset
-from .synth import _link_values, _spec_params
+from .synth import _checked_params, _link_values
 
 __all__ = [
     "DEFAULT_SEED",
@@ -148,11 +148,8 @@ def conjecture_product(counts, n, C, c):
     counts = np.asarray(counts)
     if counts.ndim != 1:
         raise ValueError("counts must be a 1-d sequence, got %d dimensions" % counts.ndim)
-    integral = counts.dtype.kind in "iu" or (
-        counts.dtype.kind == "f" and np.all(np.isfinite(counts)) and np.all(counts == np.floor(counts))
-    )
-    if not integral:
-        raise ValueError("counts must be integers")
+    if counts.dtype.kind not in "iu":
+        raise ValueError("counts must be integers, got dtype %s" % counts.dtype)
     top = int(counts.max(initial=0))
     if counts.size and (counts.min() < 0 or top > n):
         raise ValueError("counts must be nonnegative and sum to n")
@@ -332,6 +329,8 @@ _RULES = {
     "fixed": lambda n: 0.5,
 }
 _PRESETS = tuple(_RULES)[2:]
+# each rule's parameters as synth._checked_params reads them
+_RULE_PARAMS = {kind: () if kind in _PRESETS else (("%s rule parameter" % kind, {"above": 0.0}),) for kind in _RULES}
 
 
 @dataclass(frozen=True)
@@ -347,13 +346,7 @@ class SigmaRule:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _RULES:
-            raise ValueError("unknown sigma rule: %r" % (self.kind,))
-        params = tuple(check_real(v, "%s rule parameter" % self.kind, above=0.0) for v in _spec_params(self))
-        takes = 0 if self.kind in _PRESETS else 1
-        if len(params) != takes:
-            raise ValueError("%s takes %d parameters, got %d" % (self.kind, takes, len(params)))
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", _checked_params(self, _RULE_PARAMS, "sigma rule"))
 
     def sigma(self, n):
         return _RULES[self.kind](check_integer(n, "n", least=1), *self.params)

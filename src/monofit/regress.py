@@ -75,7 +75,12 @@ def project_moment(values):
     """
     values = check_array(values, "values", order="nondecreasing")
     p, bound = MOMENT_ORDER, MOMENT_BOUND
-    powers = np.abs(values) ** p
+    n = values.size
+    # a |v| above (n * bound)^(1/p) breaks the ball alone, so tau stays below
+    # it: capping |v| at twice that keeps |v|^p finite and tau unchanged
+    powers = np.abs(values)
+    np.minimum(powers, 2.0 * (n * bound) ** (1.0 / p), out=powers)
+    powers **= p
     if float(np.mean(powers)) <= bound:
         return values.copy()
     # With |v|^p sorted and S_j the sum of the j smallest, clipping at
@@ -83,7 +88,6 @@ def project_moment(values):
     # nondecreasing in tau.  The segment is the number j of sorted values
     # whose own threshold already fits (Duchi et al., ICML 2008).
     powers.sort()
-    n = values.size
     fits = np.arange(n - 1, -1, -1, dtype=float)
     fits *= powers
     sums = np.cumsum(powers, out=powers)

@@ -31,7 +31,6 @@ __all__ = [
     "parse_spec",
     "rng_stream",
     "derive_seed",
-    "noise_charfn",
     "link_cdf",
     "affine_link",
     "sample_dataset",
@@ -86,13 +85,6 @@ def parse_spec(cls, text):
         raise ValueError("%s %r: %s" % (cls.__name__, text, exc)) from None
 
 
-def noise_charfn(t):
-    """Characteristic function exp(-t^2/2) of the Gaussian noise at t."""
-    t_arr = check_points(t, "t", (-math.inf, math.inf))
-    out = np.exp(-0.5 * t_arr * t_arr)
-    return out if t_arr.ndim else float(out)
-
-
 # each link kind's parameters, in the order ``LinkSpec.params`` holds them,
 # with the bounds :func:`check_real` applies to each; step (None) takes one
 # or more levels, and the tail's n must also be an integer
@@ -106,22 +98,32 @@ _LINK_PARAMS = {
 }
 
 
-def _spec_params(spec):
-    """``spec.params`` as a tuple; ValueError naming the class unless it is a tuple or list.
+def _checked_params(spec, table, unknown):
+    """``spec.params`` checked against ``table``, which gives each kind a (name, bounds) pair per parameter.
 
-    A LinkSpec or SigmaRule takes its parameters as a sequence, so a scalar
-    or a string in its place is refused rather than iterated.
+    Refused in turn: a kind outside ``table`` (as an ``unknown``), params
+    other than a tuple (naming the class, so a string is not iterated), the
+    wrong count, then each value by :func:`check_real`.
     """
-    if not isinstance(spec.params, (tuple, list)):
-        raise ValueError("%s params must be a tuple or list, got %r" % (type(spec).__name__, spec.params))
-    return tuple(spec.params)
+    if spec.kind not in table:
+        raise ValueError("unknown %s: %r" % (unknown, spec.kind))
+    if not isinstance(spec.params, tuple):
+        raise ValueError("%s params must be a tuple, got %r" % (type(spec).__name__, spec.params))
+    fields = table[spec.kind]
+    if fields is None:
+        if not spec.params:
+            raise ValueError("step link needs at least one level")
+        fields = (("level", {}),) * len(spec.params)
+    elif len(spec.params) != len(fields):
+        raise ValueError("%s takes %d parameters, got %d" % (spec.kind, len(fields), len(spec.params)))
+    return tuple(check_real(v, name, **bounds) for v, (name, bounds) in zip(spec.params, fields))
 
 
 @dataclass(frozen=True)
 class LinkSpec:
     """A nondecreasing, left-continuous link on [0, 1] from a small catalog.
 
-    ``params`` is a tuple or list of the kind's parameters in the order
+    ``params`` is a tuple of the kind's parameters in the order
     ``_LINK_PARAMS`` names them; any other count is refused.
 
     - ``identity``        m(x) = x
@@ -142,17 +144,7 @@ class LinkSpec:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _LINK_PARAMS:
-            raise ValueError("unknown link kind: %r" % (self.kind,))
-        params = _spec_params(self)
-        fields = _LINK_PARAMS[self.kind]
-        if fields is None:
-            if not params:
-                raise ValueError("step link needs at least one level")
-            fields = (("level", {}),) * len(params)
-        elif len(params) != len(fields):
-            raise ValueError("%s takes %d parameters, got %d" % (self.kind, len(fields), len(params)))
-        params = tuple(check_real(v, name, **bounds) for v, (name, bounds) in zip(params, fields))
+        params = _checked_params(self, _LINK_PARAMS, "link kind")
         if self.kind == "step" and any(b < a for a, b in zip(params, params[1:])):
             raise ValueError("step levels must be nondecreasing")
         if self.kind == "unbounded-tail":

@@ -5,10 +5,11 @@ every function the benchmark tracer wraps still exists where the tracer
 looks for it, so a refactor cannot silently zero a per-layer metric, every
 argument the tracer reads from a call is still a parameter of its target,
 every capture of the tracer runs on a real call, every name the benchmark imports from monofit still resolves, a scalar
-is tested for finiteness in one place only, an array likewise except at
-one named site, a parameter is made an array only there and in the
-checks, the module of those checks imports no other, and every defaulted
-parameter of an exported function is set by some call in the program.
+and an array are each tested for finiteness in one place only, a
+parameter is made an array only in the checks and at one named site, the
+module of those checks imports no other, the estimators load no data
+generator, and every defaulted parameter of an exported function is set
+by some call in the program.
 """
 
 import ast
@@ -278,13 +279,6 @@ def test_only_check_real_tests_a_scalar_for_finiteness():
     assert found == [("checks", "check_real")]
 
 
-# the array refusals left by hand, each for a reason check_array cannot serve
-HAND_WRITTEN_ARRAY_REFUSALS = {
-    # an n = 10^6 uint32 occupancy draw would cost 8 MB per worker as float64
-    ("experiments", "conjecture_product"),
-}
-
-
 def _array_tests(tree):
     """Owners of each array finiteness, order or range test in ``tree`` that can refuse.
 
@@ -304,11 +298,11 @@ def _array_tests(tree):
 
 def test_array_refusals_are_check_array_calls():
     # a finiteness, order or range test of an array from outside is
-    # written once, in check_array; the few left by hand are listed above
+    # written once, in check_array, with no exception
     found = {
         (path.stem, owner) for path in sorted(SRC.glob("*.py")) for owner in _array_tests(ast.parse(path.read_text()))
     }
-    assert found == HAND_WRITTEN_ARRAY_REFUSALS | {("checks", "check_array")}
+    assert found == {("checks", "check_array")}
 
 
 def test_checks_is_the_bottom_layer():
@@ -321,6 +315,16 @@ def test_checks_is_the_bottom_layer():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert imported == {"math", "numpy"}
+
+
+def test_estimators_load_no_data_generator():
+    # the estimators know the noise by its scale sigma alone, so neither they
+    # nor what they import loads monofit.synth, which draws the data
+    code = "import sys, monofit.deconv, monofit.regress; print('monofit.synth' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(monofit.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
 
 
 def _parameter_conversions(tree):
@@ -336,6 +340,13 @@ def _parameter_conversions(tree):
                 yield owner
 
 
+# the parameters made arrays outside the checks, each for a reason they cannot serve
+OWN_CONVERSIONS = {
+    # counts keep their integer dtype: an n = 10^6 uint32 occupancy draw would cost 8 MB per worker as float64
+    ("experiments", "conjecture_product"),
+}
+
+
 def test_parameters_become_arrays_only_in_the_checks():
     # an argument from outside is made an array by check_array or
     # check_points, which refuse what is not numbers; a bare conversion
@@ -345,7 +356,7 @@ def test_parameters_become_arrays_only_in_the_checks():
         for path in sorted(SRC.glob("*.py"))
         for owner in _parameter_conversions(ast.parse(path.read_text()))
     }
-    assert found == HAND_WRITTEN_ARRAY_REFUSALS | {("checks", "_float_array")}
+    assert found == OWN_CONVERSIONS | {("checks", "_float_array")}
 
 
 # defaulted parameters that no call in src/ or bench/ sets, each with its reason

@@ -176,6 +176,11 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="^grid needs lo < hi$"):
             GridSpec(1.0, 1.0, 16)
+        # finite ends whose difference overflows give no grid
+        overflow = r"^grid step must be finite, got inf from lo = -1e\+308 and hi = 1e\+308$"
+        with pytest.raises(ValueError, match=overflow):
+            GridSpec(-1e308, 1e308, 1000)
+        assert GridSpec(-8e307, 8e307, 3).step == 8e307
         # any count from 2 is a grid; powers of two are auto_grid's policy
         assert GridSpec(0.0, 1.0, 12).xs.size == 12
 
@@ -521,6 +526,9 @@ class TestEstimateCdf:
         y[17] = 1e9
         with pytest.raises(ValueError, match="grid too coarse"):
             estimate_cdf(y, 0.05)
+        # a sample past half the float range is refused for its grid's span, not as too coarse
+        with pytest.raises(ValueError, match="^grid step must be finite, got inf from lo = -1e"):
+            estimate_cdf([-1e308, 1e308], 0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(

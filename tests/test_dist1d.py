@@ -24,7 +24,6 @@ from monofit.dist1d import (
     w1_cdf_area,
     w1_empirical,
     w1_tabulated,
-    w2_empirical,
 )
 
 from memory import traced_peak
@@ -124,7 +123,6 @@ class TestW1Empirical:
         b = EmpiricalMeasure.from_sample(ys[:n])
         c = EmpiricalMeasure.from_sample(zs[:n])
         assert w1_empirical(a, c) <= w1_empirical(a, b) + w1_empirical(b, c) + 1e-12
-        assert w2_empirical(a, c) <= w2_empirical(a, b) + w2_empirical(b, c) + 1e-12
 
 
 class TestW1CdfArea:
@@ -147,42 +145,6 @@ class TestW1CdfArea:
         b = EmpiricalMeasure([1.0])
         # mass 2/3 moves from 0 to 1, mass 1/3 from 3 to 1
         assert w1_empirical(a, b) == pytest.approx(2.0 / 3.0 + 2.0 / 3.0)
-
-
-class TestW2Empirical:
-    def test_two_point_example(self):
-        a = EmpiricalMeasure([0.0, 1.0])
-        b = EmpiricalMeasure([0.0, 2.0])
-        assert w2_empirical(a, b) == pytest.approx(math.sqrt(0.5))
-        oracle = math.sqrt(coupling_oracle([0, 1], [0, 2], 2))
-        assert w2_empirical(a, b) == pytest.approx(oracle)
-
-    def test_zero_and_singletons(self):
-        a = EmpiricalMeasure([1.0, 2.0])
-        assert w2_empirical(a, a) == 0.0
-        assert w2_empirical(EmpiricalMeasure([3.0]), EmpiricalMeasure([-1.0])) == 4.0
-
-    def test_size_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            w2_empirical(EmpiricalMeasure([0.0]), EmpiricalMeasure([0.0, 1.0]))
-
-    def test_coupling_oracle_small_n(self):
-        rng = np.random.default_rng(9)
-        for n in (2, 3, 4, 5, 6):
-            x = rng.normal(size=n)
-            y = rng.normal(size=n)
-            a = EmpiricalMeasure.from_sample(x)
-            b = EmpiricalMeasure.from_sample(y)
-            oracle = math.sqrt(coupling_oracle(list(x), list(y), 2))
-            assert w2_empirical(a, b) == pytest.approx(oracle, abs=1e-12)
-
-    @given(samples, samples)
-    @settings(max_examples=60, deadline=None)
-    def test_dominates_w1(self, xs, ys):
-        n = min(len(xs), len(ys))
-        a = EmpiricalMeasure.from_sample(xs[:n])
-        b = EmpiricalMeasure.from_sample(ys[:n])
-        assert w2_empirical(a, b) >= w1_empirical(a, b) - 1e-12
 
 
 def table(lo, hi, cdf):

@@ -50,7 +50,6 @@ from monofit.synth import (
     affine_link,
     derive_seed,
     link_cdf,
-    noise_charfn,
     rng_stream,
     sample_dataset,
 )
@@ -120,7 +119,9 @@ ARGS = [
      NOT_NUMBERS + [0, 2.5], [1, 100.0]),
     ("sample_dataset.sigma", lambda v: sample_dataset("deconv", 10, LinkSpec("identity"), NoiseSpec(), v, 1),
      "sigma", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
-    ("LinkSpec.params", lambda v: LinkSpec("affine", v), "LinkSpec params", NOT_NUMBERS + [2.0, "12"], [[1.0, 0.0]]),
+    # params is a tuple: a list, even of the right count, is refused as text and a scalar are
+    ("LinkSpec.params", lambda v: LinkSpec("affine", v), "LinkSpec params",
+     NOT_NUMBERS + [2.0, "12", [1.0], [1.0, 0.0]], [(1.0, 0.0)]),
     ("LinkSpec.slope", lambda v: LinkSpec("affine", (v, 0.0)), "slope", NOT_NUMBERS + [BELOW_ZERO], [0.0]),
     ("LinkSpec.offset", lambda v: LinkSpec("affine", (1.0, v)), "offset", NOT_NUMBERS, []),
     ("LinkSpec.level", lambda v: LinkSpec("step", (-1.0, v)), "level", NOT_NUMBERS, []),
@@ -129,7 +130,7 @@ ARGS = [
     ("LinkSpec.tail_scale", lambda v: LinkSpec("unbounded-tail", (0.5, 1.0, v, 100)), "tail_scale",
      NOT_NUMBERS + [0.0], []),
     ("LinkSpec.n", lambda v: LinkSpec("unbounded-tail", (0.5, 1.0, 0.1, v)), "n", NOT_NUMBERS + [0, 100.5], [1]),
-    ("SigmaRule.params", lambda v: SigmaRule("constant", v), "SigmaRule params", NOT_NUMBERS + [0.7], [(0.7,)]),
+    ("SigmaRule.params", lambda v: SigmaRule("constant", v), "SigmaRule params", NOT_NUMBERS + [0.7, [1.0]], [(0.7,)]),
     ("SigmaRule.constant", lambda v: SigmaRule("constant", (v,)), "constant rule parameter", NOT_NUMBERS + [0.0], []),
     ("SigmaRule.power", lambda v: SigmaRule("power", (v,)), "power rule parameter", NOT_NUMBERS + [0.0], []),
     ("SigmaRule.sigma.n", SigmaRule("below-root").sigma, "n", NOT_NUMBERS + [100.5, 0, -4], [100.0]),
@@ -188,6 +189,9 @@ ARGS = [
     ("conjecture_product.C", lambda v: conjecture_product([50, 50], 100, v, 1.0), "C",
      NOT_NUMBERS + [-math.inf, [1.0, math.nan], ["2", True], [[1.0]], [[1.0], [1.0, 2.0]], 1.0, [-math.inf], [None]],
      [[0.0, 1.0]]),
+    # counts keep their own integer dtype (a draw's is unsigned), so a float one is refused, integral or not
+    ("conjecture_product.counts", lambda v: conjecture_product(v, 100, [1.0], 1.0), "counts",
+     [[50.0, 50.0], ["50", "50"], [True, True], [[50, 50]], 100], [[50, 50], np.array([50, 50], np.uint8)]),
     ("rate_sweep.n", lambda v: rate_sweep("shuffled", (100, v), "below-root", 1, 1), "n", NOT_NUMBERS + [0, 2.5],
      []),
     # the unlinked and deconv bandwidths take log n
@@ -205,7 +209,6 @@ ARGS = [
     ("LinkSpec.__call__.x", TAIL, "x", NOT_POINTS + [BELOW_ZERO, ABOVE_ONE], POINTS + [0.0, 1.0]),
     ("quantile.u", lambda v: quantile(HALVES, v), "u", NOT_POINTS + [0.0, 1.0], POINTS + [5e-324, 1.0 - 2**-53]),
     ("link_cdf.z", lambda v: link_cdf(TAIL, v), "z", NOT_POINTS, POINTS + [-math.inf, math.inf]),
-    ("noise_charfn.t", noise_charfn, "t", NOT_POINTS, POINTS + [-math.inf, math.inf]),
 ]
 
 
@@ -419,7 +422,6 @@ EXEMPT = {
     "RiskRecord": "a record rate_sweep builds from checked values",
     "w1_empirical": "takes two EmpiricalMeasure, checked when built",
     "w1_cdf_area": "takes two EmpiricalMeasure, checked when built",
-    "w2_empirical": "takes two EmpiricalMeasure, checked when built",
     "parse_spec": "a refusal quotes the text, then the class's own row",
     "risk_population": "takes a fit and a LinkSpec, both checked when built",
     "dataset_to_csv": "writes a Dataset, checked when built",

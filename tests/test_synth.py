@@ -18,7 +18,6 @@ from monofit.synth import (
     dataset_to_csv,
     derive_seed,
     link_cdf,
-    noise_charfn,
     rng_stream,
     sample_dataset,
 )
@@ -41,12 +40,6 @@ class TestNoiseSpec:
                 NoiseSpec(**kwargs)
         with pytest.raises(TypeError):
             NoiseSpec("gaussian")
-
-    def test_charfn_values(self):
-        assert noise_charfn(0.0) == 1.0
-        assert noise_charfn(1.0) == pytest.approx(math.exp(-0.5))
-        ts = np.linspace(-30, 30, 1001)
-        assert np.all(noise_charfn(ts) > 0.0)
 
     def test_sample_moments(self):
         # centered, unit variance, within 5 standard errors
